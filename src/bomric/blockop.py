@@ -70,12 +70,6 @@ class BlockOp:
     __rmul__ = __mul__
 
 
-def identity_blockop(dim: int) -> BlockOp:
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    return BlockOp(eye, zero, zero, eye)
-
-
 def kron_qubit_env(m, env) -> BlockOp:
     """kron(m, env) for a 2 x 2 qubit matrix m and a square env matrix."""
     m = np.asarray(m, dtype=complex)
@@ -140,10 +134,6 @@ def unflatten(m) -> BlockOp:
         raise ShapeError(f"expected a square even-dimension matrix, got {m.shape}")
     n = m.shape[0] // 2
     return BlockOp(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
-
-
-def is_hermitian_blockop(x: BlockOp, tol: float | None = None) -> bool:
-    return linalg.is_hermitian(flatten(x), tol)
 
 
 def sandwich_lemma_check(a1, b: BlockOp, a2) -> float:

@@ -1,8 +1,8 @@
 """Command line front end: simulate, riccati, verify.
 
-Exit codes: 0 success, 2 schema or state validation error, 3 environment
-dimension over the cap, 4 solver non-convergence, 5 a verification check
-failed.
+Exit codes: 0 success, 2 schema, state or command-line input error (including
+a file that cannot be opened), 3 environment dimension over the cap, 4 solver
+non-convergence, 5 a verification check failed.
 """
 from __future__ import annotations
 
@@ -30,7 +30,14 @@ from .dynamics import (
     reduced_dynamics,
     rotating_frame_check,
 )
-from .scenario import CHECK_NAMES, RunConfig, ScenarioError, scenario_from_dict
+from .scenario import (
+    CHECK_NAMES,
+    RunConfig,
+    ScenarioError,
+    load_scenario,
+    read_document,
+    scenario_from_dict,
+)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -49,32 +56,31 @@ CSV_COLUMNS = (
 _VERIFY_SEED = 20240817
 
 
-def _load_raw(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON: {exc}") from None
-
-
 def _apply_override(data: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = data
-    for part in parts[:-1]:
-        if isinstance(node, list):
-            node = node[int(part)]
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
-        else:
-            raise ScenarioError(f"sweep key {dotted!r}: no section {part!r} in scenario")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        node[int(leaf)] = value
-    elif isinstance(node, dict) and leaf in node:
-        node[leaf] = value
-    else:
-        raise ScenarioError(f"sweep key {dotted!r}: no entry {leaf!r} in scenario")
+    for part in parents:
+        node = node[_entry(node, part, dotted)]
+    node[_entry(node, leaf, dotted)] = value
+
+
+def _entry(node, part: str, dotted: str):
+    """The key or list index that `part` names in node."""
+    if isinstance(node, dict) and part in node:
+        return part
+    if isinstance(node, list) and part.isdecimal() and int(part) < len(node):
+        return int(part)
+    raise ScenarioError(f"sweep key {dotted!r}: no entry {part!r} in scenario")
+
+
+def _with_steps(s: Scenario, steps: int | None) -> Scenario:
+    """The scenario with its grid step count overridden by --steps."""
+    if steps is None:
+        return s
+    try:
+        return replace(s, steps=steps)
+    except ValueError as exc:
+        raise ScenarioError(f"--steps {steps}: {exc}") from None
 
 
 def _parse_sweep(arg: str) -> tuple[str, list]:
@@ -111,7 +117,7 @@ def _write_csv(path: Path, traj) -> None:
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_raw(args.scenario)
+    raw = read_document(args.scenario)
     sweeps = [_parse_sweep(s) for s in (args.sweep or [])]
     if len(sweeps) > 1:
         raise ScenarioError("only one --sweep key is supported per run")
@@ -130,9 +136,7 @@ def cmd_simulate(args) -> int:
 
     for doc, target in jobs:
         config = scenario_from_dict(doc)
-        s = config.scenario
-        if args.steps is not None:
-            s = replace(s, steps=args.steps)
+        s = _with_steps(config.scenario, args.steps)
         mode = args.mode or config.mode
         traj = reduced_dynamics(s, mode)
         _write_csv(target, traj)
@@ -201,7 +205,7 @@ def _riccati_dephasing_report(config: RunConfig) -> dict:
 
 
 def cmd_riccati(args) -> int:
-    config = scenario_from_dict(_load_raw(args.scenario))
+    config = load_scenario(args.scenario)
     if config.dephasing_m is not None:
         report = _riccati_dephasing_report(config)
         print(
@@ -353,11 +357,9 @@ assert set(_CHECKS) == set(CHECK_NAMES)
 
 
 def cmd_verify(args) -> int:
-    raw = _load_raw(args.scenario)
+    raw = read_document(args.scenario)
     config = scenario_from_dict(raw)
-    s = config.scenario
-    if args.steps is not None:
-        s = replace(s, steps=args.steps)
+    s = _with_steps(config.scenario, args.steps)
 
     results = []
     all_pass = True
@@ -434,6 +436,9 @@ def main(argv=None) -> int:
         print(f"error: invalid initial state: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (

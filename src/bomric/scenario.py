@@ -8,6 +8,7 @@ g_re / g_im pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,7 +66,13 @@ def _require_dict(obj, path: str, allowed: set[str], required: set[str]) -> dict
 def _num(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        x = float(obj)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{path}: expected a finite number, got {x}")
+    return x
 
 
 def _int(obj, path: str) -> int:
@@ -79,13 +86,15 @@ def _matrix(obj, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{path}: entries must be numeric: {exc}") from None
     if re.ndim != 2 or re.shape != im.shape:
         raise ScenarioError(
             f"{path}: 're' and 'im' must be equal-shape 2-d arrays, "
             f"got {re.shape} and {im.shape}"
         )
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ScenarioError(f"{path}: entries must be finite numbers")
     m = re + 1j * im
     if shape is not None and m.shape != shape:
         raise ScenarioError(f"{path}: expected shape {shape}, got {m.shape}")
@@ -225,11 +234,16 @@ def scenario_from_dict(data) -> RunConfig:
     return RunConfig(scenario=scenario, mode=mode, checks=checks, dephasing_m=dephasing_m)
 
 
-def load_scenario(path) -> RunConfig:
-    """Read and validate a scenario JSON file."""
-    text = Path(path).read_text()
+def read_document(path) -> dict:
+    """Parse a scenario JSON file without validating it against the schema."""
     try:
-        data = json.loads(text)
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ScenarioError(f"scenario file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from None
-    return scenario_from_dict(data)
+
+
+def load_scenario(path) -> RunConfig:
+    """Read and validate a scenario JSON file."""
+    return scenario_from_dict(read_document(path))

@@ -18,8 +18,8 @@ from bomric.bath import (
     weyl_operator,
     weyl_unitarity_defect,
 )
-from bomric.blockop import flatten, is_hermitian_blockop
-from bomric.linalg import frobenius_norm, hermitian_eig
+from bomric.blockop import flatten
+from bomric.linalg import frobenius_norm, hermitian_eig, is_hermitian
 
 from conftest import random_hermitian
 
@@ -152,7 +152,7 @@ def test_dephasing_hamiltonian_blocks(small_bath):
     assert frobenius_norm(h.a22 - (he - v)) <= 1e-15
     assert frobenius_norm(h.a12 - 1.0j * v) <= 1e-15
     assert frobenius_norm(h.a21 + 1.0j * v) <= 1e-15
-    assert is_hermitian_blockop(h)
+    assert is_hermitian(flatten(h))
 
 
 def test_dephasing_commutes_for_diagonal_m(small_bath):

@@ -14,8 +14,6 @@ from bomric.blockop import (
     bom_mul,
     bom_scale,
     flatten,
-    identity_blockop,
-    is_hermitian_blockop,
     kron_qubit_env,
     partial_trace_env,
     sandwich_lemma_check,
@@ -23,7 +21,7 @@ from bomric.blockop import (
 )
 from bomric.linalg import ShapeError, frobenius_norm
 
-from conftest import random_complex, random_hermitian
+from conftest import random_complex
 
 
 def random_blockop(rng, n):
@@ -150,19 +148,6 @@ def test_pauli_algebra():
     assert frobenius_norm(PAULI_3 @ PAULI_1 - 1j * PAULI_2) == 0.0
     for p in (PAULI_1, PAULI_2, PAULI_3):
         assert frobenius_norm(p @ p - ID2) == 0.0
-
-
-def test_identity_blockop():
-    b = identity_blockop(3)
-    assert np.array_equal(flatten(b), np.eye(6, dtype=complex))
-
-
-def test_is_hermitian_blockop(rng):
-    h_env = random_hermitian(rng, 3)
-    v = random_complex(rng, 3)
-    herm = BlockOp(h_env, v, v.conj().T, h_env)
-    assert is_hermitian_blockop(herm)
-    assert not is_hermitian_blockop(BlockOp(h_env, v, v, h_env))
 
 
 def test_blockop_shape_validation(rng):

@@ -115,6 +115,66 @@ def test_simulate_missing_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, token",
+    [("qubit", "alpha", float("nan"), "NaN"), ("time", "t_max", float("inf"), "Infinity")],
+    ids=["nan_alpha", "infinite_t_max"],
+)
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, section, key, value, token):
+    doc = minimal_doc()
+    doc[section][key] = value
+    path = write_doc(tmp_path, doc)
+    assert token in path.read_text()  # Python's json reads and writes these tokens
+    rc = cli.main(["simulate", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == cli.EXIT_SCHEMA
+    assert f"error: {section}.{key}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_sweep_rejects_nan(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", str(CLOSED_QUBIT), "--out", str(out), "--sweep", "qubit.alpha=NaN"])
+    assert rc == cli.EXIT_SCHEMA
+    assert "error: qubit.alpha: expected a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["bath.modes.x.omega", "bath.modes.5.omega"])
+def test_simulate_sweep_rejects_bad_list_index(tmp_path, capsys, key):
+    rc = cli.main(
+        ["simulate", str(CLOSED_QUBIT), "--out", str(tmp_path / "x.csv"), "--sweep", f"{key}=1"]
+    )
+    assert rc == cli.EXIT_SCHEMA
+    assert f"error: sweep key {key!r}: no entry" in capsys.readouterr().err
+
+
+def test_simulate_sweep_over_list_entry(tmp_path):
+    out = tmp_path / "x.csv"
+    rc = cli.main(
+        ["simulate", str(SPINBOSON), "--out", str(out), "--steps", "4",
+         "--sweep", "bath.modes.0.omega=1.5"]
+    )
+    assert rc == 0
+    assert (tmp_path / "x_bath_modes_0_omega_1.5.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_zero_steps_override_rejected(tmp_path, capsys, command):
+    argv = [command, str(CLOSED_QUBIT), "--steps", "0"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    assert "error: --steps 0:" in capsys.readouterr().err
+
+
+def test_simulate_out_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = cli.main(["simulate", str(CLOSED_QUBIT), "--out", str(out), "--steps", "4"])
+    assert rc == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_simulate_rejects_schema_violation(tmp_path, capsys):
     doc = minimal_doc()
     doc["qubit"]["gamma"] = 1.0

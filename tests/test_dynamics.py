@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator
 from bomric.blockop import (
@@ -244,6 +245,97 @@ def test_trajectory_diagnostics_bounded(small_bath):
         assert np.all(traj.herm_dev <= 1e-11)
         assert np.all(traj.positivity_floor >= -1e-9)
         assert np.allclose(traj.times, np.linspace(0.0, 2.0, 101))
+
+
+# -- dense oracle for the propagation kernel ----------------------------------
+# Two modes at Fock cutoff 2 (env_dim 9), assembled from plain numpy Kronecker
+# ladders; every mode is checked against dense exponentials and an index-sum
+# partial trace.
+
+ORACLE_QUBIT = QubitParams(alpha=0.4, beta=0.6, omega=0.9)
+ORACLE_MODES = ((1.3, 0.25), (0.7, 0.15 + 0.1j))
+ORACLE_BATH = BathSpec(tuple(BathMode(w, g) for w, g in ORACLE_MODES), fock_cutoff=2)
+
+
+def dense_hamiltonian(q, beta, t=None):
+    """Lab-frame H(t) in the trig form, or the static H(beta) when t is None."""
+    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    s3 = np.diag([1.0, -1.0]).astype(complex)
+    a = np.diag(np.sqrt([1.0, 2.0]), k=1).astype(complex)
+    i3 = np.eye(3)
+    ladders = (np.kron(a, i3), np.kron(i3, a))
+    he = sum(w * (b.conj().T @ b) for (w, _), b in zip(ORACLE_MODES, ladders))
+    v = sum(np.conj(g) * b + g * b.conj().T for (_, g), b in zip(ORACLE_MODES, ladders))
+    drive = s1 if t is None else np.cos(q.omega * t) * s1 + np.sin(q.omega * t) * s2
+    return np.kron(beta * s3 + q.alpha * drive, np.eye(9)) + np.kron(np.eye(2), he) + np.kron(s3, v)
+
+
+def index_sum_trace(rho, n=9):
+    out = np.zeros((2, 2), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            for e in range(n):
+                out[a, b] += rho[a * n + e, b * n + e]
+    return out
+
+
+def oracle_initial_state(kind):
+    rng = np.random.default_rng(77)
+    if kind == "rank2_product":
+        ket0, plus = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)
+        rho_q = 0.6 * np.outer(plus, plus) + 0.4 * np.outer(ket0, ket0)
+        env = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        env /= np.linalg.norm(env)
+        return np.kron(rho_q, np.outer(env, env.conj()))
+    u, _ = np.linalg.qr(rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18)))
+    p = rng.uniform(0.5, 1.5, 18)
+    p[3] = 0.0
+    p /= p.sum()
+    p[3] = 1e-15
+    rho = (u * p) @ u.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def dense_oracle_states(mode, rho0, times, substeps):
+    q = ORACLE_QUBIT
+    if mode == "rotating_stepped":
+        dt = (times[1] - times[0]) / substeps
+        u, us = np.eye(18, dtype=complex), [np.eye(18, dtype=complex)]
+        for k in range((len(times) - 1) * substeps):
+            u = scipy.linalg.expm(-1j * dt * dense_hamiltonian(q, q.beta, (k + 0.5) * dt)) @ u
+            if (k + 1) % substeps == 0:
+                us.append(u)
+    elif mode == "static_exact":
+        h = dense_hamiltonian(q, q.beta)
+        us = [scipy.linalg.expm(-1j * t * h) for t in times]
+    else:
+        h = dense_hamiltonian(q, q.beta - q.omega / 2.0)
+        us = [
+            np.kron(np.diag(np.exp([-0.5j * q.omega * t, 0.5j * q.omega * t])), np.eye(9))
+            @ scipy.linalg.expm(-1j * t * h)
+            for t in times
+        ]
+    return [index_sum_trace(u @ rho0 @ u.conj().T) for u in us]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", ["rank2_product", "full_rank_tiny_population"])
+def test_reduced_dynamics_matches_dense_oracle(kind, mode):
+    rho0 = oracle_initial_state(kind)
+    s = Scenario(
+        qubit=ORACLE_QUBIT,
+        bath=ORACLE_BATH,
+        initial_state=unflatten(rho0),
+        t_max=3.0,
+        steps=12,
+        substeps_per_step=2,
+    )
+    traj = reduced_dynamics(s, mode)
+    oracle = dense_oracle_states(mode, rho0, s.times, s.substeps_per_step)
+    assert len(traj) == len(oracle) == 13
+    for got, want in zip(traj.states, oracle):
+        assert frobenius_norm(got - want) <= 1e-12
 
 
 def test_substeps_refine_integration(small_bath):

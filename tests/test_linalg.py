@@ -12,43 +12,11 @@ from bomric.linalg import (
     expm,
     frobenius_norm,
     hermitian_eig,
-    matmul,
     operator_norm_estimate,
     solve_sylvester,
 )
 
 from conftest import random_complex, random_hermitian
-
-
-def matmul_oracle(a, b):
-    # triple loop, no vectorization
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
-    return out
-
-
-def test_matmul_against_triple_loop(rng):
-    for _ in range(10):
-        a = random_complex(rng, 3)
-        b = random_complex(rng, 3)
-        assert frobenius_norm(matmul(a, b) - matmul_oracle(a, b)) <= 1e-13
-
-
-def test_matmul_rectangular(rng):
-    a = random_complex(rng, 2, 5)
-    b = random_complex(rng, 5, 3)
-    assert frobenius_norm(matmul(a, b) - matmul_oracle(a, b)) <= 1e-13
-
-
-def test_matmul_shape_error(rng):
-    with pytest.raises(ShapeError):
-        matmul(random_complex(rng, 2, 3), random_complex(rng, 2, 3))
 
 
 def test_adjoint_by_index_swap(rng):

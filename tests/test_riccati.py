@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator, dephasing_hamiltonian
-from bomric.blockop import bom_adjoint, bom_mul, flatten, identity_blockop
+from bomric.blockop import BlockOp, bom_adjoint, bom_mul, flatten
 from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm
 from bomric.riccati import (
@@ -200,8 +200,8 @@ def test_problem_validation(rng):
         RiccatiProblem(a=random_complex(rng, 3), b=h, c=h)
     with pytest.raises(ShapeError):
         RiccatiProblem(a=h, b=random_complex(rng, 2), c=h)
-    bad = identity_blockop(3)
-    bad = type(bad)(bad.a11, bad.a12 + 1.0, bad.a21, bad.a22)
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    bad = BlockOp(eye, zero + 1.0, zero, eye)
     with pytest.raises(NotHermitianError):
         problem_from_blockop(bad)
 

@@ -222,6 +222,18 @@ def test_load_scenario_rejects_bad_json(tmp_path):
         load_scenario(p)
 
 
+def test_load_scenario_missing_file(tmp_path):
+    with pytest.raises(ScenarioError, match="not found"):
+        load_scenario(tmp_path / "nope.json")
+
+
+def test_non_finite_matrix_entry_rejected():
+    doc = base_doc()
+    doc["initial"]["qubit_state"] = {"re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0.0, float("nan")], [0.0, 0.0]]}
+    with pytest.raises(ScenarioError, match="finite"):
+        scenario_from_dict(doc)
+
+
 def test_documents_are_not_mutated():
     doc = base_doc()
     snapshot = copy.deepcopy(doc)

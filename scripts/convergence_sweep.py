@@ -5,7 +5,9 @@ Runs a scenario's stepped lab-frame dynamics against the dressed static
 trajectory at the shifted splitting and prints the worst residual for a
 ladder of step counts.  A second-order integrator shows ratios near 4.
 
-Usage: convergence_sweep.py SCENARIO [--steps 250 500 1000 2000] [--out CSV]
+Usage, from the repository root (drop PYTHONPATH once bomric is installed):
+    PYTHONPATH=src python scripts/convergence_sweep.py SCENARIO
+        [--steps 250 500 1000 2000] [--out CSV]
 """
 import argparse
 import csv
@@ -14,8 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bomric.dynamics import rotating_frame_check
 from bomric.scenario import load_scenario

@@ -8,16 +8,14 @@ needed.  Near the resonance where the mode frequency equals twice the
 splitting, the spectra of the diagonal blocks coincide and Newton's
 linearization turns singular; those rows show up as NO CONVERGENCE.
 
-Usage: riccati_branch_scan.py [--alpha 0.3] [--beta 0.5] [--g 0.2]
-                              [--n-max 8] [--omega0 0.6 0.8 ... 3.0]
+Usage, from the repository root (drop PYTHONPATH once bomric is installed):
+    PYTHONPATH=src python scripts/riccati_branch_scan.py [--alpha 0.3] [--beta 0.5] [--g 0.2]
+        [--n-max 8] [--omega0 0.6 0.8 ... 3.0]
 """
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bomric.bath import BathMode, BathSpec
 from bomric.dynamics import QubitParams, hamiltonian_static

@@ -8,13 +8,12 @@ this script sweeps the cutoff and prints the residual, the fitted shift,
 and the unitarity defect of the truncated displacement on the compared
 subspace.
 
-Usage: weyl_cutoff_sweep.py [--omega0 1.0] [--g 0.2] [--cutoffs 2 4 ... 16]
+Usage, from the repository root (drop PYTHONPATH once bomric is installed):
+    PYTHONPATH=src python scripts/weyl_cutoff_sweep.py [--omega0 1.0] [--g 0.2]
+        [--cutoffs 2 4 ... 16]
 """
 import argparse
 import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bomric.bath import BathMode, BathSpec, displaced_check, weyl_unitarity_defect
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 schema, state or command-line input error (including
 a file that cannot be opened), 3 environment dimension over the cap, 4 solver
-non-convergence, 5 a verification check failed.
+non-convergence, 5 a verification check failed or a trajectory left a sanity
+cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).
 """
 from __future__ import annotations
 
@@ -17,15 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg, riccati
-from .bath import DimensionCapError, coupling_operator, displaced_check
+from .bath import DimensionCapError, bath_hamiltonian, coupling_operator, displaced_check
 from .blockop import BlockOp, flatten, sandwich_lemma_check
 from .dynamics import (
     MODES,
     InvalidStateError,
     QubitParams,
     Scenario,
+    TrajectorySanityError,
     bloch_vector,
     covariance_residual,
+    hamiltonian_from_blocks,
     hamiltonian_static,
     reduced_dynamics,
     rotating_frame_check,
@@ -246,6 +249,7 @@ def cmd_riccati(args) -> int:
 
 def _check_covariance(s: Scenario) -> dict:
     rng = np.random.default_rng(_VERIFY_SEED)
+    he, v = bath_hamiltonian(s.bath), coupling_operator(s.bath)
     worst = 0.0
     for _ in range(100):
         q = QubitParams(
@@ -254,8 +258,9 @@ def _check_covariance(s: Scenario) -> dict:
             omega=rng.uniform(0.1, 5.0),
         )
         t = rng.uniform(0.0, 20.0)
-        scale = linalg.frobenius_norm(flatten(hamiltonian_static(q, s.bath)))
-        worst = max(worst, covariance_residual(q, s.bath, t) / scale)
+        h = hamiltonian_from_blocks(q, he, v)
+        scale = linalg.frobenius_norm(flatten(h))
+        worst = max(worst, covariance_residual(q, h, t) / scale)
     return {"residual": worst, "tolerance": 1e-12, "passed": worst <= 1e-12}
 
 
@@ -290,26 +295,26 @@ def _check_sandwich(s: Scenario) -> dict:
 
 
 def _check_zt_riccati(s: Scenario) -> dict:
+    he = bath_hamiltonian(s.bath)
     w = coupling_operator(s.bath) + s.qubit.beta * np.eye(s.bath.env_dim)
     scale = max(linalg.frobenius_norm(w), 1e-300)
+    alpha = s.qubit.alpha
     worst = 0.0
     for t in np.linspace(0.0, s.t_max, 100):
-        worst = max(
-            worst,
-            riccati.time_dependent_residual(s.bath, s.qubit.beta, s.qubit.alpha, t) / scale,
-        )
+        h = riccati.periodic_from_blocks(he, w, alpha, t)
+        worst = max(worst, riccati.time_dependent_residual(h, alpha, t) / scale)
     return {"residual": worst, "tolerance": 1e-13, "passed": worst <= 1e-13}
 
 
 def _check_st_diagonalization(s: Scenario) -> dict:
-    from .bath import bath_hamiltonian
-
     he = bath_hamiltonian(s.bath)
     w = coupling_operator(s.bath) + s.qubit.beta * np.eye(s.bath.env_dim)
+    alpha = s.qubit.alpha
     worst_off = 0.0
     worst_diag = 0.0
     for t in np.linspace(0.0, s.t_max, 20):
-        transformed = riccati.s_frame_transform(s.bath, s.qubit.beta, s.qubit.alpha, t)
+        h = riccati.periodic_from_blocks(he, w, alpha, t)
+        transformed = riccati.s_frame_transform(h, alpha, t)
         off = np.sqrt(
             linalg.frobenius_norm(transformed.a12) ** 2
             + linalg.frobenius_norm(transformed.a21) ** 2
@@ -432,6 +437,9 @@ def main(argv=None) -> int:
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
+    except TrajectorySanityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except InvalidStateError as exc:
         print(f"error: invalid initial state: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

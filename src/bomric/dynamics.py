@@ -18,7 +18,14 @@ share one eigenbasis route; "factored" runs it at beta - w/2 and dresses the
 reduced states with diag(exp(-+ i w t / 2)) (the sandwich lemma).
 "rotating_stepped" takes midpoint exponentials of H(t) assembled from its
 definition, not from the covariance, so the rotating_frame check that
-compares it with "factored" is an independent cross-check.
+compares it with "factored" is an independent cross-check.  Each step
+exponential acts on the factor directly: a truncated Taylor series
+(linalg.expm_action) on a thin factor, such as a pure state's single column,
+and a dense expm otherwise.  The drive only rotates phases, so ||H(t) dt||_1
+and hence the Taylor plan are the same at every step.
+
+reduced_dynamics raises TrajectorySanityError when a trajectory leaves the
+sanity caps below.
 """
 from __future__ import annotations
 
@@ -41,7 +48,8 @@ from .blockop import (
 
 MODES = ("rotating_stepped", "static_exact", "factored")
 
-# Trajectory sanity bounds; every propagation mode must stay inside these.
+# Trajectory sanity bounds; reduced_dynamics raises TrajectorySanityError
+# when a trajectory leaves them.
 TRACE_DEV_CAP = 1e-10
 HERM_DEV_CAP = 1e-11
 POSITIVITY_FLOOR = -1e-9
@@ -49,6 +57,10 @@ POSITIVITY_FLOOR = -1e-9
 
 class InvalidStateError(ValueError):
     """Initial density matrix fails hermiticity, trace, or positivity."""
+
+
+class TrajectorySanityError(RuntimeError):
+    """A reduced trajectory left one of the sanity caps below."""
 
 
 @dataclass(frozen=True)
@@ -133,10 +145,15 @@ class Trajectory:
 
 def hamiltonian_static(q: QubitParams, bath: BathSpec, beta: float | None = None) -> BlockOp:
     """H(beta) = [[H_E + f(+1) V + beta, alpha], [alpha, H_E + f(-1) V - beta]]."""
+    return hamiltonian_from_blocks(q, bath_hamiltonian(bath), coupling_operator(bath), beta)
+
+
+def hamiltonian_from_blocks(
+    q: QubitParams, he: np.ndarray, v: np.ndarray, beta: float | None = None
+) -> BlockOp:
+    """hamiltonian_static from an assembled bath Hamiltonian he and coupling v."""
     b = q.beta if beta is None else float(beta)
-    he = bath_hamiltonian(bath)
-    v = coupling_operator(bath)
-    eye = np.eye(bath.env_dim, dtype=complex)
+    eye = np.eye(he.shape[0], dtype=complex)
     fp, fm = q.coupling_diag
     return BlockOp(
         he + fp * v + b * eye,
@@ -165,12 +182,12 @@ def rotation_frame_unitary(q: QubitParams, t: float) -> np.ndarray:
     ).astype(complex)
 
 
-def covariance_residual(q: QubitParams, bath: BathSpec, t: float) -> float:
-    """|| H(t) - exp(iKt) H(beta) exp(-iKt) ||_F; zero up to roundoff."""
-    conj = kron_qubit_env(rotation_frame_unitary(q, t), np.eye(bath.env_dim))
-    hs = hamiltonian_static(q, bath)
-    rotated = flatten(conj) @ flatten(hs) @ flatten(conj).conj().T
-    return linalg.frobenius_norm(flatten(hamiltonian_rotating(q, bath, t)) - rotated)
+def covariance_residual(q: QubitParams, h: BlockOp, t: float) -> float:
+    """|| H(t) - exp(iKt) H(beta) exp(-iKt) ||_F for h = H(beta) =
+    hamiltonian_static(q, bath); zero up to roundoff."""
+    conj = kron_qubit_env(rotation_frame_unitary(q, t), np.eye(h.dim))
+    rotated = flatten(conj) @ flatten(h) @ flatten(conj).conj().T
+    return linalg.frobenius_norm(flatten(_drive_at(h, q.omega, t)) - rotated)
 
 
 def propagator_static(h: BlockOp, t: float) -> BlockOp:
@@ -186,15 +203,21 @@ def propagator_factored(q: QubitParams, bath: BathSpec, t: float) -> BlockOp:
 
 
 def _midpoint_steps(
-    h_of_t: Callable[[float], BlockOp], x: np.ndarray, dt: float, steps: int, substeps: int
+    h_of_t: Callable[[float], BlockOp],
+    x: np.ndarray,
+    dt: float,
+    steps: int,
+    substeps: int,
+    plan: tuple[int, int] | None,
 ) -> Iterator[np.ndarray]:
     """Yield x, then x after each of `steps` groups of `substeps` midpoint
-    exponentials exp(-i h(t_mid) dt), advancing x by left multiplication."""
+    exponentials exp(-i h(t_mid) dt) applied to x by linalg.expm_action with
+    the one Taylor plan given for every step (None: dense expm @ x)."""
     yield x
     for k in range(steps):
         for j in range(substeps):
             tm = (k * substeps + j + 0.5) * dt
-            x = linalg.expm(flatten(h_of_t(tm)), -1j * dt) @ x
+            x = linalg.expm_action(flatten(h_of_t(tm)), -1j * dt, x, plan)
         yield x
 
 
@@ -208,7 +231,8 @@ def step_evolve(h_of_t: Callable[[float], BlockOp], t_max: float, steps: int) ->
     if steps < 1:
         raise ValueError("steps must be >= 1")
     eye = np.eye(2 * h_of_t(0.0).dim, dtype=complex)
-    _, u = _midpoint_steps(h_of_t, eye, float(t_max) / steps, 1, steps)
+    # the identity is as wide as h: every step is a dense expm
+    _, u = _midpoint_steps(h_of_t, eye, float(t_max) / steps, 1, steps, None)
     return unflatten(u)
 
 
@@ -255,8 +279,11 @@ def reduced_dynamics(s: Scenario, mode: str = "rotating_stepped") -> Trajectory:
     if mode == "rotating_stepped":
         h = hamiltonian_static(q, s.bath)
         n = s.substeps_per_step
+        dt = s.t_max / (s.steps * n)
+        # H(t) has the entry moduli of h, so one plan fits every step
+        plan = linalg.action_plan(flatten(h), -1j * dt, p.size)
         factors = _midpoint_steps(
-            lambda t: _drive_at(h, q.omega, t), psi, s.t_max / (s.steps * n), s.steps, n
+            lambda t: _drive_at(h, q.omega, t), psi, dt, s.steps, n, plan
         )
     else:
         beta = q.beta - q.omega / 2.0 if mode == "factored" else None
@@ -267,13 +294,25 @@ def reduced_dynamics(s: Scenario, mode: str = "rotating_stepped") -> Trajectory:
         r = np.exp(-0.5j * q.omega * np.outer(times, [1.0, -1.0]))
         states *= r[:, :, None] * r[:, None, :].conj()
     adj = states.conj().transpose(0, 2, 1)
-    return Trajectory(
+    traj = Trajectory(
         times=times,
         states=states,
         trace_dev=np.abs(np.trace(states, axis1=1, axis2=2) - 1.0),
         herm_dev=np.linalg.norm(states - adj, axis=(1, 2)),
         positivity_floor=np.linalg.eigvalsh((states + adj) / 2.0)[:, 0],
     )
+    for name, worst, cap_name, cap in (
+        ("trace_dev", np.max(traj.trace_dev), "TRACE_DEV_CAP", TRACE_DEV_CAP),
+        ("herm_dev", np.max(traj.herm_dev), "HERM_DEV_CAP", HERM_DEV_CAP),
+        ("positivity_floor", np.min(traj.positivity_floor), "POSITIVITY_FLOOR", POSITIVITY_FLOOR),
+    ):
+        # the floor is a lower bound, the caps upper ones; NaN is outside both
+        inside = worst >= cap if name == "positivity_floor" else worst <= cap
+        if not inside:
+            raise TrajectorySanityError(
+                f"trajectory {name} reached {worst:.3e}, beyond {cap_name} = {cap:g}"
+            )
+    return traj
 
 
 def rotating_frame_check(s: Scenario) -> np.ndarray:

@@ -347,35 +347,39 @@ def periodic_phase(alpha: float, t: float) -> complex:
 
 def periodic_bom(spec: BathSpec, beta: float, alpha: float, t: float) -> BlockOp:
     """Block operator [[H_E, z_t* (V + beta)], [z_t (V + beta), H_E]]."""
-    he = bath_hamiltonian(spec)
     w = coupling_operator(spec) + beta * np.eye(spec.env_dim)
+    return periodic_from_blocks(bath_hamiltonian(spec), w, alpha, t)
+
+
+def periodic_from_blocks(he: np.ndarray, w: np.ndarray, alpha: float, t: float) -> BlockOp:
+    """periodic_bom from an assembled H_E and W = V + beta."""
     z = periodic_phase(alpha, t)
     return BlockOp(he, np.conj(z) * w, z * w, he)
 
 
-def time_dependent_residual(spec: BathSpec, beta: float, alpha: float, t: float) -> float:
-    """Residual of X_t = z_t 1 in the Riccati equation of periodic_bom.
+def time_dependent_residual(h: BlockOp, alpha: float, t: float) -> float:
+    """Residual of X_t = z_t 1 in the Riccati equation of h = periodic_bom(..., alpha, t).
 
     The phase X_t = z_t 1 solves the equation identically for every t, so
     the returned norm is pure roundoff.
     """
-    h = periodic_bom(spec, beta, alpha, t)
     p = RiccatiProblem(a=h.a11, b=h.a12, c=h.a22)
     z = periodic_phase(alpha, t)
-    return residual(p, z * np.eye(spec.env_dim))
+    return residual(p, z * np.eye(h.dim))
 
 
-def s_frame_unitary(spec: BathSpec, alpha: float, t: float) -> BlockOp:
+def s_frame_unitary(env_dim: int, alpha: float, t: float) -> BlockOp:
     """S_t = U_{z_t} / sqrt(2), the unitary congruence built from X_t = z_t 1."""
     z = periodic_phase(alpha, t)
-    return bom_scale(build_ux(z * np.eye(spec.env_dim)), 1.0 / np.sqrt(2.0))
+    return bom_scale(build_ux(z * np.eye(env_dim)), 1.0 / np.sqrt(2.0))
 
 
-def s_frame_transform(spec: BathSpec, beta: float, alpha: float, t: float) -> BlockOp:
-    """S_t† H_t S_t; equals diag(H_E + V + beta, H_E - V - beta) exactly.
+def s_frame_transform(h: BlockOp, alpha: float, t: float) -> BlockOp:
+    """S_t† h S_t for h = periodic_bom(spec, beta, alpha, t); equals
+    diag(H_E + V + beta, H_E - V - beta) exactly.
 
     The time dependence cancels: the transformed operator is the same
     block-diagonal matrix at every t.
     """
-    st = s_frame_unitary(spec, alpha, t)
-    return bom_mul(bom_adjoint(st), bom_mul(periodic_bom(spec, beta, alpha, t), st))
+    st = s_frame_unitary(h.dim, alpha, t)
+    return bom_mul(bom_adjoint(st), bom_mul(h, st))

@@ -36,6 +36,7 @@ from bomric.linalg import expm, frobenius_norm, solve_sylvester
 from bomric.riccati import (
     diagonalize,
     matching_branch,
+    periodic_bom,
     problem_from_blockop,
     residual,
     s_frame_transform,
@@ -89,8 +90,9 @@ def test_covariance_identity(capsys):
                 omega=rng.uniform(0.1, 5.0),
             )
             t = rng.uniform(0.0, 20.0)
-            scale = frobenius_norm(flatten(hamiltonian_static(q, bath)))
-            worst = max(worst, covariance_residual(q, bath, t) / scale)
+            h = hamiltonian_static(q, bath)
+            scale = frobenius_norm(flatten(h))
+            worst = max(worst, covariance_residual(q, h, t) / scale)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     report(capsys, ok, "covariance identity", f"worst relative residual {worst:.3e}", elapsed)
@@ -193,12 +195,13 @@ def test_driven_riccati_phase_solution(capsys):
 
     worst_x = 0.0
     for t in np.linspace(0.0, 10.0, 100):
-        worst_x = max(worst_x, time_dependent_residual(bath, beta, alpha, float(t)))
+        h = periodic_bom(bath, beta, alpha, float(t))
+        worst_x = max(worst_x, time_dependent_residual(h, alpha, float(t)))
 
     worst_off = 0.0
     worst_diag = 0.0
     for t in np.linspace(0.0, 10.0, 100):
-        d = s_frame_transform(bath, beta, alpha, float(t))
+        d = s_frame_transform(periodic_bom(bath, beta, alpha, float(t)), alpha, float(t))
         off = max(float(np.max(np.abs(d.a12))), float(np.max(np.abs(d.a21))))
         dev = max(
             float(np.max(np.abs(d.a11 - (he + w)))),

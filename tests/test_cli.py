@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bomric import cli
+from bomric import cli, dynamics
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 CLOSED_QUBIT = SCENARIO_DIR / "closed_qubit.json"
@@ -199,6 +199,31 @@ def test_simulate_invalid_initial_state(tmp_path, capsys):
     rc = cli.main(["simulate", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "x.csv")])
     assert rc == cli.EXIT_SCHEMA
     assert "invalid initial state" in capsys.readouterr().err
+
+
+def test_simulate_sanity_cap_breach(tmp_path, capsys, monkeypatch):
+    # any roundoff in a state's trace breaches a cap of 0
+    monkeypatch.setattr(dynamics, "TRACE_DEV_CAP", 0.0)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", str(SPINBOSON), "--out", str(out), "--steps", "50"])
+    assert rc == cli.EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory trace_dev reached ") and err.count("\n") == 1
+    assert "beyond TRACE_DEV_CAP = 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_overflowing_drive_breaches_caps(tmp_path, capsys):
+    # finite input whose Hamiltonian norm overflows: NaN states leave the caps
+    doc = minimal_doc()
+    doc["qubit"]["alpha"] = 1e308
+    doc["run"]["mode"] = "rotating_stepped"
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", str(write_doc(tmp_path, doc)), "--out", str(out)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- riccati ------------------------------------------------------------------

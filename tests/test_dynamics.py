@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,6 +31,7 @@ from bomric.dynamics import (
     step_evolve,
     validate_state,
 )
+from bomric import linalg
 from bomric.linalg import expm, frobenius_norm
 from bomric.riccati import periodic_bom, s_frame_unitary
 
@@ -115,7 +118,7 @@ def test_covariance_residual_vanishes(rng):
         bath = BathSpec((BathMode(1.5, 0.3),), fock_cutoff=3)
         t = rng.uniform(0.0, 20.0)
         scale = max(1.0, frobenius_norm(flatten(hamiltonian_static(q, bath))))
-        assert covariance_residual(q, bath, t) <= 1e-12 * scale
+        assert covariance_residual(q, hamiltonian_static(q, bath), t) <= 1e-12 * scale
 
 
 def test_propagator_static_unitary_and_semigroup(small_bath):
@@ -201,7 +204,7 @@ def test_frozen_drive_propagator_diagonalizes(small_bath):
     beta, alpha, tau, t = 0.5, 0.3, 1.3, 0.9
     n = small_bath.env_dim
     h_frozen = periodic_bom(small_bath, beta, alpha, tau)
-    s = flatten(s_frame_unitary(small_bath, alpha, tau))
+    s = flatten(s_frame_unitary(small_bath.env_dim, alpha, tau))
     he = bath_hamiltonian(small_bath)
     w = coupling_operator(small_bath) + beta * np.eye(n)
     diag = np.block(
@@ -250,28 +253,35 @@ def test_trajectory_diagnostics_bounded(small_bath):
 # -- dense oracle for the propagation kernel ----------------------------------
 # Two modes at Fock cutoff 2 (env_dim 9), assembled from plain numpy Kronecker
 # ladders; every mode is checked against dense exponentials and an index-sum
-# partial trace.
+# partial trace.  The rank-1 state on the same modes at cutoff 3 (env_dim 16,
+# 2N = 32) is thin enough that its midpoint steps take the Taylor action.
 
 ORACLE_QUBIT = QubitParams(alpha=0.4, beta=0.6, omega=0.9)
 ORACLE_MODES = ((1.3, 0.25), (0.7, 0.15 + 0.1j))
-ORACLE_BATH = BathSpec(tuple(BathMode(w, g) for w, g in ORACLE_MODES), fock_cutoff=2)
+ORACLE_CUTOFF = {"rank2_product": 2, "full_rank_tiny_population": 2, "rank1_wide": 3}
 
 
-def dense_hamiltonian(q, beta, t=None):
+def oracle_bath(cutoff):
+    return BathSpec(tuple(BathMode(w, g) for w, g in ORACLE_MODES), fock_cutoff=cutoff)
+
+
+def dense_hamiltonian(q, beta, cutoff, t=None):
     """Lab-frame H(t) in the trig form, or the static H(beta) when t is None."""
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.diag([1.0, -1.0]).astype(complex)
-    a = np.diag(np.sqrt([1.0, 2.0]), k=1).astype(complex)
-    i3 = np.eye(3)
-    ladders = (np.kron(a, i3), np.kron(i3, a))
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(complex)
+    eye_mode = np.eye(cutoff + 1)
+    ladders = (np.kron(a, eye_mode), np.kron(eye_mode, a))
     he = sum(w * (b.conj().T @ b) for (w, _), b in zip(ORACLE_MODES, ladders))
     v = sum(np.conj(g) * b + g * b.conj().T for (_, g), b in zip(ORACLE_MODES, ladders))
     drive = s1 if t is None else np.cos(q.omega * t) * s1 + np.sin(q.omega * t) * s2
-    return np.kron(beta * s3 + q.alpha * drive, np.eye(9)) + np.kron(np.eye(2), he) + np.kron(s3, v)
+    n = (cutoff + 1) ** 2
+    return np.kron(beta * s3 + q.alpha * drive, np.eye(n)) + np.kron(np.eye(2), he) + np.kron(s3, v)
 
 
-def index_sum_trace(rho, n=9):
+def index_sum_trace(rho):
+    n = rho.shape[0] // 2
     out = np.zeros((2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):
@@ -282,6 +292,10 @@ def index_sum_trace(rho, n=9):
 
 def oracle_initial_state(kind):
     rng = np.random.default_rng(77)
+    if kind == "rank1_wide":
+        env = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        env /= np.linalg.norm(env)
+        return np.kron(np.full((2, 2), 0.5), np.outer(env, env.conj()))
     if kind == "rank2_product":
         ket0, plus = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)
         rho_q = 0.6 * np.outer(plus, plus) + 0.4 * np.outer(ket0, ket0)
@@ -297,45 +311,71 @@ def oracle_initial_state(kind):
     return (rho + rho.conj().T) / 2.0
 
 
-def dense_oracle_states(mode, rho0, times, substeps):
+def dense_oracle_states(mode, rho0, times, substeps, cutoff):
     q = ORACLE_QUBIT
+    eye = np.eye(rho0.shape[0], dtype=complex)
     if mode == "rotating_stepped":
         dt = (times[1] - times[0]) / substeps
-        u, us = np.eye(18, dtype=complex), [np.eye(18, dtype=complex)]
+        u, us = eye, [eye]
         for k in range((len(times) - 1) * substeps):
-            u = scipy.linalg.expm(-1j * dt * dense_hamiltonian(q, q.beta, (k + 0.5) * dt)) @ u
+            h = dense_hamiltonian(q, q.beta, cutoff, (k + 0.5) * dt)
+            u = scipy.linalg.expm(-1j * dt * h) @ u
             if (k + 1) % substeps == 0:
                 us.append(u)
     elif mode == "static_exact":
-        h = dense_hamiltonian(q, q.beta)
+        h = dense_hamiltonian(q, q.beta, cutoff)
         us = [scipy.linalg.expm(-1j * t * h) for t in times]
     else:
-        h = dense_hamiltonian(q, q.beta - q.omega / 2.0)
+        h = dense_hamiltonian(q, q.beta - q.omega / 2.0, cutoff)
+        env_eye = np.eye(len(eye) // 2)
         us = [
-            np.kron(np.diag(np.exp([-0.5j * q.omega * t, 0.5j * q.omega * t])), np.eye(9))
+            np.kron(np.diag(np.exp([-0.5j * q.omega * t, 0.5j * q.omega * t])), env_eye)
             @ scipy.linalg.expm(-1j * t * h)
             for t in times
         ]
     return [index_sum_trace(u @ rho0 @ u.conj().T) for u in us]
 
 
+def _no_dense_expm(*args):
+    raise AssertionError("a thin factor took a dense expm")
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("kind", ["rank2_product", "full_rank_tiny_population"])
-def test_reduced_dynamics_matches_dense_oracle(kind, mode):
+@pytest.mark.parametrize("kind", ["rank2_product", "full_rank_tiny_population", "rank1_wide"])
+def test_reduced_dynamics_matches_dense_oracle(kind, mode, monkeypatch):
     rho0 = oracle_initial_state(kind)
+    cutoff = ORACLE_CUTOFF[kind]
     s = Scenario(
         qubit=ORACLE_QUBIT,
-        bath=ORACLE_BATH,
+        bath=oracle_bath(cutoff),
         initial_state=unflatten(rho0),
-        t_max=3.0,
+        t_max=1.5 if kind == "rank1_wide" else 3.0,
         steps=12,
         substeps_per_step=2,
     )
+    if kind == "rank1_wide":
+        # no mode may take a dense expm: the midpoint steps use the Taylor series
+        monkeypatch.setattr(linalg, "expm", _no_dense_expm)
     traj = reduced_dynamics(s, mode)
-    oracle = dense_oracle_states(mode, rho0, s.times, s.substeps_per_step)
+    oracle = dense_oracle_states(mode, rho0, s.times, s.substeps_per_step, cutoff)
     assert len(traj) == len(oracle) == 13
     for got, want in zip(traj.states, oracle):
         assert frobenius_norm(got - want) <= 1e-12
+
+
+def test_rotating_frame_halving_on_action_path():
+    s = Scenario(
+        qubit=ORACLE_QUBIT,
+        bath=oracle_bath(3),
+        initial_state=unflatten(oracle_initial_state("rank1_wide")),
+        t_max=1.5,
+        steps=24,
+    )
+    h = flatten(hamiltonian_static(s.qubit, s.bath))
+    assert linalg.action_plan(h, -1j * s.t_max / s.steps, 1) is not None
+    coarse = max(rotating_frame_check(s))
+    fine = max(rotating_frame_check(replace(s, steps=2 * s.steps)))
+    assert 3.9 <= coarse / fine <= 4.1
 
 
 def test_substeps_refine_integration(small_bath):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,40 @@ def test_expm_semigroup(t, s):
     lhs = expm(h, scale=-1j * (t + s))
     rhs = expm(h, scale=-1j * t) @ expm(h, scale=-1j * s)
     assert frobenius_norm(lhs - rhs) <= 1e-10
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("norm1", [1e-3, 0.05, 0.4, 2.0, 9.0, 20.0])
+def test_expm_action_matches_dense_oracle(rng, norm1, r):
+    # ||a dt||_1 = norm1; above 9.9 the plan splits the series into s > 1 steps
+    a = random_hermitian(rng, 12)
+    dt = norm1 / np.abs(a).sum(axis=0).max()
+    x = random_complex(rng, 12, r)
+    m, s = linalg.taylor_plan(norm1)
+    assert (s > 1) == (norm1 > 9.9)
+    got = linalg.expm_action(a, -1j * dt, x, (m, s))
+    want = scipy.linalg.expm(-1j * dt * a) @ x
+    assert frobenius_norm(got - want) <= 1e-13 * frobenius_norm(want)
+
+
+def test_expm_action_zero_operator_returns_x(rng):
+    x = random_complex(rng, 6, 1)
+    plan = linalg.action_plan(np.zeros((6, 6)), -0.3j, 1)
+    assert plan == (1, 1)
+    assert np.array_equal(linalg.expm_action(np.zeros((6, 6)), -0.3j, x, plan), x)
+
+
+def test_expm_action_wide_factor_takes_dense_path(rng):
+    a = random_hermitian(rng, 8)
+    dt = 0.29 / np.abs(a).sum(axis=0).max()
+    for r in (4, 8):
+        x = random_complex(rng, 8, r)
+        plan = linalg.action_plan(a, -1j * dt, r)
+        assert plan is None
+        assert np.array_equal(linalg.expm_action(a, -1j * dt, x, plan), expm(a, -1j * dt) @ x)
+    # one column of a 32 x 32 operator at the same ||a dt||_1 takes the series
+    b = random_hermitian(rng, 32)
+    assert linalg.action_plan(b, -0.29j / np.abs(b).sum(axis=0).max(), 1) == (12, 1)
 
 
 def test_hermitian_eig_pauli_z():

@@ -286,7 +286,7 @@ def test_phase_solves_driven_riccati(small_bath):
         h = periodic_bom(small_bath, beta=0.5, alpha=0.3, t=float(t))
         w = coupling_operator(small_bath) + 0.5 * np.eye(small_bath.env_dim)
         scale = max(1.0, frobenius_norm(w))
-        assert time_dependent_residual(small_bath, 0.5, 0.3, float(t)) <= 1e-13 * scale
+        assert time_dependent_residual(h, 0.3, float(t)) <= 1e-13 * scale
         # and the blocks are what they should be
         assert frobenius_norm(h.a11 - bath_hamiltonian(small_bath)) == 0.0
         z = periodic_phase(0.3, float(t))
@@ -294,7 +294,7 @@ def test_phase_solves_driven_riccati(small_bath):
 
 
 def test_drive_frame_unitary(small_bath):
-    s = flatten(s_frame_unitary(small_bath, alpha=0.3, t=2.1))
+    s = flatten(s_frame_unitary(small_bath.env_dim, alpha=0.3, t=2.1))
     n = 2 * small_bath.env_dim
     assert frobenius_norm(s.conj().T @ s - np.eye(n)) <= 1e-13
 
@@ -303,7 +303,7 @@ def test_drive_frame_diagonalizes_at_all_times(small_bath):
     he = bath_hamiltonian(small_bath)
     w = coupling_operator(small_bath) + 0.5 * np.eye(small_bath.env_dim)
     for t in (0.0, 0.4, 3.3, 7.9):
-        d = s_frame_transform(small_bath, beta=0.5, alpha=0.3, t=t)
+        d = s_frame_transform(periodic_bom(small_bath, 0.5, 0.3, t), alpha=0.3, t=t)
         assert frobenius_norm(d.a12) <= 1e-13
         assert frobenius_norm(d.a21) <= 1e-13
         assert frobenius_norm(d.a11 - (he + w)) <= 1e-13
@@ -311,6 +311,6 @@ def test_drive_frame_diagonalizes_at_all_times(small_bath):
 
 
 def test_drive_frame_transform_is_time_independent(small_bath):
-    d0 = s_frame_transform(small_bath, beta=0.5, alpha=0.3, t=0.0)
-    d1 = s_frame_transform(small_bath, beta=0.5, alpha=0.3, t=5.5)
+    d0 = s_frame_transform(periodic_bom(small_bath, 0.5, 0.3, 0.0), alpha=0.3, t=0.0)
+    d1 = s_frame_transform(periodic_bom(small_bath, 0.5, 0.3, 5.5), alpha=0.3, t=5.5)
     assert frobenius_norm(flatten(d0) - flatten(d1)) <= 1e-12

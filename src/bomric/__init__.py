@@ -1,120 +1,3 @@
 """Block operator matrices, operator Riccati equations, and reduced qubit dynamics."""
 
-from .bath import (
-    BathMode,
-    BathSpec,
-    DimensionCapError,
-    annihilation,
-    bath_hamiltonian,
-    coupling_operator,
-    dephasing_hamiltonian,
-    displaced_check,
-    weyl_operator,
-    weyl_unitarity_defect,
-)
-from .blockop import (
-    BlockOp,
-    bom_add,
-    bom_adjoint,
-    bom_mul,
-    bom_scale,
-    flatten,
-    kron_qubit_env,
-    partial_trace_env,
-    sandwich_lemma_check,
-    unflatten,
-)
-from .dynamics import (
-    InvalidStateError,
-    QubitParams,
-    Scenario,
-    Trajectory,
-    TrajectorySanityError,
-    bloch_vector,
-    covariance_residual,
-    hamiltonian_rotating,
-    hamiltonian_static,
-    propagator_factored,
-    propagator_static,
-    reduced_dynamics,
-    rotating_frame_check,
-    step_evolve,
-)
-from .riccati import (
-    AmbiguousSubspaceError,
-    NoGraphError,
-    RiccatiConvergenceError,
-    RiccatiProblem,
-    RiccatiSettings,
-    RiccatiSolution,
-    build_ux,
-    diagonalize,
-    matching_branch,
-    periodic_bom,
-    residual,
-    s_frame_transform,
-    solve_dephasing_quadratic,
-    solve_invariant_subspace,
-    solve_newton,
-    time_dependent_residual,
-)
-from .scenario import RunConfig, ScenarioError, load_scenario, scenario_from_dict
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguousSubspaceError",
-    "BathMode",
-    "BathSpec",
-    "BlockOp",
-    "DimensionCapError",
-    "InvalidStateError",
-    "NoGraphError",
-    "QubitParams",
-    "RiccatiConvergenceError",
-    "RiccatiProblem",
-    "RiccatiSettings",
-    "RiccatiSolution",
-    "RunConfig",
-    "Scenario",
-    "ScenarioError",
-    "Trajectory",
-    "TrajectorySanityError",
-    "annihilation",
-    "bath_hamiltonian",
-    "bloch_vector",
-    "bom_add",
-    "bom_adjoint",
-    "bom_mul",
-    "bom_scale",
-    "build_ux",
-    "coupling_operator",
-    "covariance_residual",
-    "dephasing_hamiltonian",
-    "diagonalize",
-    "displaced_check",
-    "flatten",
-    "hamiltonian_rotating",
-    "hamiltonian_static",
-    "kron_qubit_env",
-    "load_scenario",
-    "matching_branch",
-    "partial_trace_env",
-    "periodic_bom",
-    "propagator_factored",
-    "propagator_static",
-    "reduced_dynamics",
-    "residual",
-    "rotating_frame_check",
-    "s_frame_transform",
-    "sandwich_lemma_check",
-    "scenario_from_dict",
-    "solve_dephasing_quadratic",
-    "solve_invariant_subspace",
-    "solve_newton",
-    "step_evolve",
-    "time_dependent_residual",
-    "unflatten",
-    "weyl_operator",
-    "weyl_unitarity_defect",
-]

@@ -18,6 +18,13 @@ from .linalg import NotHermitianError, ShapeError
 
 ENV_DIM_CAP = 64
 
+# Cap on steps * substeps_per_step, the midpoint steps of a stepped run.  A run
+# keeps a 2 x 2 state and its diagnostics (about 100 bytes) per grid point and
+# takes tens of microseconds per step even on the smallest bath, so the cap
+# already costs minutes; past it a grid fails to allocate (10**15 points) or
+# runs for hours.
+STEP_CAP = 10**6
+
 # Fock padding used when building displacement operators; large enough that
 # the cut-back block agrees with the untruncated operator to roundoff for
 # the displacement sizes this package targets (|g/omega| of order one).

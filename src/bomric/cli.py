@@ -1,7 +1,8 @@
 """Command line front end: simulate, riccati, verify.
 
 Exit codes: 0 success, 2 schema, state or command-line input error (including
-a file that cannot be opened), 3 environment dimension over the cap, 4 solver
+a file that cannot be opened, a grid over STEP_CAP and a --branch that no
+solver would use), 3 environment dimension over the cap, 4 solver
 non-convergence, 5 a verification check failed or a trajectory left a sanity
 cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).
 """
@@ -17,30 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg, riccati
-from .bath import DimensionCapError, bath_hamiltonian, coupling_operator, displaced_check
-from .blockop import BlockOp, flatten, sandwich_lemma_check
+from . import checks, linalg, riccati
+from .bath import DimensionCapError, coupling_operator
 from .dynamics import (
     MODES,
     InvalidStateError,
-    QubitParams,
     Scenario,
     TrajectorySanityError,
     bloch_vector,
-    covariance_residual,
-    hamiltonian_from_blocks,
     hamiltonian_static,
     reduced_dynamics,
-    rotating_frame_check,
 )
-from .scenario import (
-    CHECK_NAMES,
-    RunConfig,
-    ScenarioError,
-    load_scenario,
-    read_document,
-    scenario_from_dict,
-)
+from .scenario import RunConfig, ScenarioError, load_scenario, read_document, scenario_from_dict
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -55,8 +44,6 @@ CSV_COLUMNS = (
     "bloch_x", "bloch_y", "bloch_z",
     "purity", "trace_dev", "pos_floor",
 )
-
-_VERIFY_SEED = 20240817
 
 
 def _apply_override(data: dict, dotted: str, value) -> None:
@@ -94,7 +81,7 @@ def _parse_sweep(arg: str) -> tuple[str, list]:
     for piece in tail.split(","):
         try:
             values.append(json.loads(piece))
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer too long to convert
             raise ScenarioError(f"--sweep value {piece!r} is not a number") from None
     if not values:
         raise ScenarioError(f"--sweep {key!r} has no values")
@@ -209,6 +196,11 @@ def _riccati_dephasing_report(config: RunConfig) -> dict:
 
 def cmd_riccati(args) -> int:
     config = load_scenario(args.scenario)
+    if args.branch is not None and (args.method == "newton" or config.dephasing_m is not None):
+        raise ScenarioError(
+            "--branch selects the invariant-subspace solver's branch, which runs neither "
+            "with --method newton nor on a scenario with a dephasing section"
+        )
     if config.dephasing_m is not None:
         report = _riccati_dephasing_report(config)
         print(
@@ -247,120 +239,6 @@ def cmd_riccati(args) -> int:
     return EXIT_OK
 
 
-def _check_covariance(s: Scenario) -> dict:
-    rng = np.random.default_rng(_VERIFY_SEED)
-    he, v = bath_hamiltonian(s.bath), coupling_operator(s.bath)
-    worst = 0.0
-    for _ in range(100):
-        q = QubitParams(
-            alpha=rng.uniform(-2, 2),
-            beta=rng.uniform(-2, 2),
-            omega=rng.uniform(0.1, 5.0),
-        )
-        t = rng.uniform(0.0, 20.0)
-        h = hamiltonian_from_blocks(q, he, v)
-        scale = linalg.frobenius_norm(flatten(h))
-        worst = max(worst, covariance_residual(q, h, t) / scale)
-    return {"residual": worst, "tolerance": 1e-12, "passed": worst <= 1e-12}
-
-
-def _check_rotating_frame(s: Scenario) -> dict:
-    resid = float(np.max(rotating_frame_check(s)))
-    tol = 1e-5
-    out = {"residual": resid, "tolerance": tol, "passed": resid <= tol, "steps": s.steps}
-    if not out["passed"]:
-        out["message"] = (
-            f"stepped integration at {s.steps} steps leaves residual {resid:.3e} > {tol:.0e}; "
-            "the midpoint integrator converges at second order, so doubling the step "
-            "count divides the residual by about four"
-        )
-    return out
-
-
-def _check_sandwich(s: Scenario) -> dict:
-    rng = np.random.default_rng(_VERIFY_SEED + 1)
-    n = s.bath.env_dim
-    worst = 0.0
-    for _ in range(1000):
-        blocks = [
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for _ in range(4)
-        ]
-        b = BlockOp(*blocks)
-        scale = linalg.frobenius_norm(flatten(b))
-        a1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        a2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        worst = max(worst, sandwich_lemma_check(a1, b, a2) / scale)
-    return {"residual": worst, "tolerance": 1e-12, "passed": worst <= 1e-12}
-
-
-def _check_zt_riccati(s: Scenario) -> dict:
-    he = bath_hamiltonian(s.bath)
-    w = coupling_operator(s.bath) + s.qubit.beta * np.eye(s.bath.env_dim)
-    scale = max(linalg.frobenius_norm(w), 1e-300)
-    alpha = s.qubit.alpha
-    worst = 0.0
-    for t in np.linspace(0.0, s.t_max, 100):
-        h = riccati.periodic_from_blocks(he, w, alpha, t)
-        worst = max(worst, riccati.time_dependent_residual(h, alpha, t) / scale)
-    return {"residual": worst, "tolerance": 1e-13, "passed": worst <= 1e-13}
-
-
-def _check_st_diagonalization(s: Scenario) -> dict:
-    he = bath_hamiltonian(s.bath)
-    w = coupling_operator(s.bath) + s.qubit.beta * np.eye(s.bath.env_dim)
-    alpha = s.qubit.alpha
-    worst_off = 0.0
-    worst_diag = 0.0
-    for t in np.linspace(0.0, s.t_max, 20):
-        h = riccati.periodic_from_blocks(he, w, alpha, t)
-        transformed = riccati.s_frame_transform(h, alpha, t)
-        off = np.sqrt(
-            linalg.frobenius_norm(transformed.a12) ** 2
-            + linalg.frobenius_norm(transformed.a21) ** 2
-        )
-        dev = max(
-            float(np.max(np.abs(transformed.a11 - (he + w)))),
-            float(np.max(np.abs(transformed.a22 - (he - w)))),
-        )
-        worst_off = max(worst_off, off)
-        worst_diag = max(worst_diag, dev)
-    passed = worst_off <= 1e-13 and worst_diag <= 1e-13
-    return {
-        "offdiag_residual": worst_off,
-        "diag_deviation": worst_diag,
-        "tolerance": 1e-13,
-        "passed": passed,
-    }
-
-
-def _check_weyl_displacement(s: Scenario) -> dict:
-    check = displaced_check(s.bath)
-    resid = max(check.residual_plus, check.residual_minus)
-    c_dev = abs(check.c_fit - check.c_expected)
-    return {
-        "residual": resid,
-        "c_fit": check.c_fit,
-        "c_expected": check.c_expected,
-        "c_deviation": c_dev,
-        "levels": check.levels,
-        "tolerance": 1e-6,
-        "passed": resid <= 1e-6 and c_dev <= 1e-6,
-    }
-
-
-_CHECKS = {
-    "covariance": _check_covariance,
-    "rotating_frame": _check_rotating_frame,
-    "sandwich": _check_sandwich,
-    "zt_riccati": _check_zt_riccati,
-    "st_diagonalization": _check_st_diagonalization,
-    "weyl_displacement": _check_weyl_displacement,
-}
-
-assert set(_CHECKS) == set(CHECK_NAMES)
-
-
 def cmd_verify(args) -> int:
     raw = read_document(args.scenario)
     config = scenario_from_dict(raw)
@@ -370,7 +248,7 @@ def cmd_verify(args) -> int:
     all_pass = True
     for name in config.checks:
         start = time.perf_counter()
-        result = _CHECKS[name](s)
+        result = checks.CHECKS[name](s)
         result["check"] = name
         result["seconds"] = time.perf_counter() - start
         results.append(result)

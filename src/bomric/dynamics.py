@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import linalg
-from .bath import BathSpec, bath_hamiltonian, coupling_operator
+from .bath import STEP_CAP, BathSpec, bath_hamiltonian, coupling_operator
 from .blockop import (
     BlockOp,
     PAULI_1,
@@ -119,6 +119,8 @@ class Scenario:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if int(self.steps) < 1 or int(self.substeps_per_step) < 1:
             raise ValueError("steps and substeps_per_step must be >= 1")
+        if int(self.steps) * int(self.substeps_per_step) > STEP_CAP:
+            raise ValueError(f"steps * substeps_per_step exceeds STEP_CAP = {STEP_CAP}")
         object.__setattr__(self, "t_max", float(self.t_max))
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "substeps_per_step", int(self.substeps_per_step))

@@ -16,16 +16,10 @@ import numpy as np
 
 from .bath import BathMode, BathSpec
 from .blockop import BlockOp, kron_qubit_env, unflatten
-from .dynamics import MODES, QubitParams, Scenario
+from .checks import CHECKS
+from .dynamics import MODES, InvalidStateError, QubitParams, Scenario
 
-CHECK_NAMES = (
-    "covariance",
-    "rotating_frame",
-    "sandwich",
-    "zt_riccati",
-    "st_diagonalization",
-    "weyl_displacement",
-)
+CHECK_NAMES = tuple(CHECKS)
 
 _QUBIT_STATES = {
     "0": np.array([[1, 0], [0, 0]], dtype=complex),
@@ -223,14 +217,19 @@ def scenario_from_dict(data) -> RunConfig:
     t_max, steps, substeps = _parse_time(data["time"])
     mode, checks = _parse_run(data["run"])
     dephasing_m = _parse_dephasing(data["dephasing"]) if "dephasing" in data else None
-    scenario = Scenario(
-        qubit=qubit,
-        bath=bath,
-        initial_state=initial,
-        t_max=t_max,
-        steps=steps,
-        substeps_per_step=substeps,
-    )
+    try:
+        scenario = Scenario(
+            qubit=qubit,
+            bath=bath,
+            initial_state=initial,
+            t_max=t_max,
+            steps=steps,
+            substeps_per_step=substeps,
+        )
+    except InvalidStateError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"time: {exc}") from None
     return RunConfig(scenario=scenario, mode=mode, checks=checks, dephasing_m=dephasing_m)
 
 
@@ -240,7 +239,7 @@ def read_document(path) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bomric import BathMode, BathSpec
+from bomric.bath import BathMode, BathSpec
 
 
 def random_complex(rng, n, m=None):

@@ -11,39 +11,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bomric.bath import (
-    BathMode,
-    BathSpec,
-    coupling_operator,
-    displaced_check,
-)
-from bomric.blockop import (
-    BlockOp,
-    flatten,
-    kron_qubit_env,
-    partial_trace_env,
-    sandwich_lemma_check,
-)
-from bomric.dynamics import (
-    QubitParams,
-    Scenario,
-    covariance_residual,
-    hamiltonian_static,
-    reduced_dynamics,
-    rotating_frame_check,
-)
+from bomric import checks
+from bomric.bath import BathMode, BathSpec, coupling_operator
+from bomric.blockop import BlockOp, flatten, kron_qubit_env, partial_trace_env
+from bomric.dynamics import QubitParams, Scenario, hamiltonian_static, reduced_dynamics
 from bomric.linalg import expm, frobenius_norm, solve_sylvester
 from bomric.riccati import (
     diagonalize,
     matching_branch,
-    periodic_bom,
     problem_from_blockop,
     residual,
-    s_frame_transform,
     solve_dephasing_quadratic,
     solve_invariant_subspace,
     solve_newton,
-    time_dependent_residual,
 )
 from bomric.scenario import load_scenario
 
@@ -79,23 +59,13 @@ def test_covariance_identity(capsys):
     # rotating the static generator into the lab frame reproduces the
     # driven Hamiltonian for any parameters, any bath size, any time
     start = time.perf_counter()
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for n_max in (1, 3, 7):
-        bath = BathSpec((BathMode(1.7, 0.3),), fock_cutoff=n_max)
-        for _ in range(100):
-            q = QubitParams(
-                alpha=rng.uniform(-2, 2),
-                beta=rng.uniform(-2, 2),
-                omega=rng.uniform(0.1, 5.0),
-            )
-            t = rng.uniform(0.0, 20.0)
-            h = hamiltonian_static(q, bath)
-            scale = frobenius_norm(flatten(h))
-            worst = max(worst, covariance_residual(q, h, t) / scale)
+    baths = [BathSpec((BathMode(1.7, 0.3),), fock_cutoff=n_max) for n_max in (1, 3, 7)]
+    results = [checks.covariance(plus_fock_scenario(bath, steps=10)) for bath in baths]
+    worst = max(r["residual"] for r in results)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     report(capsys, ok, "covariance identity", f"worst relative residual {worst:.3e}", elapsed)
+    assert all(r["passed"] and r["tolerance"] == 1e-12 for r in results)
     assert worst <= 1e-12
     assert elapsed < 5.0
 
@@ -105,17 +75,17 @@ def test_rotating_frame_reduction(capsys):
     # the shifted splitting; the gap is integrator error and halves
     # quadratically with the step size
     start = time.perf_counter()
-    fine = plus_fock_scenario(SPINBOSON_BATH, steps=2000)
-    coarse = plus_fock_scenario(SPINBOSON_BATH, steps=1000)
-    err_fine = float(np.max(rotating_frame_check(fine)))
-    err_coarse = float(np.max(rotating_frame_check(coarse)))
-    ratio = err_coarse / err_fine
+    fine = checks.rotating_frame(plus_fock_scenario(SPINBOSON_BATH, steps=2000))
+    coarse = checks.rotating_frame(plus_fock_scenario(SPINBOSON_BATH, steps=1000))
+    err_fine = fine["residual"]
+    ratio = coarse["residual"] / err_fine
     elapsed = time.perf_counter() - start
     ok = err_fine <= 1e-5 and 3.5 <= ratio <= 4.5 and elapsed < 60.0
     report(
         capsys, ok, "rotating-frame reduction",
         f"residual {err_fine:.3e} at 2000 steps, halving ratio {ratio:.2f}", elapsed,
     )
+    assert fine["passed"] and fine["tolerance"] == 1e-5
     assert err_fine <= 1e-5
     assert 3.5 <= ratio <= 4.5
     assert elapsed < 60.0
@@ -124,19 +94,13 @@ def test_rotating_frame_reduction(capsys):
 def test_trace_sandwich_identity(capsys):
     # partial trace of (A1 (x) 1) B (A2 (x) 1) equals A1 Tr_E(B) A2
     start = time.perf_counter()
-    rng = np.random.default_rng(11)
-    n = 8
-    worst = 0.0
-    for _ in range(1000):
-        b = BlockOp(*(random_complex(rng, n) for _ in range(4)))
-        a1 = random_complex(rng, 2)
-        a2 = random_complex(rng, 2)
-        worst = max(
-            worst, sandwich_lemma_check(a1, b, a2) / frobenius_norm(flatten(b))
-        )
+    bath = BathSpec((BathMode(1.0, 0.2),), fock_cutoff=7)  # blocks are 8 x 8
+    result = checks.sandwich(plus_fock_scenario(bath, steps=10))
+    worst = result["residual"]
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 10.0
     report(capsys, ok, "trace sandwich identity", f"worst relative residual {worst:.3e}", elapsed)
+    assert result["passed"] and result["tolerance"] == 1e-12
     assert worst <= 1e-12
     assert elapsed < 10.0
 
@@ -186,46 +150,22 @@ def test_driven_riccati_phase_solution(capsys):
     # and block-diagonal
     start = time.perf_counter()
     bath = BathSpec((BathMode(1.0, 0.2),), fock_cutoff=4)
-    beta, alpha = 0.5, 0.3
-    from bomric.bath import bath_hamiltonian
-
-    he = bath_hamiltonian(bath)
-    w = coupling_operator(bath) + beta * np.eye(bath.env_dim)
-    w_norm = frobenius_norm(w)
-
-    worst_x = 0.0
-    for t in np.linspace(0.0, 10.0, 100):
-        h = periodic_bom(bath, beta, alpha, float(t))
-        worst_x = max(worst_x, time_dependent_residual(h, alpha, float(t)))
-
-    worst_off = 0.0
-    worst_diag = 0.0
-    for t in np.linspace(0.0, 10.0, 100):
-        d = s_frame_transform(periodic_bom(bath, beta, alpha, float(t)), alpha, float(t))
-        off = max(float(np.max(np.abs(d.a12))), float(np.max(np.abs(d.a21))))
-        dev = max(
-            float(np.max(np.abs(d.a11 - (he + w)))),
-            float(np.max(np.abs(d.a22 - (he - w)))),
-        )
-        worst_off = max(worst_off, off)
-        worst_diag = max(worst_diag, dev)
-
+    s = plus_fock_scenario(bath, steps=10)  # alpha 0.3, beta 0.5 on [0, 10]
+    phase = checks.zt_riccati(s)
+    frame = checks.st_diagonalization(s)
     elapsed = time.perf_counter() - start
-    ok = (
-        worst_x <= 1e-13 * w_norm
-        and worst_off <= 1e-13
-        and worst_diag <= 1e-13
-        and elapsed < 5.0
-    )
+    ok = phase["passed"] and frame["passed"] and elapsed < 5.0
     report(
         capsys, ok, "driven riccati phase solution",
-        f"equation residual {worst_x:.3e} (coupling norm {w_norm:.2f}), "
-        f"frame offdiag {worst_off:.3e}, diagonal deviation {worst_diag:.3e}",
+        f"relative equation residual {phase['residual']:.3e}, "
+        f"frame offdiag {frame['offdiag_residual']:.3e} (Frobenius), "
+        f"diagonal deviation {frame['diag_deviation']:.3e}",
         elapsed,
     )
-    assert worst_x <= 1e-13 * w_norm
-    assert worst_off <= 1e-13
-    assert worst_diag <= 1e-13
+    assert phase["tolerance"] == frame["tolerance"] == 1e-13
+    assert phase["residual"] <= 1e-13
+    assert frame["offdiag_residual"] <= 1e-13
+    assert frame["diag_deviation"] <= 1e-13
     assert elapsed < 5.0
 
 
@@ -272,25 +212,25 @@ def test_weyl_displacement_shift(capsys):
     # blocks up to the constant -|g|^2/omega, with the truncation error
     # falling monotonically in the cutoff
     start = time.perf_counter()
-    chk = displaced_check(BathSpec((BathMode(1.0, 0.2),), fock_cutoff=12))
-    resid = max(chk.residual_plus, chk.residual_minus)
-    c_dev = abs(chk.c_fit - (-(0.2**2) / 1.0))
-    sweep = []
-    for n_max in (4, 6, 8, 10, 12):
-        c = displaced_check(BathSpec((BathMode(1.0, 0.2),), fock_cutoff=n_max))
-        sweep.append(max(c.residual_plus, c.residual_minus))
+    baths = [BathSpec((BathMode(1.0, 0.2),), fock_cutoff=n_max) for n_max in (4, 6, 8, 10, 12)]
+    results = [checks.weyl_displacement(plus_fock_scenario(bath, steps=10)) for bath in baths]
+    chk = results[-1]
+    resid = chk["residual"]
+    c_dev = abs(chk["c_fit"] - (-(0.2**2) / 1.0))
+    sweep = [r["residual"] for r in results]
     monotone = all(b < a for a, b in zip(sweep, sweep[1:]))
     elapsed = time.perf_counter() - start
-    ok = resid <= 1e-6 and c_dev <= 1e-6 and monotone and chk.levels == 6 and elapsed < 10.0
+    ok = chk["passed"] and c_dev <= 1e-6 and monotone and chk["levels"] == 6 and elapsed < 10.0
     report(
         capsys, ok, "weyl displacement shift",
-        f"residual {resid:.3e} on lowest {chk.levels} levels, shift deviation {c_dev:.3e}, "
+        f"residual {resid:.3e} on lowest {chk['levels']} levels, shift deviation {c_dev:.3e}, "
         f"sweep {' > '.join(f'{r:.1e}' for r in sweep)}",
         elapsed,
     )
+    assert chk["passed"] and chk["tolerance"] == 1e-6
     assert resid <= 1e-6
     assert c_dev <= 1e-6
-    assert chk.levels == 6
+    assert chk["levels"] == 6
     assert monotone
     assert elapsed < 10.0
 

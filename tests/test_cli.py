@@ -1,10 +1,14 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bomric import cli, dynamics
+from bomric.bath import STEP_CAP
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 CLOSED_QUBIT = SCENARIO_DIR / "closed_qubit.json"
@@ -167,6 +171,46 @@ def test_zero_steps_override_rejected(tmp_path, capsys, command):
     assert "error: --steps 0:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "time_update, mode",
+    [({"steps": 10**15}, "static_exact"), ({"steps": 10**400}, "static_exact"),
+     ({"substeps_per_step": 10**400}, "rotating_stepped")],
+    ids=["steps_1e15", "steps_1e400", "substeps_1e400"],
+)
+def test_simulate_rejects_grid_over_step_cap(tmp_path, capsys, time_update, mode):
+    # these grids ran out of memory, overflowed numpy's array size or a float
+    doc = json.loads(CLOSED_QUBIT.read_text())
+    doc["time"].update(time_update)
+    doc["run"]["mode"] = mode
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", str(write_doc(tmp_path, doc)), "--out", str(out)])
+    assert rc == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == f"error: time: steps * substeps_per_step exceeds STEP_CAP = {STEP_CAP}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_steps_override_over_step_cap(tmp_path, capsys, command):
+    argv = [command, str(CLOSED_QUBIT), "--steps", str(10**15)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --steps {10**15}: ") and err.count("\n") == 1
+    assert f"exceeds STEP_CAP = {STEP_CAP}" in err
+
+
+def test_simulate_sweep_rejects_overlong_integer(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(
+        ["simulate", str(CLOSED_QUBIT), "--out", str(out), "--sweep", "time.steps=" + "1" * 5000]
+    )
+    assert rc == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: --sweep value ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_out_into_missing_directory(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     rc = cli.main(["simulate", str(CLOSED_QUBIT), "--out", str(out), "--steps", "4"])
@@ -267,6 +311,22 @@ def test_riccati_default_lower_branch_fails_here(capsys):
     assert "graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, extra",
+    [(RICCATI_SB, ["--method", "newton"]), (DEPHASING, []), (DEPHASING, ["--method", "subspace"])],
+    ids=["newton", "dephasing", "dephasing_subspace"],
+)
+def test_riccati_rejects_branch_without_subspace_solver(tmp_path, capsys, scenario, extra):
+    # no invariant-subspace solve runs here, so a --branch would be ignored
+    out = tmp_path / "report.json"
+    rc = cli.main(["riccati", str(scenario), "--branch", "graph", "--out", str(out)] + extra)
+    assert rc == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --branch ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_riccati_resonant_drive_reports_trace(tmp_path, capsys):
     doc = minimal_doc()
     doc["bath"]["modes"][0]["omega"] = 1.0  # equals 2 beta: singular linearization
@@ -342,3 +402,72 @@ def test_verify_weyl_scenario(capsys):
     text = capsys.readouterr().out
     assert "PASS weyl_displacement:" in text
     assert "c_deviation" in text
+
+
+# -- any input ends in a documented exit ---------------------------------------
+
+def _leaf_paths(node, path=()):
+    """Key paths (tuples) of the scalar and empty-list leaves of a document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for k, value in enumerate(node):
+            yield from _leaf_paths(value, path + (k,))
+    else:
+        yield path
+
+
+# env_dim 4, 20 steps: every run the property can reach stays tiny
+TINY_DOC = minimal_doc(time={"t_max": 2.0, "steps": 20, "substeps_per_step": 1})
+TINY_LEAVES = list(_leaf_paths(TINY_DOC))
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from([10**15, 10**400]),
+    st.sampled_from([0, 0.0]),
+    st.integers(-(10**6), -1),
+    st.floats(-1e300, -1e-300),
+    st.text("ab+-01", max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(max_examples=100, deadline=5000, database=None, derandomize=True)
+@given(
+    mutation=st.one_of(st.none(), st.tuples(st.sampled_from(TINY_LEAVES), ODD_VALUES)),
+    command=st.sampled_from(["simulate", "verify", "riccati"]),
+    steps=st.one_of(
+        st.none(), st.sampled_from([-1, 0, 1, 50]), st.sampled_from([10**15, 10**400])
+    ),
+    mode=st.one_of(st.none(), st.sampled_from(cli.MODES)),
+    sweep=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(TINY_LEAVES), st.lists(ODD_VALUES, min_size=1, max_size=2)),
+    ),
+)
+def test_any_input_ends_in_a_documented_exit(mutation, command, steps, mode, sweep):
+    doc = json.loads(json.dumps(TINY_DOC))
+    if mutation is not None:
+        leaf, value = mutation
+        node = doc
+        for part in leaf[:-1]:
+            node = node[part]
+        node[leaf[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command != "riccati" and steps is not None:
+            argv += ["--steps", str(steps)]
+        if command == "simulate":
+            argv += ["--out", str(Path(tmp) / "x.csv")]
+            if mode is not None:
+                argv += ["--mode", mode]
+            if sweep is not None:
+                key, values = sweep
+                dotted = ".".join(map(str, key))
+                argv += ["--sweep", f"{dotted}={','.join(map(json.dumps, values))}"]
+        assert cli.main(argv) in (0, 2, 3, 4, 5)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bomric.bath import STEP_CAP
 from bomric.blockop import flatten
 from bomric.scenario import (
     CHECK_NAMES,
@@ -220,6 +221,30 @@ def test_load_scenario_rejects_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ScenarioError):
         load_scenario(p)
+
+
+def test_load_scenario_rejects_overlong_integer(tmp_path):
+    # json parses the digits, then int() refuses more than 4300 of them
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(base_doc()).replace('"steps": 100', '"steps": ' + "1" * 5000))
+    with pytest.raises(ScenarioError, match="not valid JSON"):
+        load_scenario(p)
+
+
+@pytest.mark.parametrize(
+    "steps, substeps, ok",
+    [(STEP_CAP, 1, True), (1000, STEP_CAP // 1000, True), (STEP_CAP + 1, 1, False),
+     (1000, STEP_CAP // 1000 + 1, False), (1, 10**9, False)],
+)
+def test_step_cap_on_steps_times_substeps(steps, substeps, ok):
+    # the grid is never built here, so the cap itself costs nothing to test
+    doc = base_doc()
+    doc["time"].update(steps=steps, substeps_per_step=substeps)
+    if ok:
+        assert scenario_from_dict(doc).scenario.steps == steps
+    else:
+        with pytest.raises(ScenarioError, match=f"exceeds STEP_CAP = {STEP_CAP}"):
+            scenario_from_dict(doc)
 
 
 def test_load_scenario_missing_file(tmp_path):

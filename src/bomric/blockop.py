@@ -55,20 +55,6 @@ class BlockOp:
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.a11, self.a12, self.a21, self.a22
 
-    def __add__(self, other: "BlockOp") -> "BlockOp":
-        return bom_add(self, other)
-
-    def __sub__(self, other: "BlockOp") -> "BlockOp":
-        return bom_add(self, bom_scale(other, -1.0))
-
-    def __matmul__(self, other: "BlockOp") -> "BlockOp":
-        return bom_mul(self, other)
-
-    def __mul__(self, s: complex) -> "BlockOp":
-        return bom_scale(self, s)
-
-    __rmul__ = __mul__
-
 
 def kron_qubit_env(m, env) -> BlockOp:
     """kron(m, env) for a 2 x 2 qubit matrix m and a square env matrix."""
@@ -76,19 +62,7 @@ def kron_qubit_env(m, env) -> BlockOp:
     if m.shape != (2, 2):
         raise ShapeError(f"qubit factor must be 2 x 2, got {m.shape}")
     env = np.asarray(env, dtype=complex)
-    if env.ndim != 2 or env.shape[0] != env.shape[1]:
-        raise ShapeError(f"environment factor must be square, got {env.shape}")
     return BlockOp(m[0, 0] * env, m[0, 1] * env, m[1, 0] * env, m[1, 1] * env)
-
-
-def _check_same_dim(x: BlockOp, y: BlockOp):
-    if x.dim != y.dim:
-        raise ShapeError(f"block dimensions differ: {x.dim} vs {y.dim}")
-
-
-def bom_add(x: BlockOp, y: BlockOp) -> BlockOp:
-    _check_same_dim(x, y)
-    return BlockOp(x.a11 + y.a11, x.a12 + y.a12, x.a21 + y.a21, x.a22 + y.a22)
 
 
 def bom_scale(x: BlockOp, s: complex) -> BlockOp:
@@ -97,7 +71,8 @@ def bom_scale(x: BlockOp, s: complex) -> BlockOp:
 
 def bom_mul(x: BlockOp, y: BlockOp) -> BlockOp:
     """Block matrix product."""
-    _check_same_dim(x, y)
+    if x.dim != y.dim:
+        raise ShapeError(f"block dimensions differ: {x.dim} vs {y.dim}")
     return BlockOp(
         x.a11 @ y.a11 + x.a12 @ y.a21,
         x.a11 @ y.a12 + x.a12 @ y.a22,

@@ -3,7 +3,7 @@
 The lab-frame Hamiltonian
 
     H(t) = [beta s3 + alpha (s1 cos wt + s2 sin wt)] (x) 1
-           + 1 (x) H_E + f(s3) (x) V
+           + 1 (x) H_E + s3 (x) V
 
 is covariant under the rotation generated by K = -(w/2) s3 (x) 1:
 conjugating the static operator H(beta) by exp(iKt) reproduces H(t).  As a
@@ -54,6 +54,8 @@ TRACE_DEV_CAP = 1e-10
 HERM_DEV_CAP = 1e-11
 POSITIVITY_FLOOR = -1e-9
 
+STATE_TOL = 1e-10      # initial state: |Tr - 1| and -(lowest eigenvalue) at most this
+
 
 class InvalidStateError(ValueError):
     """Initial density matrix fails hermiticity, trace, or positivity."""
@@ -65,36 +67,29 @@ class TrajectorySanityError(RuntimeError):
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Splitting beta, drive amplitude alpha, drive frequency omega.
-
-    coupling_diag holds (f(+1), f(-1)) for the diagonal coupling f(s3);
-    the default is the bare s3 coupling.
-    """
+    """Splitting beta, drive amplitude alpha, drive frequency omega."""
 
     alpha: float
     beta: float
     omega: float
-    coupling_diag: tuple[float, float] = (1.0, -1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "omega", float(self.omega))
-        fp, fm = self.coupling_diag
-        object.__setattr__(self, "coupling_diag", (float(fp), float(fm)))
 
 
-def validate_state(rho: BlockOp, tol_trace: float = 1e-10, tol_psd: float = 1e-10) -> None:
+def validate_state(rho: BlockOp) -> None:
     """Reject a density matrix that is not Hermitian, normalized, and PSD."""
     full = flatten(rho)
-    dev = linalg.hermitian_deviation(full)
-    if dev > linalg.TOL_HERM_REL * max(1.0, linalg.frobenius_norm(full)):
+    if not linalg.is_hermitian(full):
+        dev = linalg.hermitian_deviation(full)
         raise InvalidStateError(f"state is not Hermitian: deviation {dev:.3e}")
     tr = np.trace(full)
-    if abs(tr - 1.0) > tol_trace:
+    if abs(tr - 1.0) > STATE_TOL:
         raise InvalidStateError(f"state trace is {tr:.12g}, expected 1")
     w = np.linalg.eigvalsh((full + full.conj().T) / 2.0)
-    if w[0] < -tol_psd:
+    if w[0] < -STATE_TOL:
         raise InvalidStateError(f"state has negative eigenvalue {w[0]:.3e}")
 
 
@@ -146,7 +141,7 @@ class Trajectory:
 
 
 def hamiltonian_static(q: QubitParams, bath: BathSpec, beta: float | None = None) -> BlockOp:
-    """H(beta) = [[H_E + f(+1) V + beta, alpha], [alpha, H_E + f(-1) V - beta]]."""
+    """H(beta) = [[H_E + V + beta, alpha], [alpha, H_E - V - beta]]."""
     return hamiltonian_from_blocks(q, bath_hamiltonian(bath), coupling_operator(bath), beta)
 
 
@@ -156,12 +151,11 @@ def hamiltonian_from_blocks(
     """hamiltonian_static from an assembled bath Hamiltonian he and coupling v."""
     b = q.beta if beta is None else float(beta)
     eye = np.eye(he.shape[0], dtype=complex)
-    fp, fm = q.coupling_diag
     return BlockOp(
-        he + fp * v + b * eye,
+        he + v + b * eye,
         q.alpha * eye,
         q.alpha * eye,
-        he + fm * v - b * eye,
+        he - v - b * eye,
     )
 
 

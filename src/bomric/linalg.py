@@ -41,13 +41,17 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a), "fro"))
+    """||a||_F; only where the plain sum of squares overflows (entries above
+    about 1e154) are the entries first divided by their largest modulus."""
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a, "fro"))
+    if norm == np.inf:
+        scale = float(np.max(np.abs(a)))
+        if scale < np.inf:
+            norm = scale * float(np.linalg.norm(a / scale, "fro"))
+    return norm
 
 
 def operator_norm_estimate(a) -> float:
@@ -58,14 +62,13 @@ def operator_norm_estimate(a) -> float:
 def hermitian_deviation(a) -> float:
     """||a - a†||_F, the raw asymmetry of a square matrix."""
     a = _as_square(a)
-    return float(np.linalg.norm(a - a.conj().T, "fro"))
+    return frobenius_norm(a - a.conj().T)
 
 
-def is_hermitian(a, tol: float | None = None) -> bool:
+def is_hermitian(a) -> bool:
+    """||a - a†||_F <= TOL_HERM_REL * max(||a||_F, 1)."""
     a = _as_square(a)
-    if tol is None:
-        tol = TOL_HERM_REL * max(frobenius_norm(a), 1.0)
-    return hermitian_deviation(a) <= tol
+    return hermitian_deviation(a) <= TOL_HERM_REL * max(frobenius_norm(a), 1.0)
 
 
 def expm(a, scale: complex = 1.0) -> np.ndarray:
@@ -139,14 +142,14 @@ def expm_action(a, scale: complex, x, plan: tuple[int, int] | None) -> np.ndarra
     return f
 
 
-def hermitian_eig(a, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with w ascending and v unitary, a @ v == v @ diag(w).
     Rejects non-Hermitian input rather than silently symmetrizing.
     """
     a = _as_square(a)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise NotHermitianError(
             f"matrix is not Hermitian: ||a - a†||_F = {hermitian_deviation(a):.3e}"
         )

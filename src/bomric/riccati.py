@@ -171,18 +171,12 @@ def _select_branch(p: RiccatiProblem, lam: np.ndarray, vec: np.ndarray, which) -
     n = p.dim
     scale = max(1.0, float(np.max(np.abs(lam))))
     if isinstance(which, str):
-        if which == "lower":
+        if which in ("lower", "upper"):
             if lam[n] - lam[n - 1] <= 1e-10 * scale:
                 raise AmbiguousSubspaceError(
                     "spectrum is degenerate at the lower/upper cut"
                 )
-            return np.arange(n)
-        if which == "upper":
-            if lam[n] - lam[n - 1] <= 1e-10 * scale:
-                raise AmbiguousSubspaceError(
-                    "spectrum is degenerate at the lower/upper cut"
-                )
-            return np.arange(n, 2 * n)
+            return np.arange(n) if which == "lower" else np.arange(n, 2 * n)
         if which == "graph":
             # weight of each eigenvector on the top block; the branch that
             # admits a contractive graph representation has weights > 1/2
@@ -295,10 +289,6 @@ class DephasingRoots:
 
     principal: complex
     partner: complex
-
-    @property
-    def roots(self) -> tuple[complex, complex]:
-        return self.principal, self.partner
 
 
 def solve_dephasing_quadratic(m) -> DephasingRoots:

@@ -4,6 +4,10 @@ Unknown keys are rejected everywhere, so a typo fails loudly instead of
 silently running defaults.  Complex matrices are encoded as
 {"re": [[...]], "im": [[...]]} with "im" optional; bath mode couplings as
 g_re / g_im pairs.
+
+The parser checks only what JSON can get wrong (keys, types, finiteness,
+matrix shapes); range rules live in the BathMode, BathSpec and Scenario
+constructors, whose errors _build prefixes with the section path.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bath import BathMode, BathSpec
+from .bath import BathMode, BathSpec, DimensionCapError
 from .blockop import BlockOp, kron_qubit_env, unflatten
 from .checks import CHECKS
 from .dynamics import MODES, InvalidStateError, QubitParams, Scenario
@@ -75,6 +79,17 @@ def _int(obj, path: str) -> int:
     return obj
 
 
+def _build(cls, path: str, **fields):
+    """cls(**fields), with its ValueError raised as a ScenarioError prefixed by
+    path; DimensionCapError and InvalidStateError keep their own exit codes."""
+    try:
+        return cls(**fields)
+    except (DimensionCapError, InvalidStateError):
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
 def _matrix(obj, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     _require_dict(obj, path, {"re", "im"}, {"re"})
     try:
@@ -106,24 +121,19 @@ def _parse_qubit(obj) -> QubitParams:
 
 def _parse_bath(obj) -> BathSpec:
     _require_dict(obj, "bath", {"modes", "fock_cutoff"}, {"modes", "fock_cutoff"})
-    if not isinstance(obj["modes"], list) or not obj["modes"]:
-        raise ScenarioError("bath.modes: expected a non-empty list")
+    if not isinstance(obj["modes"], list):
+        raise ScenarioError("bath.modes: expected a list")
     modes = []
     for k, mode in enumerate(obj["modes"]):
         path = f"bath.modes[{k}]"
         _require_dict(mode, path, {"omega", "g_re", "g_im"}, {"omega", "g_re"})
         omega = _num(mode["omega"], f"{path}.omega")
-        if omega <= 0:
-            raise ScenarioError(f"{path}.omega: must be positive, got {omega}")
         g = _num(mode["g_re"], f"{path}.g_re") + 1j * _num(
             mode.get("g_im", 0.0), f"{path}.g_im"
         )
-        modes.append(BathMode(omega=omega, g=g))
+        modes.append(_build(BathMode, path, omega=omega, g=g))
     cutoff = _int(obj["fock_cutoff"], "bath.fock_cutoff")
-    if cutoff < 1:
-        raise ScenarioError(f"bath.fock_cutoff: must be >= 1, got {cutoff}")
-    # BathSpec enforces the dimension cap itself; DimensionCapError passes through
-    return BathSpec(modes=tuple(modes), fock_cutoff=cutoff)
+    return _build(BathSpec, "bath", modes=tuple(modes), fock_cutoff=cutoff)
 
 
 def _parse_initial(obj, bath: BathSpec) -> BlockOp:
@@ -169,12 +179,8 @@ def _parse_time(obj) -> tuple[float, int, int]:
         obj, "time", {"t_max", "steps", "substeps_per_step"}, {"t_max", "steps"}
     )
     t_max = _num(obj["t_max"], "time.t_max")
-    if t_max <= 0:
-        raise ScenarioError(f"time.t_max: must be positive, got {t_max}")
     steps = _int(obj["steps"], "time.steps")
     substeps = _int(obj.get("substeps_per_step", 1), "time.substeps_per_step")
-    if steps < 1 or substeps < 1:
-        raise ScenarioError("time.steps and time.substeps_per_step must be >= 1")
     return t_max, steps, substeps
 
 
@@ -217,19 +223,16 @@ def scenario_from_dict(data) -> RunConfig:
     t_max, steps, substeps = _parse_time(data["time"])
     mode, checks = _parse_run(data["run"])
     dephasing_m = _parse_dephasing(data["dephasing"]) if "dephasing" in data else None
-    try:
-        scenario = Scenario(
-            qubit=qubit,
-            bath=bath,
-            initial_state=initial,
-            t_max=t_max,
-            steps=steps,
-            substeps_per_step=substeps,
-        )
-    except InvalidStateError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"time: {exc}") from None
+    scenario = _build(
+        Scenario,
+        "time",
+        qubit=qubit,
+        bath=bath,
+        initial_state=initial,
+        t_max=t_max,
+        steps=steps,
+        substeps_per_step=substeps,
+    )
     return RunConfig(scenario=scenario, mode=mode, checks=checks, dephasing_m=dephasing_m)
 
 

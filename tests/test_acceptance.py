@@ -189,7 +189,7 @@ def test_dephasing_scalar_reduction(capsys):
         m = np.array([[m11, m12], [np.conj(m12), m22]])
         roots = solve_dephasing_quadratic(m)
         p = problem_from_blockop(dephasing_hamiltonian(bath, m))
-        for x in roots.roots:
+        for x in (roots.principal, roots.partner):
             worst_resid = max(worst_resid, residual(p, x * eye) / v_norm)
         worst_pair = max(
             worst_pair, abs(roots.partner + 1.0 / np.conj(roots.principal))

@@ -9,10 +9,8 @@ from bomric.blockop import (
     PAULI_2,
     PAULI_3,
     BlockOp,
-    bom_add,
     bom_adjoint,
     bom_mul,
-    bom_scale,
     flatten,
     kron_qubit_env,
     partial_trace_env,
@@ -84,17 +82,6 @@ def test_adjoint_commutes_with_flatten(seed):
     assert np.array_equal(flatten(bom_adjoint(a)), flatten(a).conj().T)
 
 
-def test_add_scale_dunders(rng):
-    a = random_blockop(rng, 2)
-    b = random_blockop(rng, 2)
-    assert frobenius_norm(flatten(a + b) - (flatten(a) + flatten(b))) == 0.0
-    assert frobenius_norm(flatten(a - b) - (flatten(a) - flatten(b))) == 0.0
-    assert frobenius_norm(flatten(2.5j * a) - 2.5j * flatten(a)) == 0.0
-    assert frobenius_norm(flatten(a @ b) - flatten(bom_mul(a, b))) == 0.0
-    assert frobenius_norm(flatten(bom_add(a, b)) - flatten(a + b)) == 0.0
-    assert frobenius_norm(flatten(bom_scale(a, 3.0)) - 3.0 * flatten(a)) == 0.0
-
-
 def test_partial_trace_against_index_sum(rng):
     b = random_blockop(rng, 6)
     got = partial_trace_env(b)
@@ -111,7 +98,7 @@ def test_partial_trace_of_product_state(rng):
 def test_partial_trace_linearity(rng):
     a = random_blockop(rng, 3)
     b = random_blockop(rng, 3)
-    lhs = partial_trace_env(a + 2.0j * b)
+    lhs = partial_trace_env(unflatten(flatten(a) + 2.0j * flatten(b)))
     rhs = partial_trace_env(a) + 2.0j * partial_trace_env(b)
     assert frobenius_norm(lhs - rhs) <= 1e-13
 
@@ -167,5 +154,3 @@ def test_mismatched_dims_rejected(rng):
     b = random_blockop(rng, 3)
     with pytest.raises(ShapeError):
         bom_mul(a, b)
-    with pytest.raises(ShapeError):
-        bom_add(a, b)

@@ -235,6 +235,26 @@ def test_simulate_dimension_cap(tmp_path, capsys):
     assert "64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, section, key, value",
+    [("bath.modes[0]", "bath", "modes", [{"omega": -1.0, "g_re": 0.2}]),
+     ("bath", "bath", "fock_cutoff", 0), ("time", "time", "t_max", 0.0)],
+    ids=["BathMode", "BathSpec", "Scenario"],
+)
+def test_simulate_range_error_is_one_line_naming_its_section(
+    tmp_path, capsys, path, section, key, value
+):
+    # one range rule per constructor; tests/test_scenario.py has the others
+    doc = minimal_doc()
+    doc[section][key] = value
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", str(write_doc(tmp_path, doc)), "--out", str(out)])
+    assert rc == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_invalid_initial_state(tmp_path, capsys):
     doc = minimal_doc()
     n = 4

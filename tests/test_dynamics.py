@@ -93,16 +93,6 @@ def test_rotating_hamiltonian_matches_trig_form():
         assert frobenius_norm(got - oracle) <= 1e-13
 
 
-def test_custom_coupling_diagonal():
-    q = QubitParams(alpha=0.0, beta=0.0, omega=1.0, coupling_diag=(2.0, 0.5))
-    bath = BathSpec((BathMode(2.0, 0.2),), fock_cutoff=3)
-    h = hamiltonian_static(q, bath)
-    he = bath_hamiltonian(bath)
-    v = coupling_operator(bath)
-    assert frobenius_norm(h.a11 - (he + 2.0 * v)) == 0.0
-    assert frobenius_norm(h.a22 - (he + 0.5 * v)) == 0.0
-
-
 def test_rotating_reduces_to_static_at_t_zero():
     q = QubitParams(alpha=0.7, beta=0.4, omega=1.3)
     bath = BathSpec((BathMode(2.0, 0.2),), fock_cutoff=3)

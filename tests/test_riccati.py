@@ -245,7 +245,7 @@ def test_dephasing_root_pair_structure(m11, m22, re12, im12):
         return
     m = np.array([[m11, m12], [np.conj(m12), m22]])
     roots = solve_dephasing_quadratic(m)
-    for x in roots.roots:
+    for x in (roots.principal, roots.partner):
         scale = max(1.0, abs(m12) * abs(x) ** 2 + abs(m11 - m22) * abs(x))
         assert abs(m12 * x * x + (m11 - m22) * x - np.conj(m12)) <= 1e-12 * scale
     assert abs(roots.partner - (-1.0 / np.conj(roots.principal))) <= 1e-12 * max(
@@ -260,7 +260,7 @@ def test_dephasing_scalar_root_solves_operator_equation(small_bath):
     p = problem_from_blockop(dephasing_hamiltonian(small_bath, m))
     vnorm = frobenius_norm(coupling_operator(small_bath))
     eye = np.eye(small_bath.env_dim)
-    for x in roots.roots:
+    for x in (roots.principal, roots.partner):
         assert residual(p, x * eye) <= 1e-12 * max(1.0, abs(x) ** 2) * vnorm
 
 

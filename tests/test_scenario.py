@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +113,9 @@ def test_dephasing_section_builds_hermitian_matrix():
     assert m[1, 0] == -1.0j
 
 
-def reject(doc):
-    with pytest.raises(ScenarioError):
+def reject(doc, path=""):
+    """The document raises a ScenarioError whose message starts with path."""
+    with pytest.raises(ScenarioError, match="^" + re.escape(path)):
         scenario_from_dict(doc)
 
 
@@ -197,16 +199,32 @@ def test_unknown_mode_and_checks():
     reject(doc)
 
 
+# The range rules below live in the BathMode, BathSpec and Scenario
+# constructors; the parser reports each under the section of the bad value.
+
 def test_empty_modes_rejected():
     doc = base_doc()
     doc["bath"]["modes"] = []
-    reject(doc)
+    reject(doc, "bath: ")
 
 
 def test_negative_mode_frequency_rejected():
-    doc = base_doc()
-    doc["bath"]["modes"][0]["omega"] = -2.0
-    reject(doc)
+    for omega in (-2.0, -1.0, 0.0):
+        doc = base_doc()
+        doc["bath"]["modes"][0]["omega"] = omega
+        reject(doc, "bath.modes[0]: ")
+
+
+def test_sub_one_cutoff_and_empty_time_grid_rejected():
+    for section, key, value in (
+        ("bath", "fock_cutoff", 0),
+        ("time", "t_max", 0.0),
+        ("time", "steps", 0),
+        ("time", "substeps_per_step", 0),
+    ):
+        doc = base_doc()
+        doc[section][key] = value
+        reject(doc, f"{section}: ")
 
 
 def test_checks_subset_preserved_in_order():

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .linalg import ShapeError
 
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -100,7 +99,10 @@ def partial_trace_env(x: BlockOp) -> np.ndarray:
 
 def flatten(x: BlockOp) -> np.ndarray:
     """Assemble the full 2N x 2N matrix, qubit index slow."""
-    return np.block([[x.a11, x.a12], [x.a21, x.a22]])
+    n = x.dim
+    full = np.empty((2 * n, 2 * n), dtype=complex)
+    full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:] = x.blocks
+    return full
 
 
 def unflatten(m) -> BlockOp:
@@ -111,18 +113,26 @@ def unflatten(m) -> BlockOp:
     return BlockOp(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
 
 
-def sandwich_lemma_check(a1, b: BlockOp, a2) -> float:
-    """Residual of Tr_E(A1 (x) 1 . B . A2 (x) 1) == A1 Tr_E(B) A2.
+def sandwich_lhs(a1, b, a2) -> np.ndarray:
+    """Tr_E((A1 (x) 1) B (A2 (x) 1)) over a stack of k samples, shape (k, 2, 2).
 
-    a1 and a2 are 2 x 2 qubit matrices acting as A (x) identity on the
-    environment; the identity holds exactly, so the returned Frobenius
-    norm is pure roundoff.
+    a1 and a2 hold k qubit matrices, shape (k, 2, 2), acting as A (x) identity
+    on the environment; b holds k block operators as (k, 2, 2, N, N), block
+    (i, j) at [:, i, j].  The qubit indices of B are contracted into the full
+    product, (A1 B A2)_il = sum_jk A1_ij B_jk A2_kl, block by block, and only
+    then is each block traced: tracing B first would compute the right side
+    A1 Tr_E(B) A2 of the identity the sandwich check tests.
     """
-    eye = np.eye(b.dim, dtype=complex)
-    lhs = partial_trace_env(
-        bom_mul(bom_mul(kron_qubit_env(a1, eye), b), kron_qubit_env(a2, eye))
-    )
-    rhs = np.asarray(a1, dtype=complex) @ partial_trace_env(b) @ np.asarray(
-        a2, dtype=complex
-    )
-    return linalg.frobenius_norm(lhs - rhs)
+    left = np.einsum("kij,kjlab->kilab", a1, b)
+    full = np.einsum("kijab,kjl->kilab", left, a2)
+    return np.trace(full, axis1=-2, axis2=-1)
+
+
+def sandwich_lemma_check(a1, b, a2) -> np.ndarray:
+    """Residuals of Tr_E((A1 (x) 1) B (A2 (x) 1)) == A1 Tr_E(B) A2 over a stack.
+
+    Arguments are stacked as for sandwich_lhs.  Returns the k Frobenius norms
+    of the difference, which are pure roundoff since the identity is exact.
+    """
+    rhs = a1 @ np.trace(b, axis1=-2, axis2=-1) @ a2
+    return np.linalg.norm(sandwich_lhs(a1, b, a2) - rhs, axis=(1, 2))

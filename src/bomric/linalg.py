@@ -62,7 +62,9 @@ def operator_norm_estimate(a) -> float:
 def hermitian_deviation(a) -> float:
     """||a - a†||_F, the raw asymmetry of a square matrix."""
     a = _as_square(a)
-    return frobenius_norm(a - a.conj().T)
+    with np.errstate(over="ignore"):
+        asym = a - a.conj().T
+    return frobenius_norm(asym)
 
 
 def is_hermitian(a) -> bool:

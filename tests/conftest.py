@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from bomric.bath import BathMode, BathSpec
+from bomric.blockop import kron_qubit_env
+from bomric.dynamics import QubitParams, Scenario
+
+SPINBOSON_QUBIT = QubitParams(alpha=0.3, beta=0.5, omega=1.0)
 
 
 def random_complex(rng, n, m=None):
@@ -18,6 +22,20 @@ def random_density(rng, n):
     a = random_complex(rng, n)
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def plus_fock_scenario(bath, steps, qubit=SPINBOSON_QUBIT, t_max=10.0):
+    n = bath.env_dim
+    env = np.zeros((n, n), dtype=complex)
+    env[0, 0] = 1.0
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    return Scenario(
+        qubit=qubit,
+        bath=bath,
+        initial_state=kron_qubit_env(plus, env),
+        t_max=t_max,
+        steps=steps,
+    )
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ import pytest
 
 from bomric import checks
 from bomric.bath import BathMode, BathSpec, coupling_operator
-from bomric.blockop import BlockOp, flatten, kron_qubit_env, partial_trace_env
-from bomric.dynamics import QubitParams, Scenario, hamiltonian_static, reduced_dynamics
+from bomric.blockop import BlockOp, flatten, partial_trace_env
+from bomric.dynamics import QubitParams, hamiltonian_static, reduced_dynamics
 from bomric.linalg import expm, frobenius_norm, solve_sylvester
 from bomric.riccati import (
     diagonalize,
@@ -27,11 +27,10 @@ from bomric.riccati import (
 )
 from bomric.scenario import load_scenario
 
-from conftest import random_complex, random_hermitian
+from conftest import SPINBOSON_QUBIT, plus_fock_scenario, random_complex, random_hermitian
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
-SPINBOSON_QUBIT = QubitParams(alpha=0.3, beta=0.5, omega=1.0)
 SPINBOSON_BATH = BathSpec((BathMode(2.0, 0.2),), fock_cutoff=4)
 
 
@@ -39,20 +38,6 @@ def report(capsys, ok: bool, label: str, detail: str, seconds: float) -> None:
     with capsys.disabled():
         status = "PASS" if ok else "FAIL"
         print(f"{status} {label}: {detail} [{seconds:.2f}s]")
-
-
-def plus_fock_scenario(bath, steps, qubit=SPINBOSON_QUBIT, t_max=10.0):
-    n = bath.env_dim
-    env = np.zeros((n, n), dtype=complex)
-    env[0, 0] = 1.0
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    return Scenario(
-        qubit=qubit,
-        bath=bath,
-        initial_state=kron_qubit_env(plus, env),
-        t_max=t_max,
-        steps=steps,
-    )
 
 
 def test_covariance_identity(capsys):

@@ -15,6 +15,7 @@ from bomric.blockop import (
     kron_qubit_env,
     partial_trace_env,
     sandwich_lemma_check,
+    sandwich_lhs,
     unflatten,
 )
 from bomric.linalg import ShapeError, frobenius_norm
@@ -110,14 +111,40 @@ def test_partial_trace_respects_adjoint(rng):
     assert frobenius_norm(lhs - rhs) <= 1e-13
 
 
+def stacked_sample(rng, k, n):
+    """k qubit pairs (k, 2, 2) and k block operators stacked as (k, 2, 2, n, n)."""
+    a1 = np.array([random_complex(rng, 2) for _ in range(k)])
+    a2 = np.array([random_complex(rng, 2) for _ in range(k)])
+    ops = [random_blockop(rng, n) for _ in range(k)]
+    b = np.array([[[op.a11, op.a12], [op.a21, op.a22]] for op in ops])
+    return a1, b, a2, ops
+
+
+def dense_sandwich_lhs(a1, op, a2):
+    # Tr_E((A1 (x) 1) B (A2 (x) 1)) from the full 2N x 2N matrices
+    eye = np.eye(op.dim)
+    return ptrace_oracle(np.kron(a1, eye) @ flatten(op) @ np.kron(a2, eye), op.dim)
+
+
 def test_sandwich_lemma_for_qubit_factors(rng):
     # Tr_env of (A1 (x) 1) B (A2 (x) 1) equals A1 Tr_env(B) A2
-    for _ in range(10):
-        a1 = random_complex(rng, 2)
-        a2 = random_complex(rng, 2)
-        b = random_blockop(rng, 5)
-        resid = sandwich_lemma_check(a1, b, a2)
-        assert resid <= 1e-12 * max(frobenius_norm(flatten(b)), 1.0)
+    a1, b, a2, ops = stacked_sample(rng, 10, 5)
+    resid = sandwich_lemma_check(a1, b, a2)
+    for r, op in zip(resid, ops):
+        assert r <= 1e-12 * max(frobenius_norm(flatten(op)), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+def test_sandwich_kernel_against_dense_oracle(rng, n):
+    k = 4
+    a1, b, a2, ops = stacked_sample(rng, k, n)
+    lhs = sandwich_lhs(a1, b, a2)
+    resid = sandwich_lemma_check(a1, b, a2)
+    assert lhs.shape == (k, 2, 2) and resid.shape == (k,)
+    for i, op in enumerate(ops):
+        dense = dense_sandwich_lhs(a1[i], op, a2[i])
+        assert frobenius_norm(lhs[i] - dense) <= 1e-13 * frobenius_norm(dense)
+        assert resid[i] <= 1e-12 * frobenius_norm(flatten(op))
 
 
 def test_partial_trace_breaks_for_env_acting_factor(rng):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,13 @@ SPINBOSON = SCENARIO_DIR / "spinboson.json"
 RICCATI_SB = SCENARIO_DIR / "riccati_spinboson.json"
 DEPHASING = SCENARIO_DIR / "dephasing.json"
 WEYL = SCENARIO_DIR / "weyl.json"
+
+
+def src_env():
+    env = dict(os.environ)
+    src = str(SCENARIO_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -263,6 +273,22 @@ def test_simulate_invalid_initial_state(tmp_path, capsys):
     rc = cli.main(["simulate", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "x.csv")])
     assert rc == cli.EXIT_SCHEMA
     assert "invalid initial state" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_asymmetry_is_one_stderr_line(tmp_path):
+    # a - a^dagger overflows to inf: the state is rejected with no numpy warning
+    doc = minimal_doc()
+    n = 4
+    bad = np.diag([0.5, 0.5] + [0.0] * (2 * n - 2))
+    bad[0, 1], bad[1, 0] = 1e308, -1e308
+    doc["initial"] = {"kind": "explicit", "matrix": {"re": bad.tolist()}}
+    run = subprocess.run(
+        [sys.executable, "-m", "bomric.cli", "simulate", str(write_doc(tmp_path, doc)),
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert run.returncode == cli.EXIT_SCHEMA
+    assert run.stderr.startswith("error: invalid initial state") and run.stderr.count("\n") == 1
 
 
 def test_simulate_sanity_cap_breach(tmp_path, capsys, monkeypatch):

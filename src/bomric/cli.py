@@ -25,7 +25,6 @@ from .dynamics import (
     InvalidStateError,
     Scenario,
     TrajectorySanityError,
-    bloch_vector,
     hamiltonian_static,
     reduced_dynamics,
 )
@@ -89,21 +88,24 @@ def _parse_sweep(arg: str) -> tuple[str, list]:
 
 
 def _write_csv(path: Path, traj) -> None:
+    rho = traj.states
+    r00, r01, r10, r11 = rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1]
+    # bloch_i = Tr(rho sigma_i) and purity = Tr(rho^2), in forms whose bits
+    # equal the per-row 2 x 2 products
+    table = np.column_stack(
+        [
+            traj.times,
+            r00.real, r00.imag, r01.real, r01.imag,
+            r10.real, r10.imag, r11.real, r11.imag,
+            (r01 + r10).real, (r10 - r01).imag, (r00 - r11).real,
+            np.trace(rho @ rho, axis1=1, axis2=2).real,
+            traj.trace_dev, traj.positivity_floor,
+        ]
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for k, t in enumerate(traj.times):
-            rho = traj.states[k]
-            bloch = bloch_vector(rho)
-            purity = float(np.trace(rho @ rho).real)
-            row = [
-                float(t),
-                rho[0, 0].real, rho[0, 0].imag, rho[0, 1].real, rho[0, 1].imag,
-                rho[1, 0].real, rho[1, 0].imag, rho[1, 1].real, rho[1, 1].imag,
-                bloch[0], bloch[1], bloch[2],
-                purity, traj.trace_dev[k], traj.positivity_floor[k],
-            ]
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows([map(repr, row) for row in table.tolist()])
 
 
 def cmd_simulate(args) -> int:
@@ -120,7 +122,10 @@ def cmd_simulate(args) -> int:
             doc = json.loads(json.dumps(raw))
             _apply_override(doc, key, value)
             name = f"{out.stem}_{key.replace('.', '_')}_{value}{out.suffix or '.csv'}"
-            jobs.append((doc, out.with_name(name)))
+            target = out.with_name(name)
+            if any(t == target for _, t in jobs):
+                raise ScenarioError(f"--sweep {key}: two values both write {target}")
+            jobs.append((doc, target))
     else:
         jobs.append((raw, out))
 

@@ -36,15 +36,7 @@ import numpy as np
 
 from . import linalg
 from .bath import STEP_CAP, BathSpec, bath_hamiltonian, coupling_operator
-from .blockop import (
-    BlockOp,
-    PAULI_1,
-    PAULI_2,
-    PAULI_3,
-    flatten,
-    kron_qubit_env,
-    unflatten,
-)
+from .blockop import BlockOp, flatten, kron_qubit_env, unflatten
 
 MODES = ("rotating_stepped", "static_exact", "factored")
 
@@ -323,20 +315,3 @@ def rotating_frame_check(s: Scenario) -> np.ndarray:
     factored = reduced_dynamics(s, "factored")
     return np.linalg.norm(stepped.states - factored.states, axis=(1, 2))
 
-
-def bloch_vector(rho) -> np.ndarray:
-    """(x, y, z) components Tr(rho sigma_i) of a qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise linalg.ShapeError(f"expected a 2 x 2 state, got {rho.shape}")
-    if linalg.hermitian_deviation(rho) > 1e-9:
-        raise InvalidStateError("qubit state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise InvalidStateError(f"qubit state trace is {np.trace(rho):.6g}")
-    return np.array(
-        [
-            np.trace(rho @ PAULI_1).real,
-            np.trace(rho @ PAULI_2).real,
-            np.trace(rho @ PAULI_3).real,
-        ]
-    )

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 
 from bomric import cli, dynamics
 from bomric.bath import STEP_CAP
+from bomric.blockop import PAULI_1, PAULI_2, PAULI_3
+
+from conftest import random_density
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 CLOSED_QUBIT = SCENARIO_DIR / "closed_qubit.json"
@@ -19,6 +23,7 @@ SPINBOSON = SCENARIO_DIR / "spinboson.json"
 RICCATI_SB = SCENARIO_DIR / "riccati_spinboson.json"
 DEPHASING = SCENARIO_DIR / "dephasing.json"
 WEYL = SCENARIO_DIR / "weyl.json"
+BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def src_env():
@@ -82,6 +87,49 @@ def test_simulate_mode_override_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def simulate_rows(tmp_path, scenario, *extra):
+    """Run simulate and return the CSV's data rows as lists of strings."""
+    out = tmp_path / "traj.csv"
+    assert cli.main(["simulate", str(scenario), "--out", str(out), *extra]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == cli.CSV_COLUMNS
+    return rows
+
+
+@pytest.mark.parametrize("scenario", BUNDLED, ids=lambda p: p.stem)
+def test_simulate_csv_bloch_and_purity_match_per_row_formulas(tmp_path, scenario):
+    # the columns are array operations over the trajectory; each must equal
+    # Tr(rho sigma_i) and Tr(rho^2) of its own row's 2 x 2 state, bit for bit
+    for mode in dynamics.MODES:
+        for row in simulate_rows(tmp_path, scenario, "--mode", mode):
+            entries = np.array([float(x) for x in row[1:9]])
+            rho = (entries[0::2] + 1j * entries[1::2]).reshape(2, 2)
+            expected = [np.trace(rho @ p).real for p in (PAULI_1, PAULI_2, PAULI_3)]
+            expected.append(np.trace(rho @ rho).real)
+            assert row[9:13] == [repr(float(x)) for x in expected], (mode, row[0])
+
+
+def test_simulate_csv_cardinal_states(tmp_path):
+    for qubit_state, bloch in (("0", (0, 0, 1)), ("+", (1, 0, 0)), ("-i", (0, -1, 0))):
+        initial = {"kind": "product", "qubit_state": qubit_state, "env_state": {"fock": 0}}
+        doc = write_doc(tmp_path, minimal_doc(initial=initial))
+        first = simulate_rows(tmp_path, doc)[0]
+        assert float(first[0]) == 0.0
+        assert np.allclose([float(x) for x in first[9:12]], bloch, rtol=0.0, atol=1e-12)
+
+
+def test_simulate_csv_mixed_states_inside_ball(tmp_path, rng):
+    for _ in range(5):
+        rho_q = random_density(rng, 2)
+        matrix = {"re": rho_q.real.tolist(), "im": rho_q.imag.tolist()}
+        initial = {"kind": "product", "qubit_state": matrix, "env_state": {"fock": 0}}
+        doc = write_doc(tmp_path, minimal_doc(initial=initial))
+        data = np.array(simulate_rows(tmp_path, doc, "--mode", "rotating_stepped"), dtype=float)
+        assert np.all(np.linalg.norm(data[:, 9:12], axis=1) <= 1.0 + 1e-9)
+        assert np.all(data[:, 12] <= 1.0 + 1e-9)
+
+
 def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = cli.main(
@@ -99,6 +147,24 @@ def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     assert not out.exists()
     assert f1.read_bytes() != f2.read_bytes()
     assert capsys.readouterr().out.count("wrote") == 2
+
+
+def test_simulate_sweep_rejects_values_that_name_one_file(tmp_path, capsys):
+    # 0.1, 0.10 and 1e-1 all format as 0.1: each run would overwrite the last
+    rc = cli.main(
+        [
+            "simulate", str(CLOSED_QUBIT),
+            "--out", str(tmp_path / "x.csv"),
+            "--steps", "10",
+            "--sweep", "qubit.alpha=0.1,0.10,1e-1",
+        ]
+    )
+    assert rc == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path / "x_qubit_alpha_0.1.csv") in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_sweep_rejects_unknown_key(tmp_path):

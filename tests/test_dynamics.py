@@ -19,7 +19,6 @@ from bomric.dynamics import (
     InvalidStateError,
     QubitParams,
     Scenario,
-    bloch_vector,
     covariance_residual,
     hamiltonian_rotating,
     hamiltonian_static,
@@ -35,10 +34,9 @@ from bomric import linalg
 from bomric.linalg import expm, frobenius_norm
 from bomric.riccati import periodic_bom, s_frame_unitary
 
-from conftest import random_density, random_hermitian
+from conftest import random_hermitian
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
-KET0 = np.diag([1.0, 0.0]).astype(complex)
 
 # a bath with zero coupling so the qubit dynamics is closed
 TRIVIAL_BATH = BathSpec((BathMode(1.0, 0.0),), fock_cutoff=1)
@@ -443,27 +441,3 @@ def test_scenario_validation(small_bath):
     other = BathSpec((BathMode(1.0, 0.1),), fock_cutoff=2)
     with pytest.raises(InvalidStateError):
         Scenario(QubitParams(1, 1, 1), other, state, t_max=1.0, steps=10)
-
-
-def test_bloch_vector_cardinal_states():
-    assert np.allclose(bloch_vector(KET0), [0.0, 0.0, 1.0])
-    assert np.allclose(bloch_vector(PLUS), [1.0, 0.0, 0.0])
-    minus_i = 0.5 * np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-    assert np.allclose(bloch_vector(minus_i), [0.0, -1.0, 0.0])
-
-
-def test_bloch_vector_inside_ball(rng):
-    for _ in range(20):
-        r = bloch_vector(random_density(rng, 2))
-        assert np.linalg.norm(r) <= 1.0 + 1e-9
-
-
-def test_bloch_vector_rejects_garbage(rng):
-    with pytest.raises(InvalidStateError):
-        bloch_vector(np.array([[0.5, 0.3], [0.1, 0.5]]))
-    with pytest.raises(InvalidStateError):
-        bloch_vector(np.eye(2))
-    from bomric.linalg import ShapeError
-
-    with pytest.raises(ShapeError):
-        bloch_vector(np.eye(3))

@@ -20,6 +20,7 @@ from .blockop import flatten, sandwich_lemma_check
 from .dynamics import (
     QubitParams,
     Scenario,
+    chunk_size,
     covariance_residual,
     hamiltonian_from_blocks,
     rotating_frame_check,
@@ -28,7 +29,6 @@ from .dynamics import (
 SEED = 20240817             # covariance draws from SEED, sandwich from SEED + 1
 COVARIANCE_SAMPLES = 100
 SANDWICH_SAMPLES = 1000
-SANDWICH_CHUNK_ENTRIES = 2**14  # B entries per sandwich chunk; bounds the check's memory
 PHASE_POINTS = 100          # grid on [0, t_max] of zt_riccati and st_diagonalization
 
 IDENTITY_TOL = 1e-12        # covariance and sandwich, relative to ||H||_F or ||B||_F
@@ -73,7 +73,7 @@ def sandwich(s: Scenario) -> dict:
     """Tr_E((A1 (x) 1) B (A2 (x) 1)) = A1 Tr_E(B) A2 on random blocks of the bath's size."""
     rng = np.random.default_rng(SEED + 1)
     n = s.bath.env_dim
-    chunk = max(1, SANDWICH_CHUNK_ENTRIES // (4 * n * n))
+    chunk = chunk_size(4 * n * n)  # samples per chunk, each with 4N^2 entries of B
     worst = 0.0
     for start in range(0, SANDWICH_SAMPLES, chunk):
         m = min(chunk, SANDWICH_SAMPLES - start)

@@ -9,7 +9,6 @@ cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -25,6 +24,7 @@ from .dynamics import (
     InvalidStateError,
     Scenario,
     TrajectorySanityError,
+    chunk_size,
     hamiltonian_static,
     reduced_dynamics,
 )
@@ -102,10 +102,14 @@ def _write_csv(path: Path, traj) -> None:
             traj.trace_dev, traj.positivity_floor,
         ]
     )
+    # the bytes csv.writer would write, as a float's repr never needs quoting;
+    # a block of rows at a time is converted to Python floats and written
+    rows = chunk_size(len(CSV_COLUMNS))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([map(repr, row) for row in table.tolist()])
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for lo in range(0, len(table), rows):
+            block = table[lo : lo + rows].tolist()
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
 
 
 def cmd_simulate(args) -> int:
@@ -122,7 +126,10 @@ def cmd_simulate(args) -> int:
             doc = json.loads(json.dumps(raw))
             _apply_override(doc, key, value)
             name = f"{out.stem}_{key.replace('.', '_')}_{value}{out.suffix or '.csv'}"
-            target = out.with_name(name)
+            try:
+                target = out.with_name(name)
+            except ValueError:  # a value holding a path separator
+                raise ScenarioError(f"--sweep {key}: value {value!r} gives no file name") from None
             if any(t == target for _, t in jobs):
                 raise ScenarioError(f"--sweep {key}: two values both write {target}")
             jobs.append((doc, target))

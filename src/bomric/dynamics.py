@@ -11,18 +11,31 @@ consequence the exact propagator factors as exp(iKt) exp(-iH(beta - w/2) t)
 and the reduced state of the driven problem is a rotating-frame dressing of
 the static problem at the shifted splitting beta - w/2.
 
-All three propagation modes push one factor of the initial state,
-rho0 = psi diag(p) psi† cut to its numerical rank, and contract each reduced
-state straight from the propagated factor.  "static_exact" and "factored"
-share one eigenbasis route; "factored" runs it at beta - w/2 and dresses the
-reduced states with diag(exp(-+ i w t / 2)) (the sandwich lemma).
+All three propagation modes start from one factor of the initial state,
+rho0 = psi diag(p) psi†, cut to its numerical rank, and compute the reduced
+states a chunk of grid points at a time.  A chunk's largest work array holds
+at most CHUNK_ENTRIES entries (or one grid point's), so a grid of STEP_CAP
+points needs no more working memory than a short one.
+
+"static_exact" and "factored" evaluate the closed form.  With the static
+H = V diag(w) V†, G = V† psi and M = G diag(p) G†, each entry of the reduced
+state is a bilinear form in the phase vector e(t) = exp(-i w t),
+
+    rho_ij(t) = e(t)^T C_ij e(t)*,   C_ij = (V_i^T V_j*) o M,
+
+where V_i is the qubit-i row block of V and o the entrywise product, so a
+chunk of the grid costs one product of its phase matrix with the four C_ij
+and no per-point work.  "factored" evaluates it at beta - w/2 and dresses
+the reduced states with diag(exp(-+ i w t / 2)) (the sandwich lemma).
+
 "rotating_stepped" takes midpoint exponentials of H(t) assembled from its
-definition, not from the covariance, so the rotating_frame check that
-compares it with "factored" is an independent cross-check.  Each step
-exponential acts on the factor directly: a truncated Taylor series
-(linalg.expm_action) on a thin factor, such as a pure state's single column,
-and a dense expm otherwise.  The drive only rotates phases, so ||H(t) dt||_1
-and hence the Taylor plan are the same at every step.
+definition, not from the covariance or the closed form, so the
+rotating_frame check that compares it with "factored" is an independent
+cross-check.  The Hamiltonians of a chunk of steps are written into one
+stack; a dense step plan exponentiates the whole stack in one expm call, and
+a thin factor, such as a pure state's single column, takes a truncated
+Taylor series (linalg.expm_action) per step.  The drive only rotates phases,
+so ||H(t) dt||_1 and hence the Taylor plan are the same at every step.
 
 reduced_dynamics raises TrajectorySanityError when a trajectory leaves the
 sanity caps below.
@@ -30,7 +43,7 @@ sanity caps below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -47,6 +60,8 @@ HERM_DEV_CAP = 1e-11
 POSITIVITY_FLOOR = -1e-9
 
 STATE_TOL = 1e-10      # initial state: |Tr - 1| and -(lowest eigenvalue) at most this
+
+CHUNK_ENTRIES = 2**14  # work-array entries per chunk of grid points, samples or CSV rows
 
 
 class InvalidStateError(ValueError):
@@ -151,11 +166,18 @@ def hamiltonian_from_blocks(
     )
 
 
+def _drive_offdiag(h: BlockOp, omega: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal blocks of H(t) from the static blocks of h, at a time
+    or stacked over an array of times: the drive phase exp(-i w t) on the
+    upper block and its conjugate on the lower one."""
+    phase = np.exp(-1j * omega * np.asarray(t, dtype=float)[..., None, None])
+    return phase * h.a12, phase.conj() * h.a21
+
+
 def _drive_at(h: BlockOp, omega: float, t: float) -> BlockOp:
-    """H(t) from the static blocks of h: the drive phase exp(-i w t) on the
-    upper off-diagonal block and its conjugate on the lower one."""
-    phase = np.exp(-1j * omega * t)
-    return BlockOp(h.a11, phase * h.a12, np.conj(phase) * h.a21, h.a22)
+    """H(t) from the static blocks of h; its diagonal blocks are h's."""
+    a12, a21 = _drive_offdiag(h, omega, t)
+    return BlockOp(h.a11, a12, a21, h.a22)
 
 
 def hamiltonian_rotating(q: QubitParams, bath: BathSpec, t: float) -> BlockOp:
@@ -178,58 +200,91 @@ def covariance_residual(q: QubitParams, h: BlockOp, t: float) -> float:
     return linalg.frobenius_norm(flatten(_drive_at(h, q.omega, t)) - rotated)
 
 
-def propagator_static(h: BlockOp, t: float) -> BlockOp:
-    """exp(-i h t) for a Hermitian block operator."""
-    return unflatten(linalg.expm(flatten(h), -1j * t))
+def chunk_size(entries_per_point: int) -> int:
+    """Points per chunk when each point takes entries_per_point entries of a
+    work array: CHUNK_ENTRIES // entries_per_point, and at least one."""
+    return max(1, CHUNK_ENTRIES // entries_per_point)
 
 
-def propagator_factored(q: QubitParams, bath: BathSpec, t: float) -> BlockOp:
-    """Exact driven propagator exp(iKt) exp(-i H(beta - omega/2) t)."""
-    h_eff = hamiltonian_static(q, bath, beta=q.beta - q.omega / 2.0)
-    conj = kron_qubit_env(rotation_frame_unitary(q, t), np.eye(bath.env_dim))
-    return unflatten(flatten(conj) @ flatten(propagator_static(h_eff, t)))
-
-
-def _midpoint_steps(
-    h_of_t: Callable[[float], BlockOp],
+def _stepped_factors(
+    h: BlockOp,
+    omega: float,
     x: np.ndarray,
     dt: float,
     steps: int,
     substeps: int,
     plan: tuple[int, int] | None,
 ) -> Iterator[np.ndarray]:
-    """Yield x, then x after each of `steps` groups of `substeps` midpoint
-    exponentials exp(-i h(t_mid) dt) applied to x by linalg.expm_action with
-    the one Taylor plan given for every step (None: dense expm @ x)."""
-    yield x
-    for k in range(steps):
-        for j in range(substeps):
-            tm = (k * substeps + j + 0.5) * dt
-            x = linalg.expm_action(flatten(h_of_t(tm)), -1j * dt, x, plan)
-        yield x
+    """Yield x as a stack of one, then, a chunk of steps at a time, the stack
+    of x after each of `steps` groups of `substeps` midpoint exponentials
+    exp(-i H(t_m) dt), with H(t_m) = _drive_at(h, omega, t_m) and
+    t_m = (k + 1/2) dt.
+
+    The chunk's H(t_m) fill one (chunk, 2N, 2N) buffer: the static diagonal
+    blocks are written once, the _drive_offdiag blocks per chunk.
+    With plan None the chunk is exponentiated by one dense expm call;
+    otherwise each step is linalg.expm_action with that one Taylor plan.
+    """
+    n = h.dim
+    total = steps * substeps
+    size = min(chunk_size(4 * n * n), total)
+    buf = np.empty((size, 2 * n, 2 * n), dtype=complex)
+    buf[:, :n, :n] = h.a11
+    buf[:, n:, n:] = h.a22
+    yield x[None]
+    for lo in range(0, total, size):
+        hs = buf[: min(size, total - lo)]
+        hs[:, :n, n:], hs[:, n:, :n] = _drive_offdiag(
+            h, omega, (np.arange(lo, lo + len(hs)) + 0.5) * dt
+        )
+        us = linalg.expm(hs, -1j * dt) if plan is None else None
+        kept = []
+        for j, hm in enumerate(hs):
+            x = us[j] @ x if plan is None else linalg.expm_action(hm, -1j * dt, x, plan)
+            if (lo + j + 1) % substeps == 0:
+                kept.append(x)
+        if kept:
+            yield np.array(kept)
 
 
-def step_evolve(h_of_t: Callable[[float], BlockOp], t_max: float, steps: int) -> BlockOp:
-    """Ordered product of midpoint exponentials over a uniform grid.
+def step_evolve(h: BlockOp, omega: float, t_max: float, steps: int) -> BlockOp:
+    """Ordered product of midpoint exponentials of H(t) = _drive_at(h, omega, t)
+    over a uniform grid of `steps` intervals on [0, t_max].
 
     Second-order accurate in the step size; each factor is the exponential
     of the Hamiltonian sampled at the interval midpoint, so the result is
-    unitary whenever h_of_t is Hermitian.
+    unitary whenever h is Hermitian.  It is the stepper of reduced_dynamics
+    run on the identity.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    eye = np.eye(2 * h_of_t(0.0).dim, dtype=complex)
-    # the identity is as wide as h: every step is a dense expm
-    _, u = _midpoint_steps(h_of_t, eye, float(t_max) / steps, 1, steps, None)
+    eye = np.eye(2 * h.dim, dtype=complex)
+    # the identity is as wide as h: every step is a dense expm; one group of
+    # `steps` substeps keeps only the final product
+    _, (u,) = _stepped_factors(h, omega, eye, float(t_max) / steps, 1, steps, None)
     return unflatten(u)
 
 
-def _eigen_steps(h: BlockOp, psi: np.ndarray, times: np.ndarray) -> Iterator[np.ndarray]:
-    """exp(-i h t) psi for each t via one eigendecomposition; no error buildup."""
+def _spectral_states(
+    h: BlockOp, p: np.ndarray, psi: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Tr_E(exp(-i h t) rho0 exp(i h t)) at each of `times` for
+    rho0 = psi diag(p) psi†, as the bilinear forms e(t)^T C_ij e(t)* of the
+    module docstring; no error builds up along the grid."""
     w, v = linalg.hermitian_eig(flatten(h))
     g = v.conj().T @ psi
-    for t in times:
-        yield v @ (np.exp(-1j * w * t)[:, None] * g)
+    m = (g * p) @ g.conj().T
+    vb = v.reshape(2, h.dim, w.size)
+    # c[a, 2i + j, b] = (V_i^T V_j*)_ab M_ab; each entry has its own C_ij
+    c = np.stack([(vb[i].T @ vb[j].conj()) * m for i in (0, 1) for j in (0, 1)], axis=1)
+    c = c.reshape(w.size, -1)
+    states = np.empty((len(times), 2, 2), dtype=complex)
+    size = chunk_size(4 * w.size)
+    for lo in range(0, len(times), size):
+        e = np.exp(-1j * np.outer(times[lo : lo + size], w))
+        forms = np.einsum("kcb,kb->kc", (e @ c).reshape(len(e), 4, -1), e.conj())
+        states[lo : lo + size] = forms.reshape(-1, 2, 2)
+    return states
 
 
 def _state_factor(rho: BlockOp) -> tuple[np.ndarray, np.ndarray]:
@@ -244,9 +299,11 @@ def _state_factor(rho: BlockOp) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _trace_env(phi: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Tr_E(phi diag(p) phi†) for a 2N x r factor phi, qubit index slow."""
-    f = phi.reshape(2, -1, p.size)
-    return (f * p).reshape(2, -1) @ f.reshape(2, -1).conj().T
+    """Tr_E(phi diag(p) phi†) for each 2N x r factor of a (k, 2N, r) stack
+    phi, qubit index slow."""
+    f = phi.reshape(len(phi), 2, -1, p.size)
+    lhs = (f * p).reshape(len(phi), 2, -1)
+    return lhs @ f.reshape(len(phi), 2, -1).conj().transpose(0, 2, 1)
 
 
 def reduced_dynamics(s: Scenario, mode: str = "rotating_stepped") -> Trajectory:
@@ -270,13 +327,11 @@ def reduced_dynamics(s: Scenario, mode: str = "rotating_stepped") -> Trajectory:
         dt = s.t_max / (s.steps * n)
         # H(t) has the entry moduli of h, so one plan fits every step
         plan = linalg.action_plan(flatten(h), -1j * dt, p.size)
-        factors = _midpoint_steps(
-            lambda t: _drive_at(h, q.omega, t), psi, dt, s.steps, n, plan
-        )
+        factors = _stepped_factors(h, q.omega, psi, dt, s.steps, n, plan)
+        states = np.concatenate([_trace_env(phis, p) for phis in factors])
     else:
         beta = q.beta - q.omega / 2.0 if mode == "factored" else None
-        factors = _eigen_steps(hamiltonian_static(q, s.bath, beta), psi, times)
-    states = np.array([_trace_env(phi, p) for phi in factors])
+        states = _spectral_states(hamiltonian_static(q, s.bath, beta), p, psi, times)
     if mode == "factored":
         # Tr_E((R (x) 1) rho (R† (x) 1)) = R Tr_E(rho) R†, with r the diagonal of R(t)
         r = np.exp(-0.5j * q.omega * np.outer(times, [1.0, -1.0]))

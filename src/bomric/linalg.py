@@ -74,8 +74,11 @@ def is_hermitian(a) -> bool:
 
 
 def expm(a, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * a) by scaling-and-squaring (scipy backend)."""
-    a = _as_square(a)
+    """exp(scale * a) by scaling-and-squaring (scipy backend), for one square
+    matrix or each matrix of a (k, n, n) stack."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return scipy.linalg.expm(scale * a)
 
 
@@ -122,17 +125,14 @@ def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:
     return (m, s) if m * s * r <= a.shape[0] // 2 else None
 
 
-def expm_action(a, scale: complex, x, plan: tuple[int, int] | None) -> np.ndarray:
+def expm_action(a, scale: complex, x, plan: tuple[int, int]) -> np.ndarray:
     """exp(scale * a) @ x, with plan = action_plan(a, scale, r) for r columns in x.
 
-    A plan (m, s) takes s steps of the degree-m Taylor series of
+    The plan (m, s) takes s steps of the degree-m Taylor series of
     exp(scale * a / s) (Al-Mohy & Higham 2011, Algorithm 3.2 without the
     trace shift or the early exit: at these sizes the exit test's norms cost
-    more than the products they could save).  Without a plan it is the dense
-    expm(a, scale) @ x.
+    more than the products they could save).
     """
-    if plan is None:
-        return expm(a, scale) @ x
     m, s = plan
     a = _as_square(a)
     f = b = np.asarray(x, dtype=complex)

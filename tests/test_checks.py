@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bomric import checks
+from bomric import checks, dynamics
 from bomric.bath import BathMode, BathSpec
 
 from conftest import plus_fock_scenario
@@ -37,7 +37,7 @@ def test_sandwich_chunking_keeps_the_samples(monkeypatch, n):
             return kernel(a1, b, a2)
 
         monkeypatch.setattr(checks, "sandwich_lemma_check", recording)
-        monkeypatch.setattr(checks, "SANDWICH_CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", budget)
         results.append(checks.sandwich(s)["residual"])
         sizes = [len(b) for _, b, _ in chunks]
         assert sum(sizes) == checks.SANDWICH_SAMPLES

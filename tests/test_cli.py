@@ -78,6 +78,18 @@ def test_simulate_reruns_bit_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_csv_written_in_row_blocks_keeps_the_bytes(tmp_path, monkeypatch):
+    # the CSV rows are converted and written a block at a time: 7-row blocks,
+    # which do not divide the 41 rows, write the bytes of one whole block
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["simulate", str(CLOSED_QUBIT), "--steps", "40", "--mode", "rotating_stepped"]
+    assert cli.main(argv + ["--out", str(a)]) == 0
+    monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 7 * len(cli.CSV_COLUMNS))
+    assert dynamics.chunk_size(len(cli.CSV_COLUMNS)) == 7
+    assert cli.main(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_simulate_mode_override_changes_output(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -164,6 +176,19 @@ def test_simulate_sweep_rejects_values_that_name_one_file(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(tmp_path / "x_qubit_alpha_0.1.csv") in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_sweep_value_with_path_separator_is_one_error_line(tmp_path):
+    # "a/b" names no file next to --out: exit 2 before the 0.1 run writes anything
+    run = subprocess.run(
+        [sys.executable, "-m", "bomric.cli", "simulate", str(CLOSED_QUBIT),
+         "--out", str(tmp_path / "y.csv"), "--steps", "10", "--sweep", 'qubit.alpha=0.1,"a/b"'],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert run.returncode == cli.EXIT_SCHEMA
+    assert run.stdout == ""
+    assert run.stderr == "error: --sweep qubit.alpha: value 'a/b' gives no file name\n"
     assert list(tmp_path.iterdir()) == []
 
 

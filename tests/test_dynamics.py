@@ -22,15 +22,13 @@ from bomric.dynamics import (
     covariance_residual,
     hamiltonian_rotating,
     hamiltonian_static,
-    propagator_factored,
-    propagator_static,
     reduced_dynamics,
     rotating_frame_check,
     rotation_frame_unitary,
     step_evolve,
     validate_state,
 )
-from bomric import linalg
+from bomric import dynamics, linalg
 from bomric.linalg import expm, frobenius_norm
 from bomric.riccati import periodic_bom, s_frame_unitary
 
@@ -61,6 +59,18 @@ def closed_scenario(steps=400, t_max=5.0, qubit=None):
         t_max=t_max,
         steps=steps,
     )
+
+
+def propagator_static(h, t):
+    """exp(-i h t) for a Hermitian block operator: the dense oracle."""
+    return unflatten(expm(flatten(h), -1j * t))
+
+
+def propagator_factored(q, bath, t):
+    """Exact driven propagator exp(iKt) exp(-i H(beta - omega/2) t)."""
+    h_eff = hamiltonian_static(q, bath, beta=q.beta - q.omega / 2.0)
+    conj = kron_qubit_env(rotation_frame_unitary(q, t), np.eye(bath.env_dim))
+    return unflatten(flatten(conj) @ flatten(propagator_static(h_eff, t)))
 
 
 def rabi_propagator(q, t):
@@ -142,12 +152,9 @@ def test_factored_equals_stepped_limit():
     bath = TRIVIAL_BATH
     t_max = 5.0
     exact = flatten(propagator_factored(q, bath, t_max))
-
-    def h_of_t(t):
-        return hamiltonian_rotating(q, bath, t)
-
+    h = hamiltonian_static(q, bath)
     err = [
-        frobenius_norm(flatten(step_evolve(h_of_t, t_max, n)) - exact)
+        frobenius_norm(flatten(step_evolve(h, q.omega, t_max, n)) - exact)
         for n in (100, 200)
     ]
     assert err[1] < err[0]
@@ -168,8 +175,9 @@ def test_step_evolve_on_periodic_drive(small_bath):
         + np.kron(PAULI_1, w)
     )
 
-    def h_of_t(t):
-        return periodic_bom(small_bath, beta, alpha, t)
+    # periodic_bom(t) puts exp(2 i alpha t) on its upper off-diagonal block:
+    # the drive at omega = -2 alpha of its t = 0 blocks
+    h = periodic_bom(small_bath, beta, alpha, 0.0)
 
     def closed_form(t):
         j = np.kron(np.diag([np.exp(1j * alpha * t), np.exp(-1j * alpha * t)]), np.eye(n))
@@ -178,7 +186,7 @@ def test_step_evolve_on_periodic_drive(small_bath):
     t_max = 3.0
     exact = closed_form(t_max)
     err = [
-        frobenius_norm(flatten(step_evolve(h_of_t, t_max, k)) - exact)
+        frobenius_norm(flatten(step_evolve(h, -2.0 * alpha, t_max, k)) - exact)
         for k in (80, 160)
     ]
     assert err[1] < err[0]
@@ -213,12 +221,21 @@ def test_modes_agree_on_closed_qubit():
     assert gap <= 5e-6
 
 
-def test_factored_matches_rabi_reduction():
-    s = closed_scenario(steps=50, t_max=4.0, qubit=QubitParams(0.8, 0.6, 1.1))
+def assert_factored_matches_rabi(steps):
+    s = closed_scenario(steps=steps, t_max=4.0, qubit=QubitParams(0.8, 0.6, 1.1))
     traj = reduced_dynamics(s, "factored")
     for t, rho in zip(traj.times, traj.states):
         u = rabi_propagator(s.qubit, t)
         assert frobenius_norm(rho - u @ PLUS @ u.conj().T) <= 1e-11
+
+
+def test_factored_matches_rabi_reduction():
+    assert_factored_matches_rabi(steps=50)
+
+
+def test_factored_rabi_reduction_across_default_chunks():
+    # at 2N = 4 a spectral chunk holds 1024 grid points: 2501 points take three
+    assert_factored_matches_rabi(steps=2500)
 
 
 def test_trajectory_diagnostics_bounded(small_bath):
@@ -349,6 +366,58 @@ def test_reduced_dynamics_matches_dense_oracle(kind, mode, monkeypatch):
     assert len(traj) == len(oracle) == 13
     for got, want in zip(traj.states, oracle):
         assert frobenius_norm(got - want) <= 1e-12
+
+
+def chunk_entries(mode, dim, points):
+    """The CHUNK_ENTRIES that makes a chunk `points` grid points long at
+    2N = dim: a stepped chunk holds one dim x dim Hamiltonian per step, a
+    spectral chunk four length-dim forms per point."""
+    return points * (dim * dim if mode == "rotating_stepped" else 4 * dim)
+
+
+@pytest.mark.parametrize("points", [1, 5])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", ["full_rank_tiny_population", "rank1_wide"])
+def test_chunk_boundaries_keep_the_states(kind, mode, points, monkeypatch):
+    # 12 steps of 3 substeps: 5-step chunks divide neither the 36 substeps nor
+    # the 3 per grid step, so grid points and kept factors straddle chunk ends
+    rho0 = oracle_initial_state(kind)
+    cutoff = ORACLE_CUTOFF[kind]
+    s = Scenario(
+        qubit=ORACLE_QUBIT,
+        bath=oracle_bath(cutoff),
+        initial_state=unflatten(rho0),
+        t_max=1.5 if kind == "rank1_wide" else 3.0,
+        steps=12,
+        substeps_per_step=3,
+    )
+    default = reduced_dynamics(s, mode)
+    monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", chunk_entries(mode, rho0.shape[0], points))
+    traj = reduced_dynamics(s, mode)
+    if mode == "rotating_stepped":
+        assert np.array_equal(traj.states, default.states)
+    else:
+        assert np.max(np.abs(traj.states - default.states)) <= 1e-15
+    oracle = dense_oracle_states(mode, rho0, s.times, s.substeps_per_step, cutoff)
+    assert len(traj) == len(oracle) == 13
+    for got, want in zip(traj.states, oracle):
+        assert frobenius_norm(got - want) <= 1e-12
+
+
+def test_thin_factor_guard_sees_the_stacked_dense_path(monkeypatch):
+    # the rank1_wide oracle case's guard must fire if a thin factor were sent
+    # down the dense path, which exponentiates a whole chunk in one call
+    s = Scenario(
+        qubit=ORACLE_QUBIT,
+        bath=oracle_bath(3),
+        initial_state=unflatten(oracle_initial_state("rank1_wide")),
+        t_max=1.5,
+        steps=12,
+    )
+    monkeypatch.setattr(linalg, "expm", _no_dense_expm)
+    monkeypatch.setattr(linalg, "action_plan", lambda *args: None)
+    with pytest.raises(AssertionError, match="thin factor took a dense expm"):
+        reduced_dynamics(s, "rotating_stepped")
 
 
 def test_rotating_frame_halving_on_action_path():

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Scan the Riccati solvers across a range of bath mode frequencies.
 
-For each frequency the script solves the static block operator by Newton
-iteration and by the matched invariant subspace, and reports the solution
-norm, the agreement between the two, and how many Newton steps were
-needed.  At the resonance, where the mode frequency equals twice the
-splitting, the spectra of the diagonal blocks coincide up to truncation,
-and whether Newton breaks down there depends on the Fock cutoff.  With the
-default alpha, beta and g at omega0 = 1.0, Newton converges at --n-max 4
-and 5 (23 and 27 iterations), stalls at 6 (41 residuals) and meets a
-singular linearization at its first step at 8.  Rows where Newton fails
-show up as NO CONVERGENCE.
+For each frequency the script solves the static block operator by the
+graph branch of the invariant subspace and by Newton iteration from zero,
+and reports how many Newton steps were needed, the graph solution's norms
+and residual, and the distance between the two solutions.  At the
+resonance, where the mode frequency equals twice the splitting, the
+spectra of the diagonal blocks coincide up to truncation, and whether
+Newton breaks down there depends on the Fock cutoff.  With the default
+alpha, beta and g at omega0 = 1.0, Newton converges at --n-max 4 and 5
+(23 and 27 iterations), stalls at 6 (41 residuals) and meets a singular
+linearization at its first step at 8.  Rows where Newton fails show NO
+CONVERGENCE in place of its columns and keep the graph branch's.
 
 Usage, from the repository root (drop PYTHONPATH once bomric is installed):
     PYTHONPATH=src python scripts/riccati_branch_scan.py [--alpha 0.3] [--beta 0.5] [--g 0.2]
@@ -25,8 +26,9 @@ from bomric.bath import BathMode, BathSpec
 from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric.linalg import frobenius_norm
 from bomric.riccati import (
+    AmbiguousSubspaceError,
+    NoGraphError,
     RiccatiConvergenceError,
-    matching_branch,
     problem_from_blockop,
     solve_invariant_subspace,
     solve_newton,
@@ -50,20 +52,27 @@ def main() -> int:
         f"qubit alpha={args.alpha} beta={args.beta}, coupling g={args.g}, "
         f"cutoff n_max={args.n_max}  (resonance at omega0 = {2 * args.beta})"
     )
-    print(f"{'omega0':>7} {'iters':>6} {'||X||_F':>9} {'agreement':>11} {'residual':>10}")
+    print(
+        f"{'omega0':>7} {'iters':>6} {'||X||_F':>9} {'agreement':>11} "
+        f"{'residual':>10} {'||X||_2':>9}   (X, residual: graph branch; iters: Newton from 0)"
+    )
     for w0 in args.omega0:
         bath = BathSpec((BathMode(float(w0), args.g),), fock_cutoff=args.n_max)
         p = problem_from_blockop(hamiltonian_static(q, bath))
         try:
             newton = solve_newton(p)
+            iters, note = newton.iterations, ""
         except RiccatiConvergenceError as exc:
-            print(f"{w0:>7.2f} {'NO CONVERGENCE':>38}  ({len(exc.trace)} residuals)")
+            newton, iters, note = None, "-", f"  NO CONVERGENCE ({len(exc.trace)} residuals)"
+        try:
+            graph = solve_invariant_subspace(p, which="graph")
+        except (NoGraphError, AmbiguousSubspaceError) as exc:
+            print(f"{w0:>7.2f} {iters:>6} {'NO GRAPH':>9}  ({exc}){note}")
             continue
-        sub = solve_invariant_subspace(p, which=matching_branch(p, newton.x))
-        agree = frobenius_norm(newton.x - sub.x)
+        agree = "-" if newton is None else f"{frobenius_norm(newton.x - graph.x):.3e}"
         print(
-            f"{w0:>7.2f} {newton.iterations:>6} {frobenius_norm(newton.x):>9.5f} "
-            f"{agree:>11.3e} {newton.residual:>10.3e}"
+            f"{w0:>7.2f} {iters:>6} {frobenius_norm(graph.x):>9.5f} {agree:>11} "
+            f"{graph.residual:>10.3e} {np.linalg.norm(graph.x, 2):>9.5f}{note}"
         )
     return 0
 

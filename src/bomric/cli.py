@@ -1,5 +1,9 @@
 """Command line front end: simulate, riccati, verify.
 
+`riccati` solves a spin-boson scenario by the invariant subspace's graph
+branch and refines that X by Newton; --method runs one solver alone, Newton
+from zero or the subspace on --branch.
+
 Exit codes: 0 success, 2 schema, state or command-line input error (including
 a file that cannot be opened, a grid over STEP_CAP and a --branch that no
 solver would use), 3 environment dimension over the cap, 4 solver
@@ -152,35 +156,31 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None, branch: str
     p = riccati.problem_from_blockop(h)
     report: dict = {"kind": "spinboson", "env_dim": s.bath.env_dim}
 
-    newton_sol = None
+    # by default the subspace X is the start that Newton refines;
+    # --method newton alone starts from zero
     subspace_sol = None
-    if method in (None, "newton"):
-        newton_sol = riccati.solve_newton(p)
-        report["newton"] = {
-            "iterations": newton_sol.iterations,
-            "residual": newton_sol.residual,
-            "x_norm": linalg.frobenius_norm(newton_sol.x),
-        }
     if method in (None, "subspace"):
-        if branch is not None:
-            which = branch
-        elif newton_sol is not None:
-            # follow the branch newton landed on so the agreement line
-            # compares like with like
-            which = riccati.matching_branch(p, newton_sol.x)
-        else:
-            which = "lower"
+        which = branch or "graph"
         subspace_sol = riccati.solve_invariant_subspace(p, which)
         report["subspace"] = {
-            "branch": branch or ("matched-to-newton" if newton_sol else "lower"),
+            "branch": which,
             "residual": subspace_sol.residual,
             "x_norm": linalg.frobenius_norm(subspace_sol.x),
+            "x_norm2": float(np.linalg.norm(subspace_sol.x, 2)),
         }
-    if newton_sol is not None and subspace_sol is not None:
-        report["agreement"] = linalg.frobenius_norm(newton_sol.x - subspace_sol.x)
+    sol = subspace_sol
+    if method in (None, "newton"):
+        sol = riccati.solve_newton(p, None if subspace_sol is None else subspace_sol.x)
+        report["newton"] = {
+            "start": "zero" if subspace_sol is None else "subspace",
+            "iterations": sol.iterations,
+            "residual": sol.residual,
+            "x_norm": linalg.frobenius_norm(sol.x),
+        }
+    if method is None:
+        report["agreement"] = linalg.frobenius_norm(sol.x - subspace_sol.x)
 
-    best = newton_sol or subspace_sol
-    diag = riccati.diagonalize(h, best)
+    diag = riccati.diagonalize(h, sol)
     report["offdiag_residual"] = diag.offdiag_residual
     report["cond_ux"] = diag.cond_ux
     return report
@@ -227,20 +227,23 @@ def cmd_riccati(args) -> int:
         )
     else:
         report = _riccati_spinboson_report(config, args.method, args.branch)
-        if "newton" in report:
-            n = report["newton"]
-            print(
-                f"newton: iterations {n['iterations']}, residual {n['residual']:.3e}, "
-                f"||X||_F = {n['x_norm']:.6f}"
-            )
         if "subspace" in report:
             s = report["subspace"]
             print(
                 f"invariant subspace ({s['branch']}): residual {s['residual']:.3e}, "
-                f"||X||_F = {s['x_norm']:.6f}"
+                f"||X||_F = {s['x_norm']:.6f}, ||X||_2 = {s['x_norm2']:.6f}"
+            )
+        if "newton" in report:
+            n = report["newton"]
+            print(
+                f"newton: from {n['start']}, iterations {n['iterations']}, "
+                f"residual {n['residual']:.3e}, ||X||_F = {n['x_norm']:.6f}"
             )
         if "agreement" in report:
-            print(f"solver agreement ||X_newton - X_subspace||_F = {report['agreement']:.3e}")
+            print(
+                f"solver agreement ||X_newton - X_subspace||_F = {report['agreement']:.3e} "
+                "(Newton's correction to the subspace X)"
+            )
         print(
             f"block-diagonalization off-diagonal residual {report['offdiag_residual']:.3e} "
             f"(cond U_X = {report['cond_ux']:.3e})"
@@ -307,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     ric.add_argument(
         "--branch",
         choices=("lower", "upper", "graph"),
-        help="spectral branch for the invariant-subspace solver "
-        "(default: lower, or the Newton branch when both methods run)",
+        help="spectral branch for the invariant-subspace solver (default: graph)",
     )
     ric.add_argument("--out", type=Path, help="write a JSON report")
 
@@ -344,10 +346,10 @@ def main(argv=None) -> int:
         riccati.NoGraphError,
         riccati.AmbiguousSubspaceError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, riccati.RiccatiConvergenceError):
-            tail = ", ".join(f"{r:.3e}" for r in exc.trace[-5:])
-            print(f"residual trace (last 5): {tail}", file=sys.stderr)
+        # Newton's last residuals go on the one error line
+        trace = ", ".join(f"{r:.3e}" for r in getattr(exc, "trace", [])[-5:])
+        tail = f"; residual trace (last 5): {trace}" if trace else ""
+        print(f"error: {exc}{tail}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
 

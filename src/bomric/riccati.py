@@ -12,13 +12,13 @@ a solution X of
 makes the columns of [1; X] span an R-invariant subspace, and the
 congruence U_X = [[1, -X†], [X, 1]] block-diagonalizes R with diagonal
 blocks a + b X and c - b† X†.  Two independent solvers are provided: a
-Newton iteration on the residual and a spectral invariant-subspace
-construction, so either can validate the other.
+spectral invariant-subspace construction and a Newton iteration on the
+residual.  Newton started from zero checks the subspace solution; started
+from it, Newton refines it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,10 @@ from .linalg import NotHermitianError, ShapeError, SylvesterSingularError
 # (times max(1, ||R||_F)) is rejected as not actually solving the equation.
 _SUBSPACE_RESIDUAL_CAP = 1e-9
 _Y1_COND_CAP = 1e12
+# Newton stops once the residual is at most TOL_RESIDUAL, and fails after
+# MAX_NEWTON_ITERS steps
+MAX_NEWTON_ITERS = 40
+TOL_RESIDUAL = 1e-12
 
 
 class RiccatiConvergenceError(RuntimeError):
@@ -50,20 +54,12 @@ class AmbiguousSubspaceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RiccatiSettings:
-    max_newton_iters: int = 40
-    tol_residual: float = 1e-12
-    initial_guess: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class RiccatiProblem:
     """Blocks a, b, c of a Hermitian block operator; a and c Hermitian."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    settings: RiccatiSettings = field(default_factory=RiccatiSettings)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex)
@@ -113,19 +109,17 @@ def _make_solution(p: RiccatiProblem, x: np.ndarray, method: str, iterations: in
     )
 
 
-def problem_from_blockop(h: BlockOp, settings: RiccatiSettings | None = None) -> RiccatiProblem:
+def problem_from_blockop(h: BlockOp) -> RiccatiProblem:
     """Read the blocks of a Hermitian BlockOp as a Riccati problem."""
     if linalg.frobenius_norm(h.a21 - h.a12.conj().T) > linalg.TOL_HERM_REL * max(
         1.0, linalg.frobenius_norm(h.a12)
     ):
         raise NotHermitianError("lower-left block is not the adjoint of upper-right")
-    return RiccatiProblem(
-        a=h.a11, b=h.a12, c=h.a22, settings=settings or RiccatiSettings()
-    )
+    return RiccatiProblem(a=h.a11, b=h.a12, c=h.a22)
 
 
-def solve_newton(p: RiccatiProblem) -> RiccatiSolution:
-    """Newton iteration from settings.initial_guess (default 0).
+def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
+    """Newton iteration from x0 (default 0).
 
     Each step solves the Sylvester equation
         delta (a + b X) + (X b - c) delta = -F(X)
@@ -133,15 +127,14 @@ def solve_newton(p: RiccatiProblem) -> RiccatiSolution:
     residual trace when the iteration stalls, blows up, or hits a singular
     linearization.
     """
-    s = p.settings
-    if s.initial_guess is None:
+    if x0 is None:
         x = np.zeros_like(p.a)
     else:
-        x = np.asarray(s.initial_guess, dtype=complex)
+        x = np.asarray(x0, dtype=complex)
         if x.shape != p.a.shape:
             raise ShapeError("initial guess shape does not match problem blocks")
     trace: list[float] = []
-    for it in range(s.max_newton_iters + 1):
+    for it in range(MAX_NEWTON_ITERS + 1):
         f = x @ p.b @ x + x @ p.a - p.c @ x - p.b.conj().T
         r = linalg.frobenius_norm(f)
         trace.append(r)
@@ -149,9 +142,9 @@ def solve_newton(p: RiccatiProblem) -> RiccatiSolution:
             raise RiccatiConvergenceError(
                 f"newton iterate diverged at iteration {it}", trace
             )
-        if r <= s.tol_residual:
+        if r <= TOL_RESIDUAL:
             return _make_solution(p, x, "newton", it)
-        if it == s.max_newton_iters:
+        if it == MAX_NEWTON_ITERS:
             break
         try:
             delta = linalg.solve_sylvester(p.a + p.b @ x, x @ p.b - p.c, -f)
@@ -161,47 +154,38 @@ def solve_newton(p: RiccatiProblem) -> RiccatiSolution:
             ) from exc
         x = x + delta
     raise RiccatiConvergenceError(
-        f"newton did not reach residual {s.tol_residual:.1e} in "
-        f"{s.max_newton_iters} iterations (best {min(trace):.3e})",
+        f"newton did not reach residual {TOL_RESIDUAL:.1e} in "
+        f"{MAX_NEWTON_ITERS} iterations (best {min(trace):.3e})",
         trace,
     )
 
 
-def _select_branch(p: RiccatiProblem, lam: np.ndarray, vec: np.ndarray, which) -> np.ndarray:
+def _select_branch(p: RiccatiProblem, lam: np.ndarray, vec: np.ndarray, which: str) -> np.ndarray:
     n = p.dim
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if isinstance(which, str):
-        if which in ("lower", "upper"):
-            if lam[n] - lam[n - 1] <= 1e-10 * scale:
-                raise AmbiguousSubspaceError(
-                    "spectrum is degenerate at the lower/upper cut"
-                )
-            return np.arange(n) if which == "lower" else np.arange(n, 2 * n)
-        if which == "graph":
-            # weight of each eigenvector on the top block; the branch that
-            # admits a contractive graph representation has weights > 1/2
-            w = np.sum(np.abs(vec[:n, :]) ** 2, axis=0)
-            order = np.argsort(w)[::-1]
-            if w[order[n - 1]] - w[order[n]] <= 1e-8:
-                raise AmbiguousSubspaceError(
-                    "top-block weights do not separate a graph branch"
-                )
-            return np.sort(order[:n])
-        raise ValueError(f"unknown branch selector {which!r}")
-    idx = np.asarray(list(which), dtype=int)
-    if idx.shape != (n,) or len(set(idx.tolist())) != n or idx.min() < 0 or idx.max() >= 2 * n:
-        raise ValueError(f"branch index set must be {n} distinct indices in [0, {2*n})")
-    return np.sort(idx)
+    if which in ("lower", "upper"):
+        if lam[n] - lam[n - 1] <= 1e-10 * max(1.0, float(np.max(np.abs(lam)))):
+            raise AmbiguousSubspaceError("spectrum is degenerate at the lower/upper cut")
+        return np.arange(n) if which == "lower" else np.arange(n, 2 * n)
+    if which == "graph":
+        # weight of each eigenvector on the top block; the branch is the N
+        # heaviest, and its X need not be a contraction
+        w = np.sum(np.abs(vec[:n, :]) ** 2, axis=0)
+        order = np.argsort(w)[::-1]
+        if w[order[n - 1]] - w[order[n]] <= 1e-8:
+            raise AmbiguousSubspaceError("top-block weights do not separate a graph branch")
+        return np.sort(order[:n])
+    raise ValueError(f"unknown branch selector {which!r}")
 
 
-def solve_invariant_subspace(p: RiccatiProblem, which="lower") -> RiccatiSolution:
+def solve_invariant_subspace(p: RiccatiProblem, which: str = "graph") -> RiccatiSolution:
     """Solve via eigenvectors of the full matrix R = [[a, b], [b†, c]].
 
     The eigenvectors of the selected spectral branch are stacked as
     [Y1; Y2] and X = Y2 Y1^{-1}.  `which` is "lower" or "upper" for the
-    corresponding half of the spectrum, "graph" for the branch with the
-    dominant top-block weights (the contractive branch when one exists),
-    or an explicit sequence of N eigenvalue indices.
+    corresponding half of the spectrum, or "graph" for the N eigenvectors
+    with the largest top-block weights.  The graph branch's X is a
+    contraction only under spectral separation conditions (Kostrykin,
+    Makarov & Motovilov 2003); on the bundled weyl.json ||X||_2 = 1.315.
 
     Raises NoGraphError when Y1 is numerically singular (condition number
     above 1e12) or the recomputed residual shows the selected subspace is
@@ -225,20 +209,6 @@ def solve_invariant_subspace(p: RiccatiProblem, which="lower") -> RiccatiSolutio
             f"selected subspace is not a solution graph: residual {sol.residual:.3e}"
         )
     return sol
-
-
-def matching_branch(p: RiccatiProblem, x) -> tuple[int, ...]:
-    """Eigenvalue indices of R whose eigenvectors lie on the graph of x.
-
-    Lets the invariant-subspace solver be pointed at the same branch an
-    iterative solver found: eigenvectors [y1; y2] with small
-    ||y2 - x y1|| belong to the graph subspace span[1; X].
-    """
-    x = np.asarray(x, dtype=complex)
-    lam, vec = linalg.hermitian_eig(p.full())
-    n = p.dim
-    defect = np.linalg.norm(vec[n:, :] - x @ vec[:n, :], axis=0)
-    return tuple(sorted(np.argsort(defect)[:n].tolist()))
 
 
 def build_ux(x) -> BlockOp:

@@ -18,7 +18,6 @@ from bomric.dynamics import QubitParams, hamiltonian_static, reduced_dynamics
 from bomric.linalg import expm, frobenius_norm, solve_sylvester
 from bomric.riccati import (
     diagonalize,
-    matching_branch,
     problem_from_blockop,
     residual,
     solve_dephasing_quadratic,
@@ -91,14 +90,14 @@ def test_trace_sandwich_identity(capsys):
 
 
 def test_riccati_cross_solver_agreement(capsys):
-    # Newton from zero and the invariant-subspace route, pointed at the
-    # same spectral branch, produce the same solution
+    # Newton from zero and the invariant subspace's graph branch produce
+    # the same solution
     start = time.perf_counter()
     bath = BathSpec((BathMode(2.0, 0.2),), fock_cutoff=8)  # blocks are 9 x 9
     h = hamiltonian_static(SPINBOSON_QUBIT, bath)
     p = problem_from_blockop(h)
     newton = solve_newton(p)
-    subspace = solve_invariant_subspace(p, which=matching_branch(p, newton.x))
+    subspace = solve_invariant_subspace(p, which="graph")
     agreement = frobenius_norm(newton.x - subspace.x)
     offdiag = diagonalize(h, newton).offdiag_residual
 

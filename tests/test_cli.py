@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -415,7 +417,7 @@ def test_riccati_both_methods_agree(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "newton:" in text
-    assert "invariant subspace (matched-to-newton)" in text
+    assert "invariant subspace (graph)" in text
     assert "solver agreement" in text
     assert "block-diagonalization" in text
     report = json.loads(out.read_text())
@@ -443,9 +445,49 @@ def test_riccati_subspace_graph_branch(capsys):
 
 def test_riccati_default_lower_branch_fails_here(capsys):
     # the spectral ladders interleave, so the plain lower half is not a graph
-    rc = cli.main(["riccati", str(RICCATI_SB), "--method", "subspace"])
+    rc = cli.main(["riccati", str(RICCATI_SB), "--method", "subspace", "--branch", "lower"])
     assert rc == cli.EXIT_NO_CONVERGENCE
-    assert "graph" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "graph" in err and err.count("\n") == 1
+
+
+def test_riccati_subspace_defaults_to_graph_branch(capsys):
+    rc = cli.main(["riccati", str(RICCATI_SB), "--method", "subspace"])
+    assert rc == 0
+    assert "invariant subspace (graph)" in capsys.readouterr().out
+
+
+def test_riccati_weyl_solves_on_graph_branch(tmp_path, capsys):
+    # Newton from zero is singular at its first step here; the graph X is
+    # not a contraction
+    out = tmp_path / "weyl.json"
+    rc = cli.main(["riccati", str(WEYL), "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["subspace"]["branch"] == "graph"
+    assert report["subspace"]["x_norm2"] > 1.0
+    assert report["newton"]["start"] == "subspace"
+    assert "||X||_2 = " in capsys.readouterr().out
+
+
+def test_riccati_noncontractive_case_keeps_graph_branch(tmp_path):
+    # two modes (2.3, 1.7) at cutoff 7: Newton from zero lands on another
+    # branch than the graph one the default route returns
+    doc = minimal_doc()
+    doc["bath"] = {"modes": [{"omega": 2.3, "g_re": 0.2}, {"omega": 1.7, "g_re": 0.2}],
+                   "fock_cutoff": 7}
+    path = write_doc(tmp_path, doc)
+    reports = {}
+    for label, extra in (("default", []), ("newton", ["--method", "newton"])):
+        out = tmp_path / f"{label}.json"
+        assert cli.main(["riccati", str(path), "--out", str(out)] + extra) == 0
+        reports[label] = json.loads(out.read_text())
+    default, newton = reports["default"], reports["newton"]
+    assert default["subspace"]["branch"] == "graph"
+    assert default["newton"]["iterations"] == 0
+    assert abs(default["newton"]["x_norm"] - 3.371) < 1e-3
+    assert newton["newton"]["start"] == "zero" and newton["newton"]["iterations"] == 8
+    assert abs(newton["newton"]["x_norm"] - 4.352) < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -468,10 +510,10 @@ def test_riccati_resonant_drive_reports_trace(tmp_path, capsys):
     doc = minimal_doc()
     doc["bath"]["modes"][0]["omega"] = 1.0  # equals 2 beta: singular linearization
     doc["bath"]["fock_cutoff"] = 8
-    rc = cli.main(["riccati", str(write_doc(tmp_path, doc))])
+    rc = cli.main(["riccati", str(write_doc(tmp_path, doc)), "--method", "newton"])
     assert rc == cli.EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
-    assert "residual trace" in err
+    assert "residual trace" in err and err.count("\n") == 1
 
 
 def test_riccati_dephasing_report(tmp_path, capsys):
@@ -584,8 +626,11 @@ ODD_VALUES = st.one_of(
         st.none(),
         st.tuples(st.sampled_from(TINY_LEAVES), st.lists(ODD_VALUES, min_size=1, max_size=2)),
     ),
+    method=st.sampled_from([None, "newton", "subspace"]),
+    branch=st.sampled_from([None, "lower", "upper", "graph"]),
 )
-def test_any_input_ends_in_a_documented_exit(mutation, command, steps, mode, sweep):
+def test_any_input_ends_in_a_documented_exit(mutation, command, steps, mode, sweep, method,
+                                             branch):
     doc = json.loads(json.dumps(TINY_DOC))
     if mutation is not None:
         leaf, value = mutation
@@ -607,4 +652,13 @@ def test_any_input_ends_in_a_documented_exit(mutation, command, steps, mode, swe
                 key, values = sweep
                 dotted = ".".join(map(str, key))
                 argv += ["--sweep", f"{dotted}={','.join(map(json.dumps, values))}"]
-        assert cli.main(argv) in (0, 2, 3, 4, 5)
+        if command == "riccati":
+            argv += ["--method", method] if method else []
+            argv += ["--branch", branch] if branch else []
+        # capsys is per test function, not per example
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    assert rc in (0, 2, 3, 4, 5)
+    if rc in (2, 3, 4):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator, dephasing_hamiltonian
 from bomric.blockop import BlockOp, bom_adjoint, bom_mul, flatten
 from bomric.dynamics import QubitParams, hamiltonian_static
+from bomric import riccati
 from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm
 from bomric.riccati import (
     AmbiguousSubspaceError,
     NoGraphError,
     RiccatiConvergenceError,
     RiccatiProblem,
-    RiccatiSettings,
     build_ux,
     diagonalize,
-    matching_branch,
     periodic_bom,
     periodic_phase,
     problem_from_blockop,
@@ -78,16 +77,6 @@ def test_graph_branch_agrees_with_newton(riccati_bath):
     assert frobenius_norm(sub.x - newton.x) <= 1e-8
 
 
-def test_matching_branch_reproduces_graph(riccati_bath):
-    p = spinboson_problem(riccati_bath)
-    newton = solve_newton(p)
-    idx = matching_branch(p, newton.x)
-    assert len(idx) == p.dim
-    by_index = solve_invariant_subspace(p, which=idx)
-    by_graph = solve_invariant_subspace(p, which="graph")
-    assert frobenius_norm(by_index.x - by_graph.x) <= 1e-12
-
-
 def test_spectral_halves_are_not_graphs(riccati_bath):
     # the two spectral ladders interleave, so neither half is a graph
     p = spinboson_problem(riccati_bath)
@@ -130,12 +119,8 @@ def test_vertical_subspace_has_no_graph():
         solve_invariant_subspace(p, which="lower")
 
 
-def test_explicit_index_validation():
+def test_unknown_branch_name_rejected():
     p = RiccatiProblem(a=np.diag([5.0, 6.0]), b=np.zeros((2, 2)), c=np.diag([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        solve_invariant_subspace(p, which=(0, 0))
-    with pytest.raises(ValueError):
-        solve_invariant_subspace(p, which=(0, 4))
     with pytest.raises(ValueError):
         solve_invariant_subspace(p, which="sideways")
 
@@ -173,11 +158,10 @@ def test_diagonalize_splits_spectrum(riccati_bath):
     assert np.max(np.abs(got - expected)) <= 1e-9
 
 
-def test_newton_iteration_budget_exhausted(riccati_bath):
-    p = problem_from_blockop(
-        hamiltonian_static(QUBIT, riccati_bath),
-        settings=RiccatiSettings(max_newton_iters=1, tol_residual=1e-15),
-    )
+def test_newton_iteration_budget_exhausted(riccati_bath, monkeypatch):
+    monkeypatch.setattr(riccati, "MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(riccati, "TOL_RESIDUAL", 1e-15)
+    p = spinboson_problem(riccati_bath)
     with pytest.raises(RiccatiConvergenceError) as exc:
         solve_newton(p)
     assert len(exc.value.trace) == 2
@@ -207,13 +191,9 @@ def test_problem_validation(rng):
 
 
 def test_initial_guess_is_used(riccati_bath):
-    p0 = spinboson_problem(riccati_bath)
-    warm = solve_newton(p0).x
-    p = problem_from_blockop(
-        hamiltonian_static(QUBIT, riccati_bath),
-        settings=RiccatiSettings(initial_guess=warm),
-    )
-    sol = solve_newton(p)
+    p = spinboson_problem(riccati_bath)
+    warm = solve_newton(p).x
+    sol = solve_newton(p, x0=warm)
     assert sol.iterations == 0
 
 

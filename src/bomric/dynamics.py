@@ -32,10 +32,12 @@ the reduced states with diag(exp(-+ i w t / 2)) (the sandwich lemma).
 definition, not from the covariance or the closed form, so the
 rotating_frame check that compares it with "factored" is an independent
 cross-check.  The Hamiltonians of a chunk of steps are written into one
-stack; a dense step plan exponentiates the whole stack in one expm call, and
-a thin factor, such as a pure state's single column, takes a truncated
-Taylor series (linalg.expm_action) per step.  The drive only rotates phases,
-so ||H(t) dt||_1 and hence the Taylor plan are the same at every step.
+stack.  On the dense plan one linalg.taylor_expm1 call gives
+E = exp(-i H(t_m) dt) - I for the whole stack, and each step advances the
+factor as x + E @ x; a thin factor, such as a pure state's single column,
+takes a truncated Taylor series (linalg.expm_action) per step instead.  The
+drive only rotates phases, so ||H(t) dt||_1 and hence either plan are the
+same at every step.
 
 reduced_dynamics raises TrajectorySanityError when a trajectory leaves the
 sanity caps below.
@@ -221,13 +223,17 @@ def _stepped_factors(
     t_m = (k + 1/2) dt.
 
     The chunk's H(t_m) fill one (chunk, 2N, 2N) buffer: the static diagonal
-    blocks are written once, the _drive_offdiag blocks per chunk.
-    With plan None the chunk is exponentiated by one dense expm call;
-    otherwise each step is linalg.expm_action with that one Taylor plan.
+    blocks are written once, the _drive_offdiag blocks per chunk.  With plan
+    None one linalg.taylor_expm1 call on the dense plan gives E_m =
+    exp(-i H(t_m) dt) - I for the whole chunk, and each step is x + E_m @ x;
+    the chunk is sized so that the kernel's work arrays fit CHUNK_ENTRIES.
+    Otherwise each step is linalg.expm_action with that one Taylor plan.
     """
     n = h.dim
     total = steps * substeps
-    size = min(chunk_size(4 * n * n), total)
+    dense = linalg.expm1_plan(flatten(h), -1j * dt) if plan is None else None
+    arrays = 1 + linalg.expm1_work(dense) if plan is None else 1
+    size = min(chunk_size(arrays * 4 * n * n), total)
     buf = np.empty((size, 2 * n, 2 * n), dtype=complex)
     buf[:, :n, :n] = h.a11
     buf[:, n:, n:] = h.a22
@@ -237,10 +243,10 @@ def _stepped_factors(
         hs[:, :n, n:], hs[:, n:, :n] = _drive_offdiag(
             h, omega, (np.arange(lo, lo + len(hs)) + 0.5) * dt
         )
-        us = linalg.expm(hs, -1j * dt) if plan is None else None
+        es = linalg.taylor_expm1(hs, -1j * dt, dense) if plan is None else None
         kept = []
         for j, hm in enumerate(hs):
-            x = us[j] @ x if plan is None else linalg.expm_action(hm, -1j * dt, x, plan)
+            x = x + es[j] @ x if plan is None else linalg.expm_action(hm, -1j * dt, x, plan)
             if (lo + j + 1) % substeps == 0:
                 kept.append(x)
         if kept:
@@ -259,8 +265,8 @@ def step_evolve(h: BlockOp, omega: float, t_max: float, steps: int) -> BlockOp:
     if steps < 1:
         raise ValueError("steps must be >= 1")
     eye = np.eye(2 * h.dim, dtype=complex)
-    # the identity is as wide as h: every step is a dense expm; one group of
-    # `steps` substeps keeps only the final product
+    # the identity is as wide as h: every step takes the dense plan; one group
+    # of `steps` substeps keeps only the final product
     _, (u,) = _stepped_factors(h, omega, eye, float(t_max) / steps, 1, steps, None)
     return unflatten(u)
 

@@ -6,6 +6,8 @@ pin the tolerances in one place.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -75,7 +77,11 @@ def is_hermitian(a) -> bool:
 
 def expm(a, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * a) by scaling-and-squaring (scipy backend), for one square
-    matrix or each matrix of a (k, n, n) stack."""
+    matrix or each matrix of a (k, n, n) stack.
+
+    Its callers are the Weyl displacement (bath._weyl_single) and the
+    test oracles; the midpoint stepper takes taylor_expm1 instead.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
@@ -96,6 +102,12 @@ TAYLOR_THETA = {
 }
 
 
+def _norm1(a, scale: complex) -> float:
+    """||scale * a||_1 of a square matrix, inf where the column sums overflow."""
+    with np.errstate(over="ignore"):
+        return abs(scale) * float(np.abs(a).sum(axis=0).max())
+
+
 def taylor_plan(norm1: float) -> tuple[int, int]:
     """(m, s) minimizing the m * s products of s degree-m Taylor steps for
     exp(A) with finite ||A||_1 = norm1, to unit roundoff (smallest m on ties)."""
@@ -109,14 +121,22 @@ def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:
     """Taylor plan for exp(scale * a) @ x with r columns in x, or None for dense.
 
     The action is kept only when its m * s products on the n x r block cost
-    less than one dense exponential, taken as m * s * r <= n // 2.  Timed
-    per step at one BLAS thread over n in {4, 10, 18, 26, 40, 64, 128}, r
-    from 1 to n and m * s in {8, 13, 23}, the rule never chose the action
-    where the dense step was faster; it keeps some mid-rank steps dense that
-    the action would win.
+    less than one dense step (taylor_expm1, then x + E @ x), taken as
+    m * s * r <= n // 2.  Median microseconds per step of the stepper at one
+    BLAS thread, ||a dt||_1 = 0.35 (m * s = 13), action / dense, with * on
+    the path the rule takes:
+
+        n    r = 1        2            4            8            n
+        18     64 / 37*     77 / 37*     84 / 38*     93 / 38*     89 / 37*
+        26     64* / 69     77 / 68*     87 / 65*     94 / 57*    131 / 60*
+        64     61* / 494   152* / 494   153 / 441*   201 / 426*   886 / 571*
+        128   194* / 2718  373* / 2738  383* / 2734  568 / 2694* 5525 / 3021*
+
+    The rule takes the faster path at r = 1 and r = n; it keeps mid-rank
+    steps dense at n >= 64 that the action wins by 2-5x.
     """
     a = _as_square(a)
-    norm1 = abs(scale) * float(np.abs(a).sum(axis=0).max())
+    norm1 = _norm1(a, scale)
     # every table entry has m / theta_m > 5, so m * s > 5 * norm1: a norm above
     # n (or an overflowed one) is never thin, and the dense step reports it
     if not norm1 <= a.shape[0]:
@@ -142,6 +162,92 @@ def expm_action(a, scale: complex, x, plan: tuple[int, int]) -> np.ndarray:
             f = f + b
         b = f
     return f
+
+
+def _ps_width(m: int) -> int:
+    """q = ceil(sqrt(m)): Paterson-Stockmeyer forms the powers B, ..., B^q of
+    a degree-m polynomial in B, then takes ceil(m / q) - 1 Horner steps in B^q."""
+    return math.isqrt(m - 1) + 1
+
+
+def expm1_plan(a, scale: complex) -> tuple[int, int] | None:
+    """Plan (m, k) for taylor_expm1(a, scale, plan), or None.
+
+    The degree-m Taylor polynomial of exp(scale * a / 2^k) meets unit roundoff
+    u = 2^-53 when ||scale * a||_1 / 2^k <= TAYLOR_THETA[m].  The plan takes
+    the fewest products, q - 1 + ceil(m / q) - 1 for the polynomial
+    (q = ceil(sqrt(m))) plus k squarings, and the smallest m on ties.
+    It is None when the norm is not finite or would need 2^k >= 1 / u: each
+    squaring doubles the error carried, so the result would hold no correct
+    digit, and taylor_expm1 returns NaN.
+    """
+    norm1 = _norm1(_as_square(a), scale)
+    if not norm1 < np.inf:
+        return None
+
+    def squarings(theta: float) -> int:
+        return 0 if norm1 <= theta else math.ceil(math.log2(norm1) - math.log2(theta))
+
+    def cost(mk: tuple[int, int]) -> int:
+        q = _ps_width(mk[0])
+        return q - 1 + -(-mk[0] // q) - 1 + mk[1]
+
+    m, k = min(((m, squarings(theta)) for m, theta in TAYLOR_THETA.items()), key=cost)
+    return (m, k) if 2.0**k < 1.0 / np.finfo(float).epsneg else None
+
+
+def expm1_work(plan: tuple[int, int] | None) -> int:
+    """Arrays the size of the stack that taylor_expm1 holds at once under plan:
+    the powers B, ..., B^q and two accumulators."""
+    return 1 if plan is None else _ps_width(plan[0]) + 2
+
+
+def taylor_expm1(a, scale: complex, plan: tuple[int, int] | None) -> np.ndarray:
+    """exp(scale * a_j) - I for each matrix a_j of a (k, n, n) stack a, with
+    plan = expm1_plan(a_j, scale) for the a_j of largest ||a_j||_1.
+
+    The plan (m, k) evaluates E = T_m(B) - I, B = scale * a / 2^k, by
+    Paterson-Stockmeyer (SIAM J. Comput. 2, 1973): the powers B^2, ..., B^q
+    once for the stack, then Horner steps in B^q, each adding one group of
+    terms, formed as one product of its coefficients with the stacked powers
+    and written into the accumulator in place.  The k squarings take the form
+    E <- 2E + E @ E, which is (I + E)^2 - I.  The identity is never added, so
+    a step x + E @ x does not round the near-one diagonal of exp(scale * a)
+    the same way at every step, as I + B + ... would.  With plan None every
+    entry is NaN.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"expected a (k, n, n) stack, got shape {a.shape}")
+    if plan is None:
+        return np.full(a.shape, np.nan, dtype=complex)
+    m, k = plan
+    q = _ps_width(m)
+    coef = np.array([1.0 / math.factorial(j) for j in range(m + 1)], dtype=complex)
+    powers = np.empty((q, *a.shape), dtype=complex)
+    np.multiply(a, scale / 2.0**k, out=powers[0])
+    for j in range(1, q):
+        np.matmul(powers[j - 1], powers[0], out=powers[j])
+    flat = powers.reshape(q, -1)
+    e, work = np.empty(a.shape, dtype=complex), np.empty(a.shape, dtype=complex)
+    # T_m(B) - I = sum_i (B^q)^i P_i(B), P_i = sum_j coef[iq + j] B^j over
+    # j < q, and over j <= q in the top group, which ends at degree m; each
+    # P_i is one product of its coefficients with the stacked powers
+    top = (m - 1) // q
+    for i in range(top, -1, -1):
+        if i < top:
+            np.matmul(e, powers[-1], out=work)
+        c = coef[i * q + 1 : (m if i == top else i * q + q - 1) + 1]
+        np.dot(c, flat[: len(c)], out=e.reshape(-1))
+        if i:
+            e.reshape(len(e), -1)[:, :: a.shape[-1] + 1] += coef[i * q]
+        if i < top:
+            e += work
+    for _ in range(k):
+        np.matmul(e, e, out=work)
+        e *= 2.0
+        e += work
+    return e
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,8 @@
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -31,10 +34,12 @@ from bomric.dynamics import (
 from bomric import dynamics, linalg
 from bomric.linalg import expm, frobenius_norm
 from bomric.riccati import periodic_bom, s_frame_unitary
+from bomric.scenario import load_scenario
 
 from conftest import random_hermitian
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 # a bath with zero coupling so the qubit dynamics is closed
 TRIVIAL_BATH = BathSpec((BathMode(1.0, 0.0),), fock_cutoff=1)
@@ -359,20 +364,14 @@ def test_reduced_dynamics_matches_dense_oracle(kind, mode, monkeypatch):
         substeps_per_step=2,
     )
     if kind == "rank1_wide":
-        # no mode may take a dense expm: the midpoint steps use the Taylor series
-        monkeypatch.setattr(linalg, "expm", _no_dense_expm)
+        # no mode may take a dense exponential: the midpoint steps use the
+        # Taylor series on the factor
+        monkeypatch.setattr(linalg, "taylor_expm1", _no_dense_expm)
     traj = reduced_dynamics(s, mode)
     oracle = dense_oracle_states(mode, rho0, s.times, s.substeps_per_step, cutoff)
     assert len(traj) == len(oracle) == 13
     for got, want in zip(traj.states, oracle):
         assert frobenius_norm(got - want) <= 1e-12
-
-
-def chunk_entries(mode, dim, points):
-    """The CHUNK_ENTRIES that makes a chunk `points` grid points long at
-    2N = dim: a stepped chunk holds one dim x dim Hamiltonian per step, a
-    spectral chunk four length-dim forms per point."""
-    return points * (dim * dim if mode == "rotating_stepped" else 4 * dim)
 
 
 @pytest.mark.parametrize("points", [1, 5])
@@ -392,7 +391,9 @@ def test_chunk_boundaries_keep_the_states(kind, mode, points, monkeypatch):
         substeps_per_step=3,
     )
     default = reduced_dynamics(s, mode)
-    monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", chunk_entries(mode, rho0.shape[0], points))
+    # chunks `points` steps or grid points long, whatever work arrays a
+    # point holds (the dense stepper's depend on its Taylor plan)
+    monkeypatch.setattr(dynamics, "chunk_size", lambda entries_per_point: points)
     traj = reduced_dynamics(s, mode)
     if mode == "rotating_stepped":
         assert np.array_equal(traj.states, default.states)
@@ -414,10 +415,63 @@ def test_thin_factor_guard_sees_the_stacked_dense_path(monkeypatch):
         t_max=1.5,
         steps=12,
     )
-    monkeypatch.setattr(linalg, "expm", _no_dense_expm)
+    monkeypatch.setattr(linalg, "taylor_expm1", _no_dense_expm)
     monkeypatch.setattr(linalg, "action_plan", lambda *args: None)
     with pytest.raises(AssertionError, match="thin factor took a dense expm"):
         reduced_dynamics(s, "rotating_stepped")
+
+
+def mpmath_midpoint_states(s):
+    """Reduced states of the midpoint product of exp(-i H(t_k) dt) acting on
+    rho0, in 30-digit arithmetic from the double-precision blocks of H."""
+    h = flatten(hamiltonian_static(s.qubit, s.bath))
+    n = h.shape[0] // 2
+    static, upper = h.copy(), np.zeros_like(h)
+    static[:n, n:] = static[n:, :n] = 0.0
+    upper[:n, n:] = h[:n, n:]
+    with mpmath.workdps(30):
+        static, upper = mpmath.matrix(static.tolist()), mpmath.matrix(upper.tolist())
+        rho = mpmath.matrix(flatten(s.initial_state).tolist())
+        dt = mpmath.mpf(s.t_max) / s.steps
+        rhos = [rho]
+        for k in range(s.steps):
+            phase = mpmath.expj(-s.qubit.omega * (k + 0.5) * dt)
+            u = mpmath.expm(-1j * dt * (static + phase * upper + mpmath.conj(phase) * upper.H))
+            rho = u * rho * u.H
+            rhos.append(rho)
+        return [index_sum_trace(np.array(r.tolist(), dtype=complex)) for r in rhos]
+
+
+def test_dense_midpoint_steps_match_a_multiprecision_product():
+    # 2N = 4 with a coupled mode: a pure state still takes the dense plan
+    bath = BathSpec((BathMode(1.3, 0.25),), fock_cutoff=1)
+    s = Scenario(
+        qubit=ORACLE_QUBIT,
+        bath=bath,
+        initial_state=product_state(PLUS, bath),
+        t_max=4.0,
+        steps=200,
+    )
+    h = flatten(hamiltonian_static(s.qubit, s.bath))
+    assert linalg.action_plan(h, -1j * s.t_max / s.steps, 1) is None
+    traj = reduced_dynamics(s, "rotating_stepped")
+    oracle = mpmath_midpoint_states(s)
+    assert max(np.max(np.abs(got - want)) for got, want in zip(traj.states, oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["closed_qubit", "spinboson"])
+def test_stepped_run_stays_within_the_chunk_budget(name):
+    # 2000 steps on the dense plan: the taylor_expm1 work arrays count against
+    # CHUNK_ENTRIES, so a chunk's arrays stay near 2^14 entries (256 kB)
+    s = load_scenario(SCENARIO_DIR / f"{name}.json").scenario
+    assert s.steps == 2000
+    tracemalloc.start()
+    try:
+        reduced_dynamics(s, "rotating_stepped")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_rotating_frame_halving_on_action_path():

@@ -89,6 +89,59 @@ def test_expm_action_wide_factor_takes_dense_path(rng):
     assert linalg.action_plan(b, -0.29j / np.abs(b).sum(axis=0).max(), 1) == (12, 1)
 
 
+def random_generator_stack(rng, k, n, norm1):
+    """-i h_j for k random Hermitian h_j, scaled so the largest ||h_j||_1 is norm1."""
+    h = np.stack([random_hermitian(rng, n) for _ in range(k)])
+    return -1j * h * (norm1 / np.abs(h).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("norm1", [1e-3, 0.05, 0.4, 2.0, 9.0])
+def test_taylor_expm1_matches_dense_oracles(rng, k, norm1):
+    n = 8
+    a = random_generator_stack(rng, k, n, norm1)
+    plan = linalg.expm1_plan(a[np.argmax(np.abs(a).sum(axis=1).max(axis=1))], 1.0)
+    # from ||a||_1 = 2 on the plan squares
+    assert plan[1] > 0 or norm1 < 2.0
+    got = linalg.taylor_expm1(a, 1.0, plan)
+    want = scipy.linalg.expm(a) - np.eye(n)
+    # scipy rounds the near-one diagonal of exp(a) to unit roundoff before I
+    # comes off, which is 1e-13 of E itself at ||a||_1 = 1e-3
+    slack = np.finfo(float).eps * np.sqrt(k * n)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want) + slack
+    # the spectral route to exp(a) - I has no such rounding
+    w, v = np.linalg.eigh(1j * a)
+    spectral = np.einsum("kij,kj,klj->kil", v, np.expm1(-1j * w), v.conj())
+    assert np.linalg.norm(got - spectral) <= 1e-13 * np.linalg.norm(spectral)
+
+
+def test_taylor_expm1_zero_stack_is_exactly_zero():
+    zeros = np.zeros((3, 5, 5), dtype=complex)
+    plan = linalg.expm1_plan(zeros[0], -0.7j)
+    assert plan == (1, 0)
+    assert np.array_equal(linalg.taylor_expm1(zeros, -0.7j, plan), zeros)
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan, 1e308, 1e300, 1e17])
+def test_expm1_plan_without_a_digit_gives_a_nan_step(entry):
+    # inf and NaN norms, a column sum that overflows (4e308), and finite norms
+    # whose 2^k >= 2^53 squarings would leave no correct digit
+    a = np.full((4, 4), entry, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = linalg.expm1_plan(a, -1j)
+    assert plan is None
+    assert np.isnan(linalg.taylor_expm1(a[None], -1j, plan)).all()
+
+
+def test_expm1_plan_squarings_stay_below_the_mantissa():
+    # ||a||_1 = 1e15 still has a plan, with fewer than 53 squarings
+    a = np.diag([1e15, 0.0]).astype(complex)
+    m, k = linalg.expm1_plan(a, 1j)
+    assert k < 53 and m in linalg.TAYLOR_THETA
+    assert 1e15 / 2.0**k <= linalg.TAYLOR_THETA[m]
+
+
 def test_hermitian_eig_pauli_z():
     w, v = hermitian_eig(np.array([[1, 0], [0, -1]], dtype=complex))
     assert np.allclose(w, [-1.0, 1.0])

@@ -165,6 +165,7 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None, branch: str
         report["subspace"] = {
             "branch": which,
             "residual": subspace_sol.residual,
+            "eta": subspace_sol.eta,
             "x_norm": linalg.frobenius_norm(subspace_sol.x),
             "x_norm2": float(np.linalg.norm(subspace_sol.x, 2)),
         }
@@ -175,6 +176,7 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None, branch: str
             "start": "zero" if subspace_sol is None else "subspace",
             "iterations": sol.iterations,
             "residual": sol.residual,
+            "eta": sol.eta,
             "x_norm": linalg.frobenius_norm(sol.x),
         }
     if method is None:
@@ -231,13 +233,13 @@ def cmd_riccati(args) -> int:
             s = report["subspace"]
             print(
                 f"invariant subspace ({s['branch']}): residual {s['residual']:.3e}, "
-                f"||X||_F = {s['x_norm']:.6f}, ||X||_2 = {s['x_norm2']:.6f}"
+                f"eta {s['eta']:.3e}, ||X||_F = {s['x_norm']:.6f}, ||X||_2 = {s['x_norm2']:.6f}"
             )
         if "newton" in report:
             n = report["newton"]
             print(
                 f"newton: from {n['start']}, iterations {n['iterations']}, "
-                f"residual {n['residual']:.3e}, ||X||_F = {n['x_norm']:.6f}"
+                f"residual {n['residual']:.3e}, eta {n['eta']:.3e}, ||X||_F = {n['x_norm']:.6f}"
             )
         if "agreement" in report:
             print(

@@ -31,10 +31,17 @@ from .linalg import NotHermitianError, ShapeError, SylvesterSingularError
 # (times max(1, ||R||_F)) is rejected as not actually solving the equation.
 _SUBSPACE_RESIDUAL_CAP = 1e-9
 _Y1_COND_CAP = 1e12
-# Newton stops once the residual is at most TOL_RESIDUAL, and fails after
-# MAX_NEWTON_ITERS steps
+# Newton stops once the residual is at most TOL_RESIDUAL or the normalized
+# residual eta (see _eta) is at most ETA_TOL, and fails after
+# MAX_NEWTON_ITERS steps.  ETA_TOL is one unit roundoff u = 2^-53, set from
+# the 31 spin-boson problems of the bundled scenarios and the benchmark: the
+# graph X starts at eta = 0.46-3.0 u and one Newton step from it reaches at
+# most 0.38 u; Newton from zero stays above 18 u until its residual passes
+# TOL_RESIDUAL; the resonant stall (one mode at 2 beta, cutoff 6, from zero)
+# never gets below 3.8e9 u.
 MAX_NEWTON_ITERS = 40
 TOL_RESIDUAL = 1e-12
+ETA_TOL = 2.0**-53
 
 
 class RiccatiConvergenceError(RuntimeError):
@@ -92,6 +99,7 @@ class RiccatiSolution:
     method: str
     iterations: int
     residual: float
+    eta: float
 
 
 def residual(p: RiccatiProblem, x) -> float:
@@ -102,10 +110,37 @@ def residual(p: RiccatiProblem, x) -> float:
     return linalg.frobenius_norm(x @ p.b @ x + x @ p.a - p.c @ x - p.b.conj().T)
 
 
+def _block_norms(p: RiccatiProblem) -> tuple[float, float]:
+    """(||a||_F + ||c||_F, ||b||_F), the fixed parts of eta's denominator."""
+    norm = linalg.frobenius_norm
+    return norm(p.a) + norm(p.c), norm(p.b)
+
+
+def _eta(r: float, x: np.ndarray, ac_norm: float, b_norm: float) -> float:
+    """Normalized residual of X with ||F(X)||_F = r,
+
+        eta = r / (||b||_F ||X||_F^2 + (||a||_F + ||c||_F) ||X||_F + ||b||_F),
+
+    which is, up to a modest factor, the backward error of X: the relative
+    change to the blocks that makes X exact (Bini, Iannazzo & Meini,
+    Numerical Solution of Algebraic Riccati Equations, SIAM 2012).  NaN when
+    the denominator overflows (||X||_F^2 past 1e308), since dividing by inf
+    would turn eta into 0.
+    """
+    xn = linalg.frobenius_norm(x)
+    scale = b_norm * xn * xn + ac_norm * xn + b_norm
+    if not np.isfinite(scale):
+        return float("nan")
+    # the scale is 0 only when X b X, X a, c X and b† all vanish, so F(X) = 0
+    return r / scale if scale > 0.0 else 0.0
+
+
 def _make_solution(p: RiccatiProblem, x: np.ndarray, method: str, iterations: int) -> RiccatiSolution:
-    # residual always recomputed from x, never taken from solver internals
+    # residual and eta always recomputed from x, never taken from solver internals
+    r = residual(p, x)
     return RiccatiSolution(
-        x=x, method=method, iterations=iterations, residual=residual(p, x)
+        x=x, method=method, iterations=iterations, residual=r,
+        eta=_eta(r, x, *_block_norms(p)),
     )
 
 
@@ -123,9 +158,14 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
 
     Each step solves the Sylvester equation
         delta (a + b X) + (X b - c) delta = -F(X)
-    for the correction delta.  Raises RiccatiConvergenceError with the
-    residual trace when the iteration stalls, blows up, or hits a singular
-    linearization.
+    for the correction delta.  Returns the first iterate, x0 included, whose
+    residual ||F(X)||_F is at most TOL_RESIDUAL or whose normalized residual
+    eta is at most ETA_TOL: at that floor X solves the equation to roundoff,
+    however large ||X|| makes its absolute residual, and a further step
+    changes X only by roundoff.  An iterate whose eta denominator overflows
+    is never accepted by eta.  Raises RiccatiConvergenceError with the residual
+    trace, and the best eta in its message, when the iteration stalls, blows
+    up, or hits a singular linearization.
     """
     if x0 is None:
         x = np.zeros_like(p.a)
@@ -133,16 +173,21 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
         x = np.asarray(x0, dtype=complex)
         if x.shape != p.a.shape:
             raise ShapeError("initial guess shape does not match problem blocks")
+    ac_norm, b_norm = _block_norms(p)
     trace: list[float] = []
+    best_eta = np.inf  # min() with a NaN eta second keeps best_eta
     for it in range(MAX_NEWTON_ITERS + 1):
         f = x @ p.b @ x + x @ p.a - p.c @ x - p.b.conj().T
         r = linalg.frobenius_norm(f)
         trace.append(r)
         if not np.isfinite(r):
             raise RiccatiConvergenceError(
-                f"newton iterate diverged at iteration {it}", trace
+                f"newton iterate diverged at iteration {it} (best eta {best_eta:.3e})",
+                trace,
             )
-        if r <= TOL_RESIDUAL:
+        eta = _eta(r, x, ac_norm, b_norm)
+        best_eta = min(best_eta, eta)
+        if r <= TOL_RESIDUAL or eta <= ETA_TOL:
             return _make_solution(p, x, "newton", it)
         if it == MAX_NEWTON_ITERS:
             break
@@ -150,12 +195,15 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
             delta = linalg.solve_sylvester(p.a + p.b @ x, x @ p.b - p.c, -f)
         except SylvesterSingularError as exc:
             raise RiccatiConvergenceError(
-                f"newton linearization singular at iteration {it}: {exc}", trace
+                f"newton linearization singular at iteration {it} "
+                f"(best eta {best_eta:.3e}): {exc}",
+                trace,
             ) from exc
         x = x + delta
     raise RiccatiConvergenceError(
-        f"newton did not reach residual {TOL_RESIDUAL:.1e} in "
-        f"{MAX_NEWTON_ITERS} iterations (best {min(trace):.3e})",
+        f"newton did not reach residual {TOL_RESIDUAL:.1e} or eta {ETA_TOL:.1e} in "
+        f"{MAX_NEWTON_ITERS} iterations (best residual {min(trace):.3e}, "
+        f"best eta {best_eta:.3e})",
         trace,
     )
 
@@ -200,13 +248,16 @@ def solve_invariant_subspace(p: RiccatiProblem, which: str = "graph") -> Riccati
     cond = np.linalg.cond(y1)
     if not np.isfinite(cond) or cond > _Y1_COND_CAP:
         raise NoGraphError(
-            f"selected subspace has no graph representation: cond(Y1) = {cond:.3e}"
+            f"selected {which} branch has no graph representation: cond(Y1) = {cond:.3e}"
         )
     x = np.linalg.solve(y1.T, y2.T).T
     sol = _make_solution(p, x, "invariant_subspace", 0)
-    if sol.residual > _SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(r)):
+    cap = _SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(r))
+    if sol.residual > cap:
         raise NoGraphError(
-            f"selected subspace is not a solution graph: residual {sol.residual:.3e}"
+            f"selected {which} branch is not a solution graph: residual "
+            f"{sol.residual:.3e} above {cap:.3e}, eta {sol.eta:.3e}, "
+            f"||X||_2 = {np.linalg.norm(x, 2):.3e}, cond(Y1) = {cond:.3e}"
         )
     return sol
 
@@ -233,7 +284,11 @@ def diagonalize(h: BlockOp, sol: RiccatiSolution) -> Diagonalization:
 
     For an exact solution the result is diag(a + b X, c - b† X†); the
     off-diagonal residual of a computed solution stays below
-    10 * sol.residual * cond(U_X).
+    10 * sol.residual * cond(U_X).  The transform is one 2N LU solve with
+    U_X; the normal equations U_X† U_X = diag(1 + X†X, 1 + XX†) would
+    square cond(U_X) in its error.  That identity still gives cond(U_X)
+    itself: the singular values of U_X are sqrt(1 + s^2) over the singular
+    values s of X, so an N x N SVD of X is enough.
     """
     ux = flatten(build_ux(sol.x))
     transformed = np.linalg.solve(ux, flatten(h) @ ux)
@@ -242,12 +297,12 @@ def diagonalize(h: BlockOp, sol: RiccatiSolution) -> Diagonalization:
         linalg.frobenius_norm(transformed[:n, n:]) ** 2
         + linalg.frobenius_norm(transformed[n:, :n]) ** 2
     )
-    svals = np.linalg.svd(ux, compute_uv=False)
+    s = np.linalg.svd(sol.x, compute_uv=False)
     return Diagonalization(
         d1=transformed[:n, :n],
         d2=transformed[n:, n:],
         offdiag_residual=float(off),
-        cond_ux=float(svals[0] / svals[-1]),
+        cond_ux=float(np.hypot(1.0, s[0]) / np.hypot(1.0, s[-1])),
     )
 
 

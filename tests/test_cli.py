@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bomric import cli, dynamics
+from bomric import cli, dynamics, linalg, riccati
 from bomric.bath import STEP_CAP
 from bomric.blockop import PAULI_1, PAULI_2, PAULI_3
+from bomric.scenario import load_scenario
 
 from conftest import random_density
 
@@ -490,6 +491,46 @@ def test_riccati_noncontractive_case_keeps_graph_branch(tmp_path):
     assert abs(newton["newton"]["x_norm"] - 4.352) < 1e-3
 
 
+def test_riccati_accepts_graph_solution_at_roundoff_floor(tmp_path, capsys):
+    # three modes at cutoff 2: the graph X has ||X||_2 = 4.4e3, so its
+    # absolute residual (1.6e-9) stays above Newton's TOL_RESIDUAL however
+    # long Newton refines it, but its eta is below one unit roundoff
+    doc = minimal_doc()
+    doc["bath"] = {"modes": [{"omega": w, "g_re": 0.2} for w in (1.0, 1.266667, 1.533333)],
+                   "fock_cutoff": 2}
+    out = tmp_path / "report.json"
+    assert cli.main(["riccati", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.count(" eta ") == 2
+    report = json.loads(out.read_text())
+    assert report["env_dim"] == 27
+    newton = report["newton"]
+    assert newton["iterations"] == 0
+    assert newton["eta"] <= 2.0**-53
+    assert newton["eta"] == report["subspace"]["eta"]
+    s = load_scenario(tmp_path / "scenario.json").scenario
+    h = dynamics.hamiltonian_static(s.qubit, s.bath)
+    r_norm = np.linalg.norm(riccati.problem_from_blockop(h).full())
+    assert 1e-12 < newton["residual"] <= 1e-9 * max(1.0, r_norm)
+
+
+def test_riccati_subspace_cap_failure_states_its_cause(capsys, monkeypatch):
+    s = load_scenario(RICCATI_SB).scenario
+    p = riccati.problem_from_blockop(dynamics.hamiltonian_static(s.qubit, s.bath))
+    ok = riccati.solve_invariant_subspace(p)
+    lam, vec = linalg.hermitian_eig(p.full())
+    y1 = vec[: p.dim, riccati._select_branch(p, lam, vec, "graph")]
+    monkeypatch.setattr(riccati, "_SUBSPACE_RESIDUAL_CAP", 1e-30)
+    rc = cli.main(["riccati", str(RICCATI_SB)])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: selected graph branch ") and err.count("\n") == 1
+    assert f"residual {ok.residual:.3e} above " in err
+    assert f"eta {ok.eta:.3e}" in err
+    assert f"||X||_2 = {np.linalg.norm(ok.x, 2):.3e}" in err
+    assert f"cond(Y1) = {np.linalg.cond(y1):.3e}" in err
+
+
 @pytest.mark.parametrize(
     "scenario, extra",
     [(RICCATI_SB, ["--method", "newton"]), (DEPHASING, []), (DEPHASING, ["--method", "subspace"])],
@@ -513,7 +554,7 @@ def test_riccati_resonant_drive_reports_trace(tmp_path, capsys):
     rc = cli.main(["riccati", str(write_doc(tmp_path, doc)), "--method", "newton"])
     assert rc == cli.EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
-    assert "residual trace" in err and err.count("\n") == 1
+    assert "residual trace" in err and "best eta " in err and err.count("\n") == 1
 
 
 def test_riccati_dephasing_report(tmp_path, capsys):

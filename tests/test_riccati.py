@@ -158,6 +158,34 @@ def test_diagonalize_splits_spectrum(riccati_bath):
     assert np.max(np.abs(got - expected)) <= 1e-9
 
 
+def _dense_diagonalize(h, x):
+    # reference transform: one 2N LU solve with U_X, which diagonalize must
+    # reproduce bit for bit
+    ux = flatten(build_ux(x))
+    transformed = np.linalg.solve(ux, flatten(h) @ ux)
+    n = h.dim
+    off = np.sqrt(
+        frobenius_norm(transformed[:n, n:]) ** 2 + frobenius_norm(transformed[n:, :n]) ** 2
+    )
+    return transformed[:n, :n], transformed[n:, n:], float(off)
+
+
+@pytest.mark.parametrize("x_norm2", [1e-3, 1.0, 1e3, 1e6])
+def test_diagonalize_condition_from_singular_values_of_x(rng, x_norm2):
+    n = 8
+    x = random_complex(rng, n)
+    x *= x_norm2 / np.linalg.norm(x, 2)
+    h = BlockOp(*(random_complex(rng, n) for _ in range(4)))
+    sol = riccati.RiccatiSolution(x=x, method="test", iterations=0, residual=0.0, eta=0.0)
+    diag = diagonalize(h, sol)
+    expected = np.linalg.cond(flatten(build_ux(x)))
+    assert abs(diag.cond_ux - expected) <= 1e-12 * expected
+    d1, d2, off = _dense_diagonalize(h, x)
+    assert np.array_equal(diag.d1, d1)
+    assert np.array_equal(diag.d2, d2)
+    assert diag.offdiag_residual == off
+
+
 def test_newton_iteration_budget_exhausted(riccati_bath, monkeypatch):
     monkeypatch.setattr(riccati, "MAX_NEWTON_ITERS", 1)
     monkeypatch.setattr(riccati, "TOL_RESIDUAL", 1e-15)
@@ -176,6 +204,44 @@ def test_newton_resonant_drive_fails():
     with pytest.raises(RiccatiConvergenceError) as exc:
         solve_newton(p)
     assert len(exc.value.trace) >= 1
+
+
+def test_newton_eta_rule_does_not_rescue_resonant_stall():
+    # one mode at 2 beta, cutoff 6: from zero Newton's eta never comes near
+    # the roundoff floor, so the iteration still runs out of steps
+    bath = BathSpec((BathMode(1.0, 0.2),), fock_cutoff=6)
+    p = problem_from_blockop(hamiltonian_static(QUBIT, bath))
+    with pytest.raises(RiccatiConvergenceError) as exc:
+        solve_newton(p)
+    assert len(exc.value.trace) == riccati.MAX_NEWTON_ITERS + 1
+    assert "best eta " in str(exc.value)
+
+
+def test_newton_never_accepts_overflowing_eta_denominator(monkeypatch):
+    # X b X = 0 keeps the residual at ||b|| = 1, but ||b|| ||X||_F^2
+    # overflows; a denominator of inf must not read as eta = 0
+    monkeypatch.setattr(riccati, "MAX_NEWTON_ITERS", 0)
+    zero = np.zeros((2, 2))
+    p = RiccatiProblem(a=zero, b=[[1.0, 0.0], [0.0, 0.0]], c=zero)
+    x0 = np.array([[0.0, 1e160], [0.0, 0.0]])
+    assert residual(p, x0) == 1.0
+    with pytest.raises(RiccatiConvergenceError) as exc:
+        solve_newton(p, x0=x0)
+    assert exc.value.trace == [1.0]
+    assert "best eta inf" in str(exc.value)
+
+
+def test_newton_accepts_eta_floor_above_absolute_tolerance(riccati_bath, monkeypatch):
+    # with TOL_RESIDUAL out of reach, the solve returns on eta alone
+    monkeypatch.setattr(riccati, "TOL_RESIDUAL", 0.0)
+    p = spinboson_problem(riccati_bath)
+    sol = solve_newton(p)
+    assert sol.residual > 0.0
+    assert sol.eta <= riccati.ETA_TOL
+    norm = frobenius_norm
+    x_norm = norm(sol.x)
+    scale = norm(p.b) * x_norm**2 + (norm(p.a) + norm(p.c)) * x_norm + norm(p.b)
+    assert sol.eta == pytest.approx(sol.residual / scale, rel=1e-14)
 
 
 def test_problem_validation(rng):

@@ -64,28 +64,6 @@ def kron_qubit_env(m, env) -> BlockOp:
     return BlockOp(m[0, 0] * env, m[0, 1] * env, m[1, 0] * env, m[1, 1] * env)
 
 
-def bom_scale(x: BlockOp, s: complex) -> BlockOp:
-    return BlockOp(s * x.a11, s * x.a12, s * x.a21, s * x.a22)
-
-
-def bom_mul(x: BlockOp, y: BlockOp) -> BlockOp:
-    """Block matrix product."""
-    if x.dim != y.dim:
-        raise ShapeError(f"block dimensions differ: {x.dim} vs {y.dim}")
-    return BlockOp(
-        x.a11 @ y.a11 + x.a12 @ y.a21,
-        x.a11 @ y.a12 + x.a12 @ y.a22,
-        x.a21 @ y.a11 + x.a22 @ y.a21,
-        x.a21 @ y.a12 + x.a22 @ y.a22,
-    )
-
-
-def bom_adjoint(x: BlockOp) -> BlockOp:
-    return BlockOp(
-        x.a11.conj().T, x.a21.conj().T, x.a12.conj().T, x.a22.conj().T
-    )
-
-
 def partial_trace_env(x: BlockOp) -> np.ndarray:
     """Trace out the environment: 2 x 2 matrix of blockwise traces."""
     return np.array(
@@ -113,19 +91,30 @@ def unflatten(m) -> BlockOp:
     return BlockOp(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
 
 
-def sandwich_lhs(a1, b, a2) -> np.ndarray:
-    """Tr_E((A1 (x) 1) B (A2 (x) 1)) over a stack of k samples, shape (k, 2, 2).
+def qubit_sandwich(a1, b, a2) -> np.ndarray:
+    """(A1 (x) 1) B (A2 (x) 1) block by block over a stack of k samples.
 
     a1 and a2 hold k qubit matrices, shape (k, 2, 2), acting as A (x) identity
     on the environment; b holds k block operators as (k, 2, 2, N, N), block
-    (i, j) at [:, i, j].  The qubit indices of B are contracted into the full
-    product, (A1 B A2)_il = sum_jk A1_ij B_jk A2_kl, block by block, and only
-    then is each block traced: tracing B first would compute the right side
-    A1 Tr_E(B) A2 of the identity the sandwich check tests.
+    (i, j) at [:, i, j].  Block (i, l) of the product is
+    sum_jc A1_ij A2_cl B_jc, so each sample is one product of its 4 x 4
+    coefficient matrix with its four blocks as rows of N^2 entries; every
+    entry of every product block is computed.  Returns (k, 2, 2, N, N).
     """
-    left = np.einsum("kij,kjlab->kilab", a1, b)
-    full = np.einsum("kijab,kjl->kilab", left, a2)
-    return np.trace(full, axis1=-2, axis2=-1)
+    k, n = b.shape[0], b.shape[-1]
+    coef = np.einsum("kij,kcl->kiljc", a1, a2).reshape(k, 4, 4)
+    return (coef @ b.reshape(k, 4, n * n)).reshape(b.shape)
+
+
+def sandwich_lhs(a1, b, a2) -> np.ndarray:
+    """Tr_E((A1 (x) 1) B (A2 (x) 1)) over a stack of k samples, shape (k, 2, 2).
+
+    Arguments are stacked as for qubit_sandwich.  The full product is formed
+    by qubit_sandwich and only then is each of its blocks traced: tracing B
+    first would compute the right side A1 Tr_E(B) A2 of the identity the
+    sandwich check tests.
+    """
+    return np.trace(qubit_sandwich(a1, b, a2), axis1=-2, axis2=-1)
 
 
 def sandwich_lemma_check(a1, b, a2) -> np.ndarray:

@@ -284,7 +284,22 @@ def cmd_verify(args) -> int:
         report = {"scenario": raw, "results": results, "all_pass": all_pass}
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    if all_pass:
+        return EXIT_OK
+    failed = [r for r in results if not r["passed"]]
+    named = ", ".join(f"{r['check']} ({_over_tolerance(r)})" for r in failed)
+    print(f"error: {len(failed)} of {len(results)} checks failed: {named}", file=sys.stderr)
+    return EXIT_CHECK_FAILED
+
+
+def _over_tolerance(result: dict) -> str:
+    """The measured values of a failed check that are not within its tolerance."""
+    tol = result["tolerance"]
+    return ", ".join(
+        f"{key} {result[key]:.3e} > {tol:.0e}"
+        for key in ("residual", "offdiag_residual", "diag_deviation", "c_deviation")
+        if key in result and not result[key] <= tol
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import linalg
 from .bath import STEP_CAP, BathSpec, bath_hamiltonian, coupling_operator
-from .blockop import BlockOp, flatten, kron_qubit_env, unflatten
+from .blockop import BlockOp, flatten, qubit_sandwich
 
 MODES = ("rotating_stepped", "static_exact", "factored")
 
@@ -196,10 +196,17 @@ def rotation_frame_unitary(q: QubitParams, t: float) -> np.ndarray:
 
 def covariance_residual(q: QubitParams, h: BlockOp, t: float) -> float:
     """|| H(t) - exp(iKt) H(beta) exp(-iKt) ||_F for h = H(beta) =
-    hamiltonian_static(q, bath); zero up to roundoff."""
-    conj = kron_qubit_env(rotation_frame_unitary(q, t), np.eye(h.dim))
-    rotated = flatten(conj) @ flatten(h) @ flatten(conj).conj().T
-    return linalg.frobenius_norm(flatten(_drive_at(h, q.omega, t)) - rotated)
+    hamiltonian_static(q, bath); zero up to roundoff.
+
+    With exp(iKt) = U (x) 1, U = rotation_frame_unitary(q, t), qubit_sandwich
+    computes every entry of (U (x) 1) h (U† (x) 1), and each block is compared
+    with that of H(t) as _drive_at builds it from h.
+    """
+    n, u = h.dim, rotation_frame_unitary(q, t)[None]
+    blocks = np.array(h.blocks).reshape(1, 2, 2, n, n)
+    rotated = qubit_sandwich(u, blocks, u.conj().transpose(0, 2, 1))
+    diff = np.array(_drive_at(h, q.omega, t).blocks) - rotated.reshape(4, n, n)
+    return linalg.frobenius_norm(diff.reshape(4 * n, n))  # the four blocks stacked
 
 
 def chunk_size(entries_per_point: int) -> int:
@@ -251,24 +258,6 @@ def _stepped_factors(
                 kept.append(x)
         if kept:
             yield np.array(kept)
-
-
-def step_evolve(h: BlockOp, omega: float, t_max: float, steps: int) -> BlockOp:
-    """Ordered product of midpoint exponentials of H(t) = _drive_at(h, omega, t)
-    over a uniform grid of `steps` intervals on [0, t_max].
-
-    Second-order accurate in the step size; each factor is the exponential
-    of the Hamiltonian sampled at the interval midpoint, so the result is
-    unitary whenever h is Hermitian.  It is the stepper of reduced_dynamics
-    run on the identity.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    eye = np.eye(2 * h.dim, dtype=complex)
-    # the identity is as wide as h: every step takes the dense plan; one group
-    # of `steps` substeps keeps only the final product
-    _, (u,) = _stepped_factors(h, omega, eye, float(t_max) / steps, 1, steps, None)
-    return unflatten(u)
 
 
 def _spectral_states(

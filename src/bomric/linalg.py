@@ -56,11 +56,6 @@ def frobenius_norm(a) -> float:
     return norm
 
 
-def operator_norm_estimate(a) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(_as_matrix(a), 2))
-
-
 def hermitian_deviation(a) -> float:
     """||a - a†||_F, the raw asymmetry of a square matrix."""
     a = _as_square(a)
@@ -280,7 +275,7 @@ def solve_sylvester(p, q, r) -> np.ndarray:
         )
     lam_p = np.linalg.eigvals(p)
     lam_q = np.linalg.eigvals(q)
-    scale = operator_norm_estimate(p) + operator_norm_estimate(q)
+    scale = float(np.linalg.norm(p, 2) + np.linalg.norm(q, 2))
     sep = np.min(np.abs(lam_p[None, :] + lam_q[:, None]))
     if sep <= 1e-13 * max(scale, 1.0):
         raise SylvesterSingularError(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .bath import BathSpec, bath_hamiltonian, coupling_operator
-from .blockop import BlockOp, bom_adjoint, bom_mul, bom_scale, flatten
+from .blockop import BlockOp, flatten, qubit_sandwich
 from .linalg import NotHermitianError, ShapeError, SylvesterSingularError
 
 # An invariant-subspace result whose recomputed residual exceeds this
@@ -383,18 +383,23 @@ def time_dependent_residual(h: BlockOp, alpha: float, t: float) -> float:
     return residual(p, z * np.eye(h.dim))
 
 
-def s_frame_unitary(env_dim: int, alpha: float, t: float) -> BlockOp:
-    """S_t = U_{z_t} / sqrt(2), the unitary congruence built from X_t = z_t 1."""
+def s_frame_unitary(alpha: float, t: float) -> np.ndarray:
+    """S = [[1, -z_t*], [z_t, 1]] / sqrt(2), the qubit factor of the unitary
+    congruence S_t = S (x) 1 = U_{z_t} / sqrt(2) built from X_t = z_t 1."""
     z = periodic_phase(alpha, t)
-    return bom_scale(build_ux(z * np.eye(env_dim)), 1.0 / np.sqrt(2.0))
+    return np.array([[1.0, -np.conj(z)], [z, 1.0]]) / np.sqrt(2.0)
 
 
 def s_frame_transform(h: BlockOp, alpha: float, t: float) -> BlockOp:
     """S_t† h S_t for h = periodic_bom(spec, beta, alpha, t); equals
     diag(H_E + V + beta, H_E - V - beta) exactly.
 
-    The time dependence cancels: the transformed operator is the same
-    block-diagonal matrix at every t.
+    With S = s_frame_unitary(alpha, t), qubit_sandwich computes every entry
+    of all four blocks of (S† (x) 1) h (S (x) 1); no block is assumed to
+    vanish.  The time dependence cancels: the transformed operator is the
+    same block-diagonal matrix at every t.
     """
-    st = s_frame_unitary(h.dim, alpha, t)
-    return bom_mul(bom_adjoint(st), bom_mul(h, st))
+    n, s = h.dim, s_frame_unitary(alpha, t)[None]
+    blocks = np.array(h.blocks).reshape(1, 2, 2, n, n)
+    out = qubit_sandwich(s.conj().transpose(0, 2, 1), blocks, s)
+    return BlockOp(*out.reshape(4, n, n))

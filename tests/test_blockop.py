@@ -9,11 +9,10 @@ from bomric.blockop import (
     PAULI_2,
     PAULI_3,
     BlockOp,
-    bom_adjoint,
-    bom_mul,
     flatten,
     kron_qubit_env,
     partial_trace_env,
+    qubit_sandwich,
     sandwich_lemma_check,
     sandwich_lhs,
     unflatten,
@@ -25,6 +24,21 @@ from conftest import random_complex
 
 def random_blockop(rng, n):
     return BlockOp(*(random_complex(rng, n) for _ in range(4)))
+
+
+def block_mul(x, y):
+    # the block matrix product, block by block
+    return BlockOp(
+        x.a11 @ y.a11 + x.a12 @ y.a21,
+        x.a11 @ y.a12 + x.a12 @ y.a22,
+        x.a21 @ y.a11 + x.a22 @ y.a21,
+        x.a21 @ y.a12 + x.a22 @ y.a22,
+    )
+
+
+def block_adjoint(x):
+    # the adjoint, block by block: the off-diagonal blocks swap
+    return BlockOp(x.a11.conj().T, x.a21.conj().T, x.a12.conj().T, x.a22.conj().T)
 
 
 def ptrace_oracle(big, n):
@@ -70,7 +84,7 @@ def test_mul_is_flatten_homomorphism(seed):
     rng = np.random.default_rng(seed)
     a = random_blockop(rng, 3)
     b = random_blockop(rng, 3)
-    lhs = flatten(bom_mul(a, b))
+    lhs = flatten(block_mul(a, b))
     rhs = flatten(a) @ flatten(b)
     assert frobenius_norm(lhs - rhs) <= 1e-12
 
@@ -80,7 +94,7 @@ def test_mul_is_flatten_homomorphism(seed):
 def test_adjoint_commutes_with_flatten(seed):
     rng = np.random.default_rng(seed)
     a = random_blockop(rng, 3)
-    assert np.array_equal(flatten(bom_adjoint(a)), flatten(a).conj().T)
+    assert np.array_equal(flatten(block_adjoint(a)), flatten(a).conj().T)
 
 
 def test_partial_trace_against_index_sum(rng):
@@ -106,7 +120,7 @@ def test_partial_trace_linearity(rng):
 
 def test_partial_trace_respects_adjoint(rng):
     a = random_blockop(rng, 3)
-    lhs = partial_trace_env(bom_adjoint(a))
+    lhs = partial_trace_env(unflatten(flatten(a).conj().T))
     rhs = partial_trace_env(a).conj().T
     assert frobenius_norm(lhs - rhs) <= 1e-13
 
@@ -147,11 +161,25 @@ def test_sandwich_kernel_against_dense_oracle(rng, n):
         assert resid[i] <= 1e-12 * frobenius_norm(flatten(op))
 
 
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+def test_qubit_sandwich_against_dense_product(rng, n, k):
+    # every entry of every block, not only the traces the sandwich check reads
+    a1, b, a2, ops = stacked_sample(rng, k, n)
+    full = qubit_sandwich(a1, b, a2)
+    assert full.shape == (k, 2, 2, n, n)
+    eye = np.eye(n)
+    for i, op in enumerate(ops):
+        dense = np.kron(a1[i], eye) @ flatten(op) @ np.kron(a2[i], eye)
+        got = flatten(BlockOp(*full[i].reshape(4, n, n)))
+        assert np.max(np.abs(got - dense)) <= 1e-13 * frobenius_norm(flatten(op))
+
+
 def test_partial_trace_breaks_for_env_acting_factor(rng):
     # the identity needs qubit-only factors; a generic env factor breaks it
     a1 = random_blockop(rng, 4)
     b = random_blockop(rng, 4)
-    lhs = partial_trace_env(bom_mul(a1, b))
+    lhs = partial_trace_env(unflatten(flatten(a1) @ flatten(b)))
     rhs = partial_trace_env(a1) @ partial_trace_env(b)
     assert frobenius_norm(lhs - rhs) > 1e-6
 
@@ -174,10 +202,3 @@ def test_blockop_shape_validation(rng):
         )
     with pytest.raises(ShapeError):
         kron_qubit_env(random_complex(rng, 3), random_complex(rng, 3))
-
-
-def test_mismatched_dims_rejected(rng):
-    a = random_blockop(rng, 2)
-    b = random_blockop(rng, 3)
-    with pytest.raises(ShapeError):
-        bom_mul(a, b)

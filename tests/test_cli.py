@@ -602,9 +602,12 @@ def test_verify_passes_bundled_closed_qubit(tmp_path, capsys):
 def test_verify_detects_coarse_integration(capsys):
     rc = cli.main(["verify", str(CLOSED_QUBIT), "--steps", "50"])
     assert rc == cli.EXIT_CHECK_FAILED
-    text = capsys.readouterr().out
-    assert "FAIL rotating_frame:" in text
-    assert "second order" in text
+    captured = capsys.readouterr()
+    assert "FAIL rotating_frame:" in captured.out
+    assert "second order" in captured.out
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: 1 of 6 checks failed: rotating_frame (residual ")
 
 
 def test_verify_runs_scenario_check_subset(capsys):

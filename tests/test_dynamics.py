@@ -28,7 +28,6 @@ from bomric.dynamics import (
     reduced_dynamics,
     rotating_frame_check,
     rotation_frame_unitary,
-    step_evolve,
     validate_state,
 )
 from bomric import dynamics, linalg
@@ -78,6 +77,24 @@ def propagator_factored(q, bath, t):
     return unflatten(flatten(conj) @ flatten(propagator_static(h_eff, t)))
 
 
+def step_evolve(h, omega, t_max, steps):
+    """Ordered product of the stepper's midpoint exponentials of
+    H(t) = _drive_at(h, omega, t) over `steps` uniform intervals on [0, t_max]:
+    the stepper of reduced_dynamics run on the identity, whose width puts
+    every step on the dense plan; one group of `steps` substeps keeps only
+    the final product."""
+    eye = np.eye(2 * h.dim, dtype=complex)
+    _, (u,) = dynamics._stepped_factors(h, omega, eye, t_max / steps, 1, steps, None)
+    return unflatten(u)
+
+
+def dense_covariance_residual(q, h, t):
+    # || H(t) - (U (x) 1) H(beta) (U† (x) 1) ||_F from full 2N x 2N products
+    conj = flatten(kron_qubit_env(rotation_frame_unitary(q, t), np.eye(h.dim)))
+    rotated = conj @ flatten(h) @ conj.conj().T
+    return frobenius_norm(flatten(dynamics._drive_at(h, q.omega, t)) - rotated)
+
+
 def rabi_propagator(q, t):
     # closed-qubit closed form: the rotation dressing times the
     # exponential of the shifted splitting plus drive
@@ -122,6 +139,18 @@ def test_covariance_residual_vanishes(rng):
         t = rng.uniform(0.0, 20.0)
         scale = max(1.0, frobenius_norm(flatten(hamiltonian_static(q, bath))))
         assert covariance_residual(q, hamiltonian_static(q, bath), t) <= 1e-12 * scale
+
+
+def test_covariance_residual_against_dense_route(rng):
+    bath = BathSpec((BathMode(1.5, 0.3), BathMode(0.7, -0.2)), fock_cutoff=3)
+    for _ in range(10):
+        q = QubitParams(
+            alpha=rng.uniform(-2, 2), beta=rng.uniform(-2, 2), omega=rng.uniform(0.1, 5)
+        )
+        h = hamiltonian_static(q, bath)
+        t = rng.uniform(0.0, 20.0)
+        diff = covariance_residual(q, h, t) - dense_covariance_residual(q, h, t)
+        assert abs(diff) <= 1e-13 * frobenius_norm(flatten(h))
 
 
 def test_propagator_static_unitary_and_semigroup(small_bath):
@@ -205,7 +234,7 @@ def test_frozen_drive_propagator_diagonalizes(small_bath):
     beta, alpha, tau, t = 0.5, 0.3, 1.3, 0.9
     n = small_bath.env_dim
     h_frozen = periodic_bom(small_bath, beta, alpha, tau)
-    s = flatten(s_frame_unitary(small_bath.env_dim, alpha, tau))
+    s = np.kron(s_frame_unitary(alpha, tau), np.eye(n))
     he = bath_hamiltonian(small_bath)
     w = coupling_operator(small_bath) + beta * np.eye(n)
     diag = np.block(

@@ -15,7 +15,6 @@ from bomric.linalg import (
     frobenius_norm,
     hermitian_eig,
     is_hermitian,
-    operator_norm_estimate,
     solve_sylvester,
 )
 
@@ -205,17 +204,3 @@ def test_huge_entries_neither_overflow_the_norm_nor_pass_as_hermitian():
         assert not is_hermitian(a)
         assert is_hermitian(a + a.T)
         assert frobenius_norm(np.array([[np.inf, 1.0]])) == np.inf
-
-
-def test_operator_norm_rank_one(rng):
-    u = random_complex(rng, 5, 1)
-    v = random_complex(rng, 5, 1)
-    a = u @ v.conj().T
-    expected = np.linalg.norm(u) * np.linalg.norm(v)
-    assert abs(operator_norm_estimate(a) - expected) <= 1e-10 * expected
-
-
-def test_operator_norm_dominates_action(rng):
-    a = random_complex(rng, 6)
-    x = random_complex(rng, 6, 1)
-    assert operator_norm_estimate(a) >= np.linalg.norm(a @ x) / np.linalg.norm(x) - 1e-12

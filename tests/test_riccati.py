@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator, dephasing_hamiltonian
-from bomric.blockop import BlockOp, bom_adjoint, bom_mul, flatten
+from bomric.blockop import BlockOp, flatten
 from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric import riccati
 from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm
@@ -340,7 +340,7 @@ def test_phase_solves_driven_riccati(small_bath):
 
 
 def test_drive_frame_unitary(small_bath):
-    s = flatten(s_frame_unitary(small_bath.env_dim, alpha=0.3, t=2.1))
+    s = np.kron(s_frame_unitary(alpha=0.3, t=2.1), np.eye(small_bath.env_dim))
     n = 2 * small_bath.env_dim
     assert frobenius_norm(s.conj().T @ s - np.eye(n)) <= 1e-13
 
@@ -354,6 +354,17 @@ def test_drive_frame_diagonalizes_at_all_times(small_bath):
         assert frobenius_norm(d.a21) <= 1e-13
         assert frobenius_norm(d.a11 - (he + w)) <= 1e-13
         assert frobenius_norm(d.a22 - (he - w)) <= 1e-13
+
+
+def test_drive_frame_transform_against_dense_product(small_bath):
+    # S_t† H S_t with S_t = S (x) 1 as full 2N x 2N matrices, entry by entry
+    eye = np.eye(small_bath.env_dim)
+    for t in (0.0, 0.4, 3.3, 7.9):
+        h = periodic_bom(small_bath, 0.5, 0.3, t)
+        s = np.kron(s_frame_unitary(alpha=0.3, t=t), eye)
+        dense = s.conj().T @ flatten(h) @ s
+        got = flatten(s_frame_transform(h, alpha=0.3, t=t))
+        assert np.max(np.abs(got - dense)) <= 1e-13 * frobenius_norm(flatten(h))
 
 
 def test_drive_frame_transform_is_time_independent(small_bath):

@@ -65,7 +65,7 @@ def main() -> int:
         except RiccatiConvergenceError as exc:
             newton, iters, note = None, "-", f"  NO CONVERGENCE ({len(exc.trace)} residuals)"
         try:
-            graph = solve_invariant_subspace(p, which="graph")
+            graph = solve_invariant_subspace(p)
         except (NoGraphError, AmbiguousSubspaceError) as exc:
             print(f"{w0:>7.2f} {iters:>6} {'NO GRAPH':>9}  ({exc}){note}")
             continue

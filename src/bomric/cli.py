@@ -2,13 +2,14 @@
 
 `riccati` solves a spin-boson scenario by the invariant subspace's graph
 branch and refines that X by Newton; --method runs one solver alone, Newton
-from zero or the subspace on --branch.
+from zero or the graph branch.  --branch has the one value `graph`.
 
 Exit codes: 0 success, 2 schema, state or command-line input error (including
-a file that cannot be opened, a grid over STEP_CAP and a --branch that no
-solver would use), 3 environment dimension over the cap, 4 solver
-non-convergence, 5 a verification check failed or a trajectory left a sanity
-cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).
+any argument the parser rejects, a file that cannot be opened, a grid over
+STEP_CAP and a --branch that no solver would use), 3 environment dimension
+over the cap, 4 solver non-convergence, 5 a verification check failed or a
+trajectory left a sanity cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR;
+no CSV is written).
 """
 from __future__ import annotations
 
@@ -150,7 +151,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _riccati_spinboson_report(config: RunConfig, method: str | None, branch: str | None) -> dict:
+def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
     s = config.scenario
     h = hamiltonian_static(s.qubit, s.bath)
     p = riccati.problem_from_blockop(h)
@@ -160,10 +161,9 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None, branch: str
     # --method newton alone starts from zero
     subspace_sol = None
     if method in (None, "subspace"):
-        which = branch or "graph"
-        subspace_sol = riccati.solve_invariant_subspace(p, which)
+        subspace_sol = riccati.solve_invariant_subspace(p)
         report["subspace"] = {
-            "branch": which,
+            "branch": "graph",
             "residual": subspace_sol.residual,
             "eta": subspace_sol.eta,
             "x_norm": linalg.frobenius_norm(subspace_sol.x),
@@ -179,9 +179,6 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None, branch: str
             "eta": sol.eta,
             "x_norm": linalg.frobenius_norm(sol.x),
         }
-    if method is None:
-        report["agreement"] = linalg.frobenius_norm(sol.x - subspace_sol.x)
-
     diag = riccati.diagonalize(h, sol)
     report["offdiag_residual"] = diag.offdiag_residual
     report["cond_ux"] = diag.cond_ux
@@ -228,7 +225,7 @@ def cmd_riccati(args) -> int:
             f"(coupling norm {report['coupling_norm']:.3e})"
         )
     else:
-        report = _riccati_spinboson_report(config, args.method, args.branch)
+        report = _riccati_spinboson_report(config, args.method)
         if "subspace" in report:
             s = report["subspace"]
             print(
@@ -240,11 +237,6 @@ def cmd_riccati(args) -> int:
             print(
                 f"newton: from {n['start']}, iterations {n['iterations']}, "
                 f"residual {n['residual']:.3e}, eta {n['eta']:.3e}, ||X||_F = {n['x_norm']:.6f}"
-            )
-        if "agreement" in report:
-            print(
-                f"solver agreement ||X_newton - X_subspace||_F = {report['agreement']:.3e} "
-                "(Newton's correction to the subspace X)"
             )
         print(
             f"block-diagonalization off-diagonal residual {report['offdiag_residual']:.3e} "
@@ -302,8 +294,16 @@ def _over_tolerance(result: dict) -> str:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors become main's one `error:` line and exit 2;
+    its subparsers are of the same class."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bomric",
         description="Block operator matrices, Riccati solvers, and reduced qubit dynamics.",
     )
@@ -326,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     ric.add_argument("--method", choices=("newton", "subspace"))
     ric.add_argument(
         "--branch",
-        choices=("lower", "upper", "graph"),
-        help="spectral branch for the invariant-subspace solver (default: graph)",
+        choices=("graph",),
+        help="the invariant-subspace solver's branch; graph is the only one",
     )
     ric.add_argument("--out", type=Path, help="write a JSON report")
 
@@ -339,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"simulate": cmd_simulate, "riccati": cmd_riccati, "verify": cmd_verify}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

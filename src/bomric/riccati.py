@@ -53,11 +53,11 @@ class RiccatiConvergenceError(RuntimeError):
 
 
 class NoGraphError(RuntimeError):
-    """Selected spectral subspace has no graph representation over the top block."""
+    """The graph branch's subspace has no graph representation over the top block."""
 
 
 class AmbiguousSubspaceError(RuntimeError):
-    """Branch selection is degenerate at the cut; no well-defined subspace."""
+    """The top-block weights tie at the N-th eigenvector; no graph branch stands out."""
 
 
 @dataclass(frozen=True)
@@ -208,54 +208,46 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
     )
 
 
-def _select_branch(p: RiccatiProblem, lam: np.ndarray, vec: np.ndarray, which: str) -> np.ndarray:
+def _select_branch(p: RiccatiProblem, vec: np.ndarray) -> np.ndarray:
+    """Indices of the N eigenvectors with the largest weight on the top block;
+    the graph X they span need not be a contraction."""
     n = p.dim
-    if which in ("lower", "upper"):
-        if lam[n] - lam[n - 1] <= 1e-10 * max(1.0, float(np.max(np.abs(lam)))):
-            raise AmbiguousSubspaceError("spectrum is degenerate at the lower/upper cut")
-        return np.arange(n) if which == "lower" else np.arange(n, 2 * n)
-    if which == "graph":
-        # weight of each eigenvector on the top block; the branch is the N
-        # heaviest, and its X need not be a contraction
-        w = np.sum(np.abs(vec[:n, :]) ** 2, axis=0)
-        order = np.argsort(w)[::-1]
-        if w[order[n - 1]] - w[order[n]] <= 1e-8:
-            raise AmbiguousSubspaceError("top-block weights do not separate a graph branch")
-        return np.sort(order[:n])
-    raise ValueError(f"unknown branch selector {which!r}")
+    w = np.sum(np.abs(vec[:n, :]) ** 2, axis=0)
+    order = np.argsort(w)[::-1]
+    if w[order[n - 1]] - w[order[n]] <= 1e-8:
+        raise AmbiguousSubspaceError("top-block weights do not separate a graph branch")
+    return np.sort(order[:n])
 
 
-def solve_invariant_subspace(p: RiccatiProblem, which: str = "graph") -> RiccatiSolution:
+def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
     """Solve via eigenvectors of the full matrix R = [[a, b], [b†, c]].
 
-    The eigenvectors of the selected spectral branch are stacked as
-    [Y1; Y2] and X = Y2 Y1^{-1}.  `which` is "lower" or "upper" for the
-    corresponding half of the spectrum, or "graph" for the N eigenvectors
-    with the largest top-block weights.  The graph branch's X is a
+    The graph branch is the N eigenvectors with the largest top-block
+    weights, stacked as [Y1; Y2], and X = Y2 Y1^{-1}.  Its X is a
     contraction only under spectral separation conditions (Kostrykin,
     Makarov & Motovilov 2003); on the bundled weyl.json ||X||_2 = 1.315.
 
     Raises NoGraphError when Y1 is numerically singular (condition number
-    above 1e12) or the recomputed residual shows the selected subspace is
-    not a solution graph; AmbiguousSubspaceError on a degenerate cut.
+    above 1e12) or the recomputed residual shows the subspace is not a
+    solution graph; AmbiguousSubspaceError when the top-block weights tie.
     """
     r = p.full()
-    lam, vec = linalg.hermitian_eig(r)
-    sel = _select_branch(p, lam, vec, which)
+    _, vec = linalg.hermitian_eig(r)
+    sel = _select_branch(p, vec)
     n = p.dim
     y1 = vec[:n, sel]
     y2 = vec[n:, sel]
     cond = np.linalg.cond(y1)
     if not np.isfinite(cond) or cond > _Y1_COND_CAP:
         raise NoGraphError(
-            f"selected {which} branch has no graph representation: cond(Y1) = {cond:.3e}"
+            f"selected graph branch has no graph representation: cond(Y1) = {cond:.3e}"
         )
     x = np.linalg.solve(y1.T, y2.T).T
     sol = _make_solution(p, x, "invariant_subspace", 0)
     cap = _SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(r))
     if sol.residual > cap:
         raise NoGraphError(
-            f"selected {which} branch is not a solution graph: residual "
+            f"selected graph branch is not a solution graph: residual "
             f"{sol.residual:.3e} above {cap:.3e}, eta {sol.eta:.3e}, "
             f"||X||_2 = {np.linalg.norm(x, 2):.3e}, cond(Y1) = {cond:.3e}"
         )

@@ -97,7 +97,7 @@ def test_riccati_cross_solver_agreement(capsys):
     h = hamiltonian_static(SPINBOSON_QUBIT, bath)
     p = problem_from_blockop(h)
     newton = solve_newton(p)
-    subspace = solve_invariant_subspace(p, which="graph")
+    subspace = solve_invariant_subspace(p)
     agreement = frobenius_norm(newton.x - subspace.x)
     offdiag = diagonalize(h, newton).offdiag_residual
 

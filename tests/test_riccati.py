@@ -9,7 +9,7 @@ from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator,
 from bomric.blockop import BlockOp, flatten
 from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric import riccati
-from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm
+from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm, hermitian_eig
 from bomric.riccati import (
     AmbiguousSubspaceError,
     NoGraphError,
@@ -71,58 +71,42 @@ def test_newton_decoupled_blocks_give_zero(riccati_bath):
 def test_graph_branch_agrees_with_newton(riccati_bath):
     p = spinboson_problem(riccati_bath)
     newton = solve_newton(p)
-    sub = solve_invariant_subspace(p, which="graph")
+    sub = solve_invariant_subspace(p)
     assert sub.method == "invariant_subspace"
     assert sub.residual <= 1e-9
     assert frobenius_norm(sub.x - newton.x) <= 1e-8
 
 
-def test_spectral_halves_are_not_graphs(riccati_bath):
-    # the two spectral ladders interleave, so neither half is a graph
-    p = spinboson_problem(riccati_bath)
-    with pytest.raises(NoGraphError):
-        solve_invariant_subspace(p, which="lower")
-
-
 def test_upper_half_graph_for_separated_spectra(rng):
-    # pushing the blocks apart makes the upper half the contractive branch
+    # pushing the blocks apart makes the graph branch (the upper half of the
+    # spectrum) the contractive solution Newton finds from zero
     h = random_hermitian(rng, 6)
     spread = float(np.ptp(np.linalg.eigvalsh(h)))
     s = spread + 1.0
     b = 0.05 * random_complex(rng, 6)
     p = RiccatiProblem(a=h + s * np.eye(6), b=b, c=h - s * np.eye(6))
     newton = solve_newton(p)
-    upper = solve_invariant_subspace(p, which="upper")
-    assert frobenius_norm(upper.x - newton.x) <= 1e-8
-    graph = solve_invariant_subspace(p, which="graph")
-    assert frobenius_norm(graph.x - upper.x) <= 1e-10
-
-
-def test_ambiguous_cut_raises():
-    # spectra of the halves touch at the cut
-    p = RiccatiProblem(a=np.diag([0.0, 1.0]), b=np.zeros((2, 2)), c=np.diag([1.0, 2.0]))
-    with pytest.raises(AmbiguousSubspaceError):
-        solve_invariant_subspace(p, which="lower")
+    graph = solve_invariant_subspace(p)
+    assert frobenius_norm(graph.x - newton.x) <= 1e-8
 
 
 def test_ambiguous_graph_weights_raise():
     # a = c = 0, b = 1: both eigenvectors carry weight 1/2 on the top block
     p = RiccatiProblem(a=[[0.0]], b=[[1.0]], c=[[0.0]])
     with pytest.raises(AmbiguousSubspaceError):
-        solve_invariant_subspace(p, which="graph")
+        solve_invariant_subspace(p)
 
 
-def test_vertical_subspace_has_no_graph():
-    # lower half lives entirely in the bottom block, Y1 is singular
-    p = RiccatiProblem(a=np.diag([5.0, 6.0]), b=np.zeros((2, 2)), c=np.diag([0.0, 1.0]))
-    with pytest.raises(NoGraphError):
-        solve_invariant_subspace(p, which="lower")
-
-
-def test_unknown_branch_name_rejected():
-    p = RiccatiProblem(a=np.diag([5.0, 6.0]), b=np.zeros((2, 2)), c=np.diag([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        solve_invariant_subspace(p, which="sideways")
+def test_vertical_subspace_has_no_graph(monkeypatch, riccati_bath):
+    # the graph branch's Y1 is invertible here; with the cap below its
+    # condition number the subspace counts as vertical
+    p = spinboson_problem(riccati_bath)
+    _, vec = hermitian_eig(p.full())
+    cond = np.linalg.cond(vec[: p.dim, riccati._select_branch(p, vec)])
+    monkeypatch.setattr(riccati, "_Y1_COND_CAP", 0.5 * cond)
+    with pytest.raises(NoGraphError) as exc:
+        solve_invariant_subspace(p)
+    assert str(exc.value).endswith(f"no graph representation: cond(Y1) = {cond:.3e}")
 
 
 @given(st.integers(0, 2**32 - 1))

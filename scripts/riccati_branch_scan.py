@@ -8,8 +8,8 @@ and residual, and the distance between the two solutions.  At the
 resonance, where the mode frequency equals twice the splitting, the
 spectra of the diagonal blocks coincide up to truncation, and whether
 Newton breaks down there depends on the Fock cutoff.  With the default
-alpha, beta and g at omega0 = 1.0, Newton converges at --n-max 4 and 5
-(23 and 27 iterations), stalls at 6 (41 residuals) and meets a singular
+alpha, beta and g at omega0 = 1.0, Newton converges at --n-max 4, 5 and 6
+(23, 27 and 38 iterations), stalls at 7 (41 residuals) and meets a singular
 linearization at its first step at 8.  Rows where Newton fails show NO
 CONVERGENCE in place of its columns and keep the graph branch's.
 
@@ -72,7 +72,7 @@ def main() -> int:
         agree = "-" if newton is None else f"{frobenius_norm(newton.x - graph.x):.3e}"
         print(
             f"{w0:>7.2f} {iters:>6} {frobenius_norm(graph.x):>9.5f} {agree:>11} "
-            f"{graph.residual:>10.3e} {np.linalg.norm(graph.x, 2):>9.5f}{note}"
+            f"{graph.residual:>10.3e} {graph.x_norm2:>9.5f}{note}"
         )
     return 0
 

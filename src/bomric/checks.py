@@ -62,8 +62,8 @@ def rotating_frame(s: Scenario) -> dict:
     out = {"residual": resid, "tolerance": tol, "passed": resid <= tol, "steps": s.steps}
     if out["passed"]:
         return out
-    lost = abs(s.qubit.omega) * s.t_max * np.finfo(float).eps  # rounding error of omega t
-    if lost <= tol:
+    lost = drive_phase_lost(s)
+    if lost is None:
         advice = ("the midpoint integrator converges at second order, so doubling the "
                   "step count divides the residual by about four")
     else:
@@ -72,6 +72,15 @@ def rotating_frame(s: Scenario) -> dict:
     out["message"] = (f"stepped integration at {s.steps} steps leaves residual "
                       f"{resid:.3e} > {tol:.0e}; {advice}")
     return out
+
+
+def drive_phase_lost(s: Scenario) -> float | None:
+    """|omega| t_max eps, the rounding error of the drive phase omega t on s's
+    grid, when it exceeds ROTATING_FRAME_TOL, else None.  Past that tolerance
+    the phase keeps no digit, so no step count resolves the modes that use
+    omega (rotating_stepped and factored)."""
+    lost = abs(s.qubit.omega) * s.t_max * np.finfo(float).eps
+    return lost if lost > ROTATING_FRAME_TOL else None
 
 
 def sandwich(s: Scenario) -> dict:

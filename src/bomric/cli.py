@@ -6,10 +6,11 @@ from zero or the graph branch.  --branch has the one value `graph`.
 
 Exit codes: 0 success, 2 schema, state or command-line input error (including
 any argument the parser rejects, a file that cannot be opened, a grid over
-STEP_CAP and a --branch that no solver would use), 3 environment dimension
-over the cap, 4 solver non-convergence, 5 a verification check failed or a
-trajectory left a sanity cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR;
-no CSV is written).
+STEP_CAP, a --branch that no solver would use and a simulate mode that needs
+a drive phase omega t with no digit left, see checks.drive_phase_lost), 3
+environment dimension over the cap, 4 solver non-convergence, 5 a
+verification check failed or a trajectory left a sanity cap (TRACE_DEV_CAP,
+HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).
 """
 from __future__ import annotations
 
@@ -145,6 +146,13 @@ def cmd_simulate(args) -> int:
         config = scenario_from_dict(doc)
         s = _with_steps(config.scenario, args.steps)
         mode = args.mode or config.mode
+        lost = None if mode == "static_exact" else checks.drive_phase_lost(s)
+        if lost is not None:
+            raise ScenarioError(
+                f"{mode} mode: the drive phase omega t keeps no digit at the rotating_frame "
+                f"tolerance {checks.ROTATING_FRAME_TOL:.0e} (|omega| t_max eps = {lost:.1e}); "
+                "static_exact does not use omega"
+            )
         traj = reduced_dynamics(s, mode)
         _write_csv(target, traj)
         print(f"wrote {target} ({len(traj)} rows, mode={mode})")
@@ -153,8 +161,7 @@ def cmd_simulate(args) -> int:
 
 def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
     s = config.scenario
-    h = hamiltonian_static(s.qubit, s.bath)
-    p = riccati.problem_from_blockop(h)
+    p = riccati.problem_from_blockop(hamiltonian_static(s.qubit, s.bath))
     report: dict = {"kind": "spinboson", "env_dim": s.bath.env_dim}
 
     # by default the subspace X is the start that Newton refines;
@@ -167,7 +174,7 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
             "residual": subspace_sol.residual,
             "eta": subspace_sol.eta,
             "x_norm": linalg.frobenius_norm(subspace_sol.x),
-            "x_norm2": float(np.linalg.norm(subspace_sol.x, 2)),
+            "x_norm2": subspace_sol.x_norm2,
         }
     sol = subspace_sol
     if method in (None, "newton"):
@@ -178,8 +185,9 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
             "residual": sol.residual,
             "eta": sol.eta,
             "x_norm": linalg.frobenius_norm(sol.x),
+            "trace": sol.trace,
         }
-    diag = riccati.diagonalize(h, sol)
+    diag = riccati.diagonalize(p, sol)
     report["offdiag_residual"] = diag.offdiag_residual
     report["cond_ux"] = diag.cond_ux
     return report

@@ -97,7 +97,8 @@ def validate_state(rho: BlockOp) -> None:
     tr = np.trace(full)
     if abs(tr - 1.0) > STATE_TOL:
         raise InvalidStateError(f"state trace is {tr:.12g}, expected 1")
-    w = np.linalg.eigvalsh((full + full.conj().T) / 2.0)
+    herm = (full + full.conj().T) / 2.0
+    w = np.linalg.eigvalsh(herm if herm.imag.any() else herm.real)  # a real state in float64
     if w[0] < -STATE_TOL:
         raise InvalidStateError(f"state has negative eigenvalue {w[0]:.3e}")
 

@@ -1,8 +1,9 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel.
 
-Every matrix in this package is a plain complex128 ndarray.  The wrappers
-here add the shape and symmetry checks the rest of the code relies on and
-pin the tolerances in one place.
+Every matrix in this package is a plain ndarray: float64 input stays float64,
+so a real problem runs real LAPACK, and any other is cast to complex128.  The
+wrappers here add the shape and symmetry checks the rest of the code relies
+on and pin the tolerances in one place.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ class SylvesterSingularError(np.linalg.LinAlgError):
 
 
 def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a if a.dtype == np.float64 else a.astype(complex, copy=False)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got shape {a.shape}")
     return a
@@ -269,6 +271,10 @@ def solve_sylvester(p, q, r) -> np.ndarray:
     TOL_SYLVESTER * (||p|| + ||q||) * ||delta||.
     """
     p, q, r = _as_square(p), _as_square(q), _as_matrix(r)
+    # one field for all three: scipy's real Schur forms of real p and q would
+    # meet a complex r in the complex trsyl, which takes them as triangular
+    field = np.result_type(p, q, r)
+    p, q, r = (m.astype(field, copy=False) for m in (p, q, r))
     if r.shape != (q.shape[0], p.shape[0]):
         raise ShapeError(
             f"rhs shape {r.shape} does not match ({q.shape[0]}, {p.shape[0]})"

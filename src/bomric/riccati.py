@@ -14,7 +14,8 @@ congruence U_X = [[1, -X†], [X, 1]] block-diagonalizes R with diagonal
 blocks a + b X and c - b† X†.  Two independent solvers are provided: a
 spectral invariant-subspace construction and a Newton iteration on the
 residual.  Newton started from zero checks the subspace solution; started
-from it, Newton refines it.
+from it, Newton refines it.  A problem whose blocks are all real (imaginary
+parts exactly zero) is stored and solved in float64, any other in complex128.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .bath import BathSpec, bath_hamiltonian, coupling_operator
-from .blockop import BlockOp, flatten, qubit_sandwich
+from .blockop import BlockOp, qubit_sandwich
 from .linalg import NotHermitianError, ShapeError, SylvesterSingularError
 
 # An invariant-subspace result whose recomputed residual exceeds this
@@ -35,10 +36,10 @@ _Y1_COND_CAP = 1e12
 # residual eta (see _eta) is at most ETA_TOL, and fails after
 # MAX_NEWTON_ITERS steps.  ETA_TOL is one unit roundoff u = 2^-53, set from
 # the 31 spin-boson problems of the bundled scenarios and the benchmark: the
-# graph X starts at eta = 0.46-3.0 u and one Newton step from it reaches at
+# graph X starts at eta = 0.21-3.2 u and one Newton step from it reaches at
 # most 0.38 u; Newton from zero stays above 18 u until its residual passes
-# TOL_RESIDUAL; the resonant stall (one mode at 2 beta, cutoff 6, from zero)
-# never gets below 3.8e9 u.
+# TOL_RESIDUAL; the resonant stall (one mode at 2 beta, cutoff 7, from zero)
+# never gets below 9.3e9 u.
 MAX_NEWTON_ITERS = 40
 TOL_RESIDUAL = 1e-12
 ETA_TOL = 2.0**-53
@@ -69,9 +70,11 @@ class RiccatiProblem:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        c = np.asarray(self.c, dtype=complex)
+        blocks = [np.asarray(m, dtype=complex) for m in (self.a, self.b, self.c)]
+        # all three real: R is real symmetric, and so are its eigenvectors and X
+        if not any(m.imag.any() for m in blocks):
+            blocks = [np.ascontiguousarray(m.real) for m in blocks]
+        a, b, c = blocks
         for name, m in (("a", a), ("b", b), ("c", c)):
             if m.ndim != 2 or m.shape != a.shape:
                 raise ShapeError(f"block {name} must match shape {a.shape}")
@@ -95,16 +98,26 @@ class RiccatiProblem:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
+    """A solution X with its residual ||F(X)||_F, its eta, the singular values
+    of X (descending) and, from Newton, the residual of every iterate."""
+
     x: np.ndarray
     method: str
     iterations: int
     residual: float
     eta: float
+    singular_values: np.ndarray
+    trace: tuple[float, ...] = ()
+
+    @property
+    def x_norm2(self) -> float:
+        """||X||_2, the largest singular value of X."""
+        return float(self.singular_values[0])
 
 
 def residual(p: RiccatiProblem, x) -> float:
     """Frobenius norm of X b X + X a - c X - b†."""
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     if x.shape != p.a.shape:
         raise ShapeError(f"solution shape {x.shape} does not match blocks {p.a.shape}")
     return linalg.frobenius_norm(x @ p.b @ x + x @ p.a - p.c @ x - p.b.conj().T)
@@ -135,12 +148,14 @@ def _eta(r: float, x: np.ndarray, ac_norm: float, b_norm: float) -> float:
     return r / scale if scale > 0.0 else 0.0
 
 
-def _make_solution(p: RiccatiProblem, x: np.ndarray, method: str, iterations: int) -> RiccatiSolution:
+def _make_solution(p: RiccatiProblem, x: np.ndarray, method: str, iterations: int,
+                   trace: tuple[float, ...] = ()) -> RiccatiSolution:
     # residual and eta always recomputed from x, never taken from solver internals
     r = residual(p, x)
     return RiccatiSolution(
         x=x, method=method, iterations=iterations, residual=r,
         eta=_eta(r, x, *_block_norms(p)),
+        singular_values=np.linalg.svd(x, compute_uv=False), trace=trace,
     )
 
 
@@ -170,7 +185,7 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
     if x0 is None:
         x = np.zeros_like(p.a)
     else:
-        x = np.asarray(x0, dtype=complex)
+        x = np.asarray(x0)
         if x.shape != p.a.shape:
             raise ShapeError("initial guess shape does not match problem blocks")
     ac_norm, b_norm = _block_norms(p)
@@ -188,7 +203,7 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
         eta = _eta(r, x, ac_norm, b_norm)
         best_eta = min(best_eta, eta)
         if r <= TOL_RESIDUAL or eta <= ETA_TOL:
-            return _make_solution(p, x, "newton", it)
+            return _make_solution(p, x, "newton", it, tuple(trace))
         if it == MAX_NEWTON_ITERS:
             break
         try:
@@ -249,18 +264,9 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
         raise NoGraphError(
             f"selected graph branch is not a solution graph: residual "
             f"{sol.residual:.3e} above {cap:.3e}, eta {sol.eta:.3e}, "
-            f"||X||_2 = {np.linalg.norm(x, 2):.3e}, cond(Y1) = {cond:.3e}"
+            f"||X||_2 = {sol.x_norm2:.3e}, cond(Y1) = {cond:.3e}"
         )
     return sol
-
-
-def build_ux(x) -> BlockOp:
-    """Congruence factor U_X = [[1, -X†], [X, 1]]."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError(f"solution must be square, got {x.shape}")
-    eye = np.eye(x.shape[0], dtype=complex)
-    return BlockOp(eye, -x.conj().T, x, eye)
 
 
 @dataclass(frozen=True)
@@ -271,8 +277,9 @@ class Diagonalization:
     cond_ux: float
 
 
-def diagonalize(h: BlockOp, sol: RiccatiSolution) -> Diagonalization:
-    """Transform h by U_X^{-1} h U_X and report the off-diagonal leftover.
+def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> Diagonalization:
+    """Transform R = p.full() by U_X^{-1} R U_X, with the congruence factor
+    U_X = [[1, -X†], [X, 1]], and report the off-diagonal leftover.
 
     For an exact solution the result is diag(a + b X, c - b† X†); the
     off-diagonal residual of a computed solution stays below
@@ -280,16 +287,17 @@ def diagonalize(h: BlockOp, sol: RiccatiSolution) -> Diagonalization:
     U_X; the normal equations U_X† U_X = diag(1 + X†X, 1 + XX†) would
     square cond(U_X) in its error.  That identity still gives cond(U_X)
     itself: the singular values of U_X are sqrt(1 + s^2) over the singular
-    values s of X, so an N x N SVD of X is enough.
+    values s of X, which the solution carries.
     """
-    ux = flatten(build_ux(sol.x))
-    transformed = np.linalg.solve(ux, flatten(h) @ ux)
-    n = h.dim
+    x, n = sol.x, p.dim
+    eye = np.eye(n)
+    ux = np.block([[eye, -x.conj().T], [x, eye]])
+    transformed = np.linalg.solve(ux, p.full() @ ux)
     off = np.sqrt(
         linalg.frobenius_norm(transformed[:n, n:]) ** 2
         + linalg.frobenius_norm(transformed[n:, :n]) ** 2
     )
-    s = np.linalg.svd(sol.x, compute_uv=False)
+    s = sol.singular_values
     return Diagonalization(
         d1=transformed[:n, :n],
         d2=transformed[n:, n:],

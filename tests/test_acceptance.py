@@ -99,7 +99,7 @@ def test_riccati_cross_solver_agreement(capsys):
     newton = solve_newton(p)
     subspace = solve_invariant_subspace(p)
     agreement = frobenius_norm(newton.x - subspace.x)
-    offdiag = diagonalize(h, newton).offdiag_residual
+    offdiag = diagonalize(p, newton).offdiag_residual
 
     q0 = QubitParams(alpha=0.0, beta=0.5, omega=1.0)
     decoupled = solve_newton(problem_from_blockop(hamiltonian_static(q0, bath)))

@@ -411,6 +411,26 @@ def test_simulate_overflowing_drive_breaches_caps(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_simulate_refuses_a_drive_phase_with_no_digit(tmp_path, capsys, mode):
+    # at omega = 1e300 the phase omega t keeps no digit, so the two modes
+    # that use omega would write a meaningless trajectory; static_exact
+    # does not use omega
+    doc = json.loads(SPINBOSON.read_text())
+    doc["qubit"]["omega"] = 1e300
+    out = tmp_path / "x.csv"
+    argv = ["simulate", str(write_doc(tmp_path, doc)), "--out", str(out), "--mode", mode]
+    rc = cli.main(argv + ["--steps", "50"])
+    err = capsys.readouterr().err
+    if mode == "static_exact":
+        assert rc == cli.EXIT_OK and err == "" and out.exists()
+        return
+    assert rc == cli.EXIT_SCHEMA
+    assert err.startswith(f"error: {mode} mode: the drive phase omega t keeps no digit ")
+    assert err.count("\n") == 1 and "|omega| t_max eps = 2.2e+285" in err
+    assert not out.exists()
+
+
 # -- riccati ------------------------------------------------------------------
 
 def test_riccati_both_methods_agree(tmp_path, capsys):
@@ -483,6 +503,7 @@ def test_riccati_noncontractive_case_keeps_graph_branch(tmp_path):
     assert default["newton"]["iterations"] == 0
     assert abs(default["newton"]["x_norm"] - 3.371) < 1e-3
     assert newton["newton"]["start"] == "zero" and newton["newton"]["iterations"] == 8
+    assert len(newton["newton"]["trace"]) == 9
     assert abs(newton["newton"]["x_norm"] - 4.352) < 1e-3
 
 
@@ -566,6 +587,38 @@ def test_riccati_dephasing_report(tmp_path, capsys):
     assert abs(report["principal_root"][0]) <= 1e-12
     assert report["residual_principal"] <= 1e-10
     assert report["residual_partner"] <= 1e-10
+
+
+# the dephasing.json report, which a change to the spin-boson route must not move
+DEPHASING_REPORT = {
+    "coupling_norm": 0.894427190999916,
+    "kind": "dephasing",
+    "partner_root": [0.0, 2.414213562373095],
+    "principal_abs": 0.4142135623730951,
+    "principal_root": [0.0, -0.4142135623730951],
+    "residual_partner": 7.570711667007543e-16,
+    "residual_principal": 1.1775693440128312e-16,
+}
+
+
+@pytest.mark.parametrize("scenario", BUNDLED, ids=lambda p: p.stem)
+def test_riccati_report_fields_on_bundled_scenarios(tmp_path, scenario):
+    out = tmp_path / "report.json"
+    assert cli.main(["riccati", str(scenario), "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    if report["kind"] == "dephasing":
+        assert report == DEPHASING_REPORT
+        return
+    s = load_scenario(scenario).scenario
+    p = riccati.problem_from_blockop(dynamics.hamiltonian_static(s.qubit, s.bath))
+    cap = riccati._SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(p.full()))
+    assert report["subspace"]["residual"] <= cap
+    newton = report["newton"]
+    # the graph X is already at the roundoff floor: the refinement takes no
+    # step, and its trace holds the one residual it measured
+    assert newton["start"] == "subspace" and newton["iterations"] == 0
+    assert newton["trace"] == [newton["residual"]] == [report["subspace"]["residual"]]
+    assert report["offdiag_residual"] <= 10.0 * max(newton["residual"], 1e-15) * report["cond_ux"]
 
 
 # -- verify -------------------------------------------------------------------

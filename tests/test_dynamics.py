@@ -579,9 +579,13 @@ def test_state_validation_rejects_bad_inputs(small_bath):
     with pytest.raises(InvalidStateError):
         validate_state(nonhermitian)
 
+    # a real state's spectrum is taken in float64, a complex one's in
+    # complex128; both give the same verdict and message
     negative = kron_qubit_env(np.diag([1.5, -0.5]).astype(complex), good)
-    with pytest.raises(InvalidStateError):
-        validate_state(negative)
+    negative_complex = kron_qubit_env(np.array([[0.5, 1j], [-1j, 0.5]]), good)
+    for state in (negative, negative_complex):
+        with pytest.raises(InvalidStateError, match="^state has negative eigenvalue -5.000e-01$"):
+            validate_state(state)
 
 
 def test_scenario_validation(small_bath):

@@ -178,6 +178,17 @@ def test_solve_sylvester_against_kronecker_oracle(rng):
         assert frobenius_norm(d @ p + q @ d - r) <= 1e-10
 
 
+def test_solve_sylvester_mixed_fields_against_kronecker_oracle(rng):
+    # real p and q keep float64, so a complex r must not meet scipy's real
+    # Schur factors in the complex solver
+    p, q = rng.standard_normal((5, 5)), rng.standard_normal((3, 3))
+    r = random_complex(rng, 3, 5)
+    d = solve_sylvester(p, q, r)
+    assert d.dtype == np.complex128
+    assert frobenius_norm(d - sylvester_oracle(p, q, r)) <= 1e-10
+    assert solve_sylvester(p, q, r.real).dtype == np.float64
+
+
 def test_solve_sylvester_singular_spectra():
     p = np.diag([1.0, 2.0]).astype(complex)
     q = np.diag([-1.0, 5.0]).astype(complex)  # -q has eigenvalue 1 = eig of p

@@ -15,7 +15,6 @@ from bomric.riccati import (
     NoGraphError,
     RiccatiConvergenceError,
     RiccatiProblem,
-    build_ux,
     diagonalize,
     periodic_bom,
     periodic_phase,
@@ -77,6 +76,38 @@ def test_graph_branch_agrees_with_newton(riccati_bath):
     assert frobenius_norm(sub.x - newton.x) <= 1e-8
 
 
+def test_real_coupling_graph_x_is_float64_and_matches_complex_arithmetic(riccati_bath):
+    p = spinboson_problem(riccati_bath)
+    assert p.a.dtype == p.b.dtype == p.c.dtype == np.float64
+    x = solve_invariant_subspace(p).x
+    # the same graph branch from the eigenvectors of R taken in complex128
+    n = p.dim
+    _, vec = np.linalg.eigh(p.full().astype(np.complex128))
+    weights = np.sum(np.abs(vec[:n]) ** 2, axis=0)
+    sel = np.sort(np.argsort(weights)[::-1][:n])
+    xc = np.linalg.solve(vec[:n, sel].T, vec[n:, sel].T).T
+    assert x.dtype == np.float64 and xc.dtype == np.complex128
+    assert frobenius_norm(x - xc) <= 1e-12 * frobenius_norm(x)
+
+
+@pytest.mark.parametrize(
+    "g, field", [(0.2, np.float64), (0.2 * np.exp(0.7j), np.complex128)], ids=["real", "complex"]
+)
+def test_riccati_field_follows_the_coupling(g, field):
+    # g_im != 0 keeps the problem complex; both fields solve to the same
+    # residual cap, agree with Newton from zero and meet diagonalize's bound
+    p = spinboson_problem(BathSpec((BathMode(2.0, g),), fock_cutoff=8))
+    assert p.a.dtype == p.b.dtype == p.c.dtype == field
+    sub = solve_invariant_subspace(p)
+    newton = solve_newton(p)
+    assert sub.x.dtype == newton.x.dtype == field
+    assert sub.residual <= riccati._SUBSPACE_RESIDUAL_CAP * max(1.0, frobenius_norm(p.full()))
+    assert frobenius_norm(sub.x - newton.x) <= 1e-8
+    assert sub.x_norm2 == np.linalg.norm(sub.x, 2)
+    diag = diagonalize(p, newton)
+    assert diag.offdiag_residual <= 10.0 * max(newton.residual, 1e-15) * diag.cond_ux
+
+
 def test_upper_half_graph_for_separated_spectra(rng):
     # pushing the blocks apart makes the graph branch (the upper half of the
     # spectrum) the contractive solution Newton finds from zero
@@ -109,13 +140,19 @@ def test_vertical_subspace_has_no_graph(monkeypatch, riccati_bath):
     assert str(exc.value).endswith(f"no graph representation: cond(Y1) = {cond:.3e}")
 
 
+def congruence_factor(x):
+    # U_X = [[1, -X†], [X, 1]] as a dense 2N x 2N matrix
+    eye = np.eye(x.shape[0])
+    return np.block([[eye, -x.conj().T], [x, eye]])
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_congruence_factor_normal_equations(seed):
     # U_X† U_X = diag(1 + X†X, 1 + XX†)
     rng = np.random.default_rng(seed)
     x = random_complex(rng, 4)
-    u = flatten(build_ux(x))
+    u = congruence_factor(x)
     gram = u.conj().T @ u
     eye = np.eye(4)
     expected = np.block(
@@ -131,7 +168,7 @@ def test_diagonalize_splits_spectrum(riccati_bath):
     h = hamiltonian_static(QUBIT, riccati_bath)
     p = problem_from_blockop(h)
     sol = solve_newton(p)
-    diag = diagonalize(h, sol)
+    diag = diagonalize(p, sol)
     assert diag.offdiag_residual <= 10.0 * max(sol.residual, 1e-15) * diag.cond_ux
     assert frobenius_norm(diag.d1 - (p.a + p.b @ sol.x)) <= 1e-10
     # similarity preserves the full spectrum; the blocks split it exactly
@@ -142,12 +179,12 @@ def test_diagonalize_splits_spectrum(riccati_bath):
     assert np.max(np.abs(got - expected)) <= 1e-9
 
 
-def _dense_diagonalize(h, x):
+def _dense_diagonalize(p, x):
     # reference transform: one 2N LU solve with U_X, which diagonalize must
     # reproduce bit for bit
-    ux = flatten(build_ux(x))
-    transformed = np.linalg.solve(ux, flatten(h) @ ux)
-    n = h.dim
+    ux = congruence_factor(x)
+    transformed = np.linalg.solve(ux, p.full() @ ux)
+    n = p.dim
     off = np.sqrt(
         frobenius_norm(transformed[:n, n:]) ** 2 + frobenius_norm(transformed[n:, :n]) ** 2
     )
@@ -159,12 +196,14 @@ def test_diagonalize_condition_from_singular_values_of_x(rng, x_norm2):
     n = 8
     x = random_complex(rng, n)
     x *= x_norm2 / np.linalg.norm(x, 2)
-    h = BlockOp(*(random_complex(rng, n) for _ in range(4)))
-    sol = riccati.RiccatiSolution(x=x, method="test", iterations=0, residual=0.0, eta=0.0)
-    diag = diagonalize(h, sol)
-    expected = np.linalg.cond(flatten(build_ux(x)))
+    p = RiccatiProblem(a=random_hermitian(rng, n), b=random_complex(rng, n),
+                       c=random_hermitian(rng, n))
+    sol = riccati.RiccatiSolution(x=x, method="test", iterations=0, residual=0.0, eta=0.0,
+                                  singular_values=np.linalg.svd(x, compute_uv=False))
+    diag = diagonalize(p, sol)
+    expected = np.linalg.cond(congruence_factor(x))
     assert abs(diag.cond_ux - expected) <= 1e-12 * expected
-    d1, d2, off = _dense_diagonalize(h, x)
+    d1, d2, off = _dense_diagonalize(p, x)
     assert np.array_equal(diag.d1, d1)
     assert np.array_equal(diag.d2, d2)
     assert diag.offdiag_residual == off
@@ -191,9 +230,10 @@ def test_newton_resonant_drive_fails():
 
 
 def test_newton_eta_rule_does_not_rescue_resonant_stall():
-    # one mode at 2 beta, cutoff 6: from zero Newton's eta never comes near
-    # the roundoff floor, so the iteration still runs out of steps
-    bath = BathSpec((BathMode(1.0, 0.2),), fock_cutoff=6)
+    # one mode at 2 beta, cutoff 7: from zero Newton's eta never comes near
+    # the roundoff floor, so the iteration still runs out of steps (cutoff 6
+    # is too close to the budget: there the iterates converge in 38 steps)
+    bath = BathSpec((BathMode(1.0, 0.2),), fock_cutoff=7)
     p = problem_from_blockop(hamiltonian_static(QUBIT, bath))
     with pytest.raises(RiccatiConvergenceError) as exc:
         solve_newton(p)

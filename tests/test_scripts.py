@@ -55,9 +55,9 @@ def test_weyl_cutoff_sweep_script(tmp_path):
 
 
 def test_riccati_branch_scan_script(tmp_path):
-    # omega0 = 1.0 = 2 beta is the resonance; at cutoff 6 Newton stalls there
+    # omega0 = 1.0 = 2 beta is the resonance; at cutoff 7 Newton stalls there
     lines = run_script(
-        "riccati_branch_scan.py", "--n-max", "6", "--omega0", "1.0", "2.0", cwd=tmp_path
+        "riccati_branch_scan.py", "--n-max", "7", "--omega0", "1.0", "2.0", cwd=tmp_path
     )
     assert "resonance at omega0 = 1.0" in lines[0]
     resonant, off = lines[2].split(), lines[3].split()

@@ -127,10 +127,16 @@ def _weyl_single(lam: complex, local_dim: int) -> np.ndarray:
     to the truncated space.  Its unitarity defect is then a genuine
     truncation measure instead of an artifact of exponentiating a cut
     generator, which would be exactly unitary at any cutoff.
+
+    The exponential is the stepper's kernel, I + linalg.taylor_expm1.  A
+    displacement too large for any correct digit (or an infinite lam) gives
+    an all-NaN factor without a warning, and the check that uses it fails.
     """
     dim = local_dim + _WEYL_PAD
     a = _ladder(dim)
-    w = linalg.expm(np.conj(lam) * a - lam * a.conj().T)
+    with np.errstate(invalid="ignore", over="ignore"):
+        g = np.conj(lam) * a - lam * a.conj().T
+        w = np.eye(dim) + linalg.taylor_expm1(g[None], 1.0, linalg.expm1_plan(g, 1.0))[0]
     return w[:local_dim, :local_dim]
 
 

@@ -10,7 +10,8 @@ STEP_CAP, a --branch that no solver would use and a simulate mode that needs
 a drive phase omega t with no digit left, see checks.drive_phase_lost), 3
 environment dimension over the cap, 4 solver non-convergence, 5 a
 verification check failed or a trajectory left a sanity cap (TRACE_DEV_CAP,
-HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).
+HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).  A --sweep checks every
+value before it runs any, so an exit 2 or 3 writes no file.
 """
 from __future__ import annotations
 
@@ -142,6 +143,9 @@ def cmd_simulate(args) -> int:
     else:
         jobs.append((raw, out))
 
+    # every value is parsed and checked before the first run, so an input
+    # error on any of them writes no file
+    runs = []
     for doc, target in jobs:
         config = scenario_from_dict(doc)
         s = _with_steps(config.scenario, args.steps)
@@ -153,6 +157,9 @@ def cmd_simulate(args) -> int:
                 f"tolerance {checks.ROTATING_FRAME_TOL:.0e} (|omega| t_max eps = {lost:.1e}); "
                 "static_exact does not use omega"
             )
+        runs.append((s, mode, target))
+
+    for s, mode, target in runs:
         traj = reduced_dynamics(s, mode)
         _write_csv(target, traj)
         print(f"wrote {target} ({len(traj)} rows, mode={mode})")

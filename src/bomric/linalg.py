@@ -4,13 +4,16 @@ Every matrix in this package is a plain ndarray: float64 input stays float64,
 so a real problem runs real LAPACK, and any other is cast to complex128.  The
 wrappers here add the shape and symmetry checks the rest of the code relies
 on and pin the tolerances in one place.
+
+scipy is imported inside the two functions that call it, expm and
+solve_sylvester, so importing the package (and every CLI route that never
+reaches Newton's Sylvester step) does not pay its import time.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import scipy.linalg
 
 # Tolerance constants used across the package.
 TOL_HERM_REL = 1e-10    # hermiticity: ||a - a†||_F <= TOL_HERM_REL * ||a||_F
@@ -76,9 +79,11 @@ def expm(a, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * a) by scaling-and-squaring (scipy backend), for one square
     matrix or each matrix of a (k, n, n) stack.
 
-    Its callers are the Weyl displacement (bath._weyl_single) and the
-    test oracles; the midpoint stepper takes taylor_expm1 instead.
+    Its only remaining callers are the test oracles: the midpoint stepper and
+    the Weyl displacement (bath._weyl_single) take taylor_expm1 instead.
     """
+    import scipy.linalg
+
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
@@ -270,6 +275,8 @@ def solve_sylvester(p, q, r) -> np.ndarray:
     (the operator is singular there) or when the computed residual exceeds
     TOL_SYLVESTER * (||p|| + ||q||) * ||delta||.
     """
+    import scipy.linalg
+
     p, q, r = _as_square(p), _as_square(q), _as_matrix(r)
     # one field for all three: scipy's real Schur forms of real p and q would
     # meet a complex r in the complex trsyl, which takes them as triangular

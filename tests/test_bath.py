@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from bomric import bath
 from bomric.bath import (
     ENV_DIM_CAP,
     BathMode,
@@ -96,6 +98,19 @@ def test_weyl_column_matches_coherent_state():
         [math.exp(-lam**2 / 2) * (-lam) ** n / math.sqrt(math.factorial(n)) for n in range(26)]
     )
     assert np.linalg.norm(w[:, 0] - oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.3, 1 + 0.5j, -3j, 10])
+@pytest.mark.parametrize("cutoff", [1, 2, 7, 12, 31, 63])
+def test_weyl_factor_matches_scipy_expm(cutoff, lam):
+    # the factor takes the package's Taylor kernel; scipy's Pade expm of the
+    # same padded generator is the oracle
+    local_dim = cutoff + 1
+    dim = local_dim + bath._WEYL_PAD
+    a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
+    want = scipy.linalg.expm(np.conj(lam) * a - lam * a.T)[:local_dim, :local_dim]
+    got = bath._weyl_single(lam, local_dim)
+    assert frobenius_norm(got - want) <= 1e-13 * frobenius_norm(want)
 
 
 def test_comparison_levels():

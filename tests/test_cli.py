@@ -316,6 +316,28 @@ def test_simulate_sweep_rejects_overlong_integer(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "sweep, mode, code, message",
+    [
+        ("time.steps=50,0", None, cli.EXIT_SCHEMA, "steps and substeps_per_step must be >= 1"),
+        (f"time.steps=50,{STEP_CAP + 1}", None, cli.EXIT_SCHEMA, f"exceeds STEP_CAP = {STEP_CAP}"),
+        ("bath.fock_cutoff=4,64", None, cli.EXIT_DIMENSION, "exceeds cap 64"),
+        ("qubit.omega=1.0,1e300", "factored", cli.EXIT_SCHEMA, "the drive phase omega t keeps no digit"),
+    ],
+    ids=["schema", "step_cap", "env_dim_cap", "drive_phase"],
+)
+def test_simulate_sweep_checks_every_value_before_writing(tmp_path, capsys, sweep, mode, code, message):
+    # the first value runs; the second fails, and the first file must not be left behind
+    argv = ["simulate", str(SPINBOSON), "--out", str(tmp_path / "s.csv"), "--sweep", sweep]
+    rc = cli.main(argv + (["--mode", mode] if mode else []))
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_out_into_missing_directory(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     rc = cli.main(["simulate", str(CLOSED_QUBIT), "--out", str(out), "--steps", "4"])
@@ -686,6 +708,23 @@ def test_verify_weyl_scenario(capsys):
     text = capsys.readouterr().out
     assert "PASS weyl_displacement:" in text
     assert "c_deviation" in text
+
+
+@pytest.mark.parametrize("omega", ["1e-20", "1e-320"])
+def test_verify_huge_displacement_is_one_error_line(tmp_path, omega):
+    # |g / omega| of 2e19 leaves the Weyl exponential no correct digit, and at
+    # 1e-320 it is infinite; either way the factor is NaN and the check fails
+    # without a numpy or scipy warning on stderr
+    doc = json.loads(WEYL.read_text())
+    doc["bath"]["modes"][0]["omega"] = float(omega)
+    doc["run"]["checks"] = ["weyl_displacement"]
+    run = subprocess.run(
+        [sys.executable, "-m", "bomric.cli", "verify", str(write_doc(tmp_path, doc))],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert run.returncode == cli.EXIT_CHECK_FAILED
+    assert "FAIL weyl_displacement: residual=nan" in run.stdout
+    assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: 1 of 1 checks failed: ")
 
 
 # -- any input ends in a documented exit ---------------------------------------

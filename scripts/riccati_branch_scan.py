@@ -29,7 +29,7 @@ from bomric.riccati import (
     AmbiguousSubspaceError,
     NoGraphError,
     RiccatiConvergenceError,
-    problem_from_blockop,
+    RiccatiProblem,
     solve_invariant_subspace,
     solve_newton,
 )
@@ -58,7 +58,7 @@ def main() -> int:
     )
     for w0 in args.omega0:
         bath = BathSpec((BathMode(float(w0), args.g),), fock_cutoff=args.n_max)
-        p = problem_from_blockop(hamiltonian_static(q, bath))
+        p = RiccatiProblem(hamiltonian_static(q, bath))
         try:
             newton = solve_newton(p)
             iters, note = newton.iterations, ""

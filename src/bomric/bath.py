@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .blockop import BlockOp
+from .blockop import flatten
 from .linalg import NotHermitianError, ShapeError
 
 ENV_DIM_CAP = 64
@@ -226,7 +226,7 @@ def displaced_check(spec: BathSpec) -> DisplacedCheck:
     )
 
 
-def dephasing_hamiltonian(spec: BathSpec, m) -> BlockOp:
+def dephasing_hamiltonian(spec: BathSpec, m) -> np.ndarray:
     """Block operator 1 (x) H_E + M (x) V for a Hermitian 2 x 2 M."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -235,9 +235,4 @@ def dephasing_hamiltonian(spec: BathSpec, m) -> BlockOp:
         raise NotHermitianError("dephasing coupling matrix must be Hermitian")
     he = bath_hamiltonian(spec)
     v = coupling_operator(spec)
-    return BlockOp(
-        he + m[0, 0] * v,
-        m[0, 1] * v,
-        m[1, 0] * v,
-        he + m[1, 1] * v,
-    )
+    return flatten(np.array([[he + m[0, 0] * v, m[0, 1] * v], [m[1, 0] * v, he + m[1, 1] * v]]))

@@ -1,94 +1,43 @@
 """2 x 2 block operator matrices over a qubit (C^2) tensor environment space.
 
-An operator on C^2 (x) C^N is stored as four N x N blocks
+An operator on C^2 (x) C^N is stored as one plain 2N x 2N ndarray with the
+qubit index slow, so kron(qubit 2 x 2, env N x N) is already in block form
 
     [[a11, a12],
      [a21, a22]]
 
-so that kron(qubit 2x2, env N x N) lands in block form without reshuffling,
-and the environment trace of each block gives the reduced 2 x 2 operator
-directly.  Flattening uses the qubit index as the slow (outer) index.
+with N x N blocks.  blocks(m) is its (2, 2, N, N) view, block (i, j) at
+[i, j], and flatten is its inverse; the environment trace of each block
+gives the reduced 2 x 2 operator directly.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import ShapeError
 
-PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
+
+def blocks(m) -> np.ndarray:
+    """The (..., 2, 2, N, N) view of a 2N x 2N block operator or a stack of
+    them, block (i, j) at [..., i, j]; a write through it changes m."""
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
+        raise ShapeError(f"expected square even-dimension matrices, got shape {m.shape}")
+    n = m.shape[-1] // 2
+    return m.reshape(*m.shape[:-2], 2, n, 2, n).swapaxes(-3, -2)
 
 
-@dataclass(frozen=True)
-class BlockOp:
-    """Four equal-size square blocks of an operator on C^2 (x) C^N."""
-
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-
-    def __post_init__(self):
-        blocks = []
-        for name in ("a11", "a12", "a21", "a22"):
-            b = np.asarray(getattr(self, name), dtype=complex)
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ShapeError(f"block {name} must be square, got shape {b.shape}")
-            blocks.append(b)
-        dim = blocks[0].shape[0]
-        if any(b.shape[0] != dim for b in blocks):
-            raise ShapeError("all four blocks must share one dimension")
-        for name, b in zip(("a11", "a12", "a21", "a22"), blocks):
-            object.__setattr__(self, name, b)
-
-    @property
-    def dim(self) -> int:
-        """Environment dimension N (each block is N x N)."""
-        return self.a11.shape[0]
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.a11, self.a12, self.a21, self.a22
+def flatten(b) -> np.ndarray:
+    """The (..., 2N, 2N) matrices of a (..., 2, 2, N, N) block array, qubit
+    index slow: the inverse of blocks."""
+    b = np.asarray(b)
+    n = b.shape[-1]
+    return b.swapaxes(-3, -2).reshape(*b.shape[:-4], 2 * n, 2 * n)
 
 
-def kron_qubit_env(m, env) -> BlockOp:
-    """kron(m, env) for a 2 x 2 qubit matrix m and a square env matrix."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ShapeError(f"qubit factor must be 2 x 2, got {m.shape}")
-    env = np.asarray(env, dtype=complex)
-    return BlockOp(m[0, 0] * env, m[0, 1] * env, m[1, 0] * env, m[1, 1] * env)
-
-
-def partial_trace_env(x: BlockOp) -> np.ndarray:
+def partial_trace_env(m) -> np.ndarray:
     """Trace out the environment: 2 x 2 matrix of blockwise traces."""
-    return np.array(
-        [
-            [np.trace(x.a11), np.trace(x.a12)],
-            [np.trace(x.a21), np.trace(x.a22)],
-        ],
-        dtype=complex,
-    )
-
-
-def flatten(x: BlockOp) -> np.ndarray:
-    """Assemble the full 2N x 2N matrix, qubit index slow."""
-    n = x.dim
-    full = np.empty((2 * n, 2 * n), dtype=complex)
-    full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:] = x.blocks
-    return full
-
-
-def unflatten(m) -> BlockOp:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise ShapeError(f"expected a square even-dimension matrix, got {m.shape}")
-    n = m.shape[0] // 2
-    return BlockOp(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
+    return np.trace(blocks(m), axis1=-2, axis2=-1)
 
 
 def qubit_sandwich(a1, b, a2) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg, riccati
 from .bath import bath_hamiltonian, coupling_operator, displaced_check
-from .blockop import flatten, sandwich_lemma_check
+from .blockop import blocks, sandwich_lemma_check
 from .dynamics import (
     QubitParams,
     Scenario,
@@ -50,7 +50,7 @@ def covariance(s: Scenario) -> dict:
         )
         t = rng.uniform(0.0, 20.0)
         h = hamiltonian_from_blocks(q, he, v)
-        scale = linalg.frobenius_norm(flatten(h))
+        scale = linalg.frobenius_norm(h)
         worst = max(worst, covariance_residual(q, h, t) / scale)
     return {"residual": worst, "tolerance": IDENTITY_TOL, "passed": worst <= IDENTITY_TOL}
 
@@ -130,14 +130,11 @@ def st_diagonalization(s: Scenario) -> dict:
     worst_off = 0.0
     worst_diag = 0.0
     for t, h in grid:
-        transformed = riccati.s_frame_transform(h, alpha, t)
-        off = np.sqrt(
-            linalg.frobenius_norm(transformed.a12) ** 2
-            + linalg.frobenius_norm(transformed.a21) ** 2
-        )
+        tb = blocks(riccati.s_frame_transform(h, alpha, t))
+        off = np.sqrt(linalg.frobenius_norm(tb[0, 1]) ** 2 + linalg.frobenius_norm(tb[1, 0]) ** 2)
         dev = max(
-            float(np.max(np.abs(transformed.a11 - (he + w)))),
-            float(np.max(np.abs(transformed.a22 - (he - w)))),
+            float(np.max(np.abs(tb[0, 0] - (he + w)))),
+            float(np.max(np.abs(tb[1, 1] - (he - w)))),
         )
         worst_off = max(worst_off, off)
         worst_diag = max(worst_diag, dev)

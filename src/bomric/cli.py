@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, linalg, riccati
-from .bath import DimensionCapError, coupling_operator
+from .bath import DimensionCapError, coupling_operator, dephasing_hamiltonian
 from .dynamics import (
     MODES,
     InvalidStateError,
@@ -168,7 +168,7 @@ def cmd_simulate(args) -> int:
 
 def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
     s = config.scenario
-    p = riccati.problem_from_blockop(hamiltonian_static(s.qubit, s.bath))
+    p = riccati.RiccatiProblem(hamiltonian_static(s.qubit, s.bath))
     report: dict = {"kind": "spinboson", "env_dim": s.bath.env_dim}
 
     # by default the subspace X is the start that Newton refines;
@@ -201,12 +201,9 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
 
 
 def _riccati_dephasing_report(config: RunConfig) -> dict:
-    from .bath import dephasing_hamiltonian
-
     m = config.dephasing_m
     roots = riccati.solve_dephasing_quadratic(m)
-    h = dephasing_hamiltonian(config.scenario.bath, m)
-    p = riccati.problem_from_blockop(h)
+    p = riccati.RiccatiProblem(dephasing_hamiltonian(config.scenario.bath, m))
     eye = np.eye(config.scenario.bath.env_dim)
     v_norm = linalg.frobenius_norm(coupling_operator(config.scenario.bath))
     return {

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import linalg
 from .bath import STEP_CAP, BathSpec, bath_hamiltonian, coupling_operator
-from .blockop import BlockOp, flatten, qubit_sandwich
+from .blockop import blocks, flatten, qubit_sandwich
 
 MODES = ("rotating_stepped", "static_exact", "factored")
 
@@ -88,16 +88,15 @@ class QubitParams:
         object.__setattr__(self, "omega", float(self.omega))
 
 
-def validate_state(rho: BlockOp) -> None:
+def validate_state(rho: np.ndarray) -> None:
     """Reject a density matrix that is not Hermitian, normalized, and PSD."""
-    full = flatten(rho)
-    if not linalg.is_hermitian(full):
-        dev = linalg.hermitian_deviation(full)
+    if not linalg.is_hermitian(rho):
+        dev = linalg.hermitian_deviation(rho)
         raise InvalidStateError(f"state is not Hermitian: deviation {dev:.3e}")
-    tr = np.trace(full)
+    tr = np.trace(rho)
     if abs(tr - 1.0) > STATE_TOL:
         raise InvalidStateError(f"state trace is {tr:.12g}, expected 1")
-    herm = (full + full.conj().T) / 2.0
+    herm = (rho + rho.conj().T) / 2.0
     w = np.linalg.eigvalsh(herm if herm.imag.any() else herm.real)  # a real state in float64
     if w[0] < -STATE_TOL:
         raise InvalidStateError(f"state has negative eigenvalue {w[0]:.3e}")
@@ -105,20 +104,21 @@ def validate_state(rho: BlockOp) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One runnable problem: qubit, bath, initial state, and time grid."""
+    """One runnable problem: qubit, bath, initial state (a 2N x 2N density
+    matrix), and time grid."""
 
     qubit: QubitParams
     bath: BathSpec
-    initial_state: BlockOp
+    initial_state: np.ndarray
     t_max: float
     steps: int
     substeps_per_step: int = 1
 
     def __post_init__(self):
-        if self.initial_state.dim != self.bath.env_dim:
+        rho = np.asarray(self.initial_state, dtype=complex)
+        if rho.shape != (2 * self.bath.env_dim,) * 2:
             raise InvalidStateError(
-                f"initial state block dimension {self.initial_state.dim} does not "
-                f"match bath dimension {self.bath.env_dim}"
+                f"initial state shape {rho.shape} does not match bath dimension {self.bath.env_dim}"
             )
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
@@ -129,7 +129,8 @@ class Scenario:
         object.__setattr__(self, "t_max", float(self.t_max))
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "substeps_per_step", int(self.substeps_per_step))
-        validate_state(self.initial_state)
+        object.__setattr__(self, "initial_state", rho)
+        validate_state(rho)
 
     @property
     def times(self) -> np.ndarray:
@@ -150,40 +151,38 @@ class Trajectory:
         return len(self.times)
 
 
-def hamiltonian_static(q: QubitParams, bath: BathSpec, beta: float | None = None) -> BlockOp:
+def hamiltonian_static(q: QubitParams, bath: BathSpec, beta: float | None = None) -> np.ndarray:
     """H(beta) = [[H_E + V + beta, alpha], [alpha, H_E - V - beta]]."""
     return hamiltonian_from_blocks(q, bath_hamiltonian(bath), coupling_operator(bath), beta)
 
 
 def hamiltonian_from_blocks(
     q: QubitParams, he: np.ndarray, v: np.ndarray, beta: float | None = None
-) -> BlockOp:
+) -> np.ndarray:
     """hamiltonian_static from an assembled bath Hamiltonian he and coupling v."""
     b = q.beta if beta is None else float(beta)
     eye = np.eye(he.shape[0], dtype=complex)
-    return BlockOp(
-        he + v + b * eye,
-        q.alpha * eye,
-        q.alpha * eye,
-        he - v - b * eye,
-    )
+    return flatten(np.array([[he + v + b * eye, q.alpha * eye], [q.alpha * eye, he - v - b * eye]]))
 
 
-def _drive_offdiag(h: BlockOp, omega: float, t) -> tuple[np.ndarray, np.ndarray]:
+def _drive_offdiag(h: np.ndarray, omega: float, t) -> tuple[np.ndarray, np.ndarray]:
     """The off-diagonal blocks of H(t) from the static blocks of h, at a time
     or stacked over an array of times: the drive phase exp(-i w t) on the
     upper block and its conjugate on the lower one."""
     phase = np.exp(-1j * omega * np.asarray(t, dtype=float)[..., None, None])
-    return phase * h.a12, phase.conj() * h.a21
+    hb = blocks(h)
+    return phase * hb[0, 1], phase.conj() * hb[1, 0]
 
 
-def _drive_at(h: BlockOp, omega: float, t: float) -> BlockOp:
+def _drive_at(h: np.ndarray, omega: float, t: float) -> np.ndarray:
     """H(t) from the static blocks of h; its diagonal blocks are h's."""
-    a12, a21 = _drive_offdiag(h, omega, t)
-    return BlockOp(h.a11, a12, a21, h.a22)
+    ht = h.copy()
+    hb = blocks(ht)
+    hb[0, 1], hb[1, 0] = _drive_offdiag(h, omega, t)
+    return ht
 
 
-def hamiltonian_rotating(q: QubitParams, bath: BathSpec, t: float) -> BlockOp:
+def hamiltonian_rotating(q: QubitParams, bath: BathSpec, t: float) -> np.ndarray:
     """Lab-frame H(t) with the circularly rotating drive at time t."""
     return _drive_at(hamiltonian_static(q, bath), q.omega, t)
 
@@ -195,7 +194,7 @@ def rotation_frame_unitary(q: QubitParams, t: float) -> np.ndarray:
     ).astype(complex)
 
 
-def covariance_residual(q: QubitParams, h: BlockOp, t: float) -> float:
+def covariance_residual(q: QubitParams, h: np.ndarray, t: float) -> float:
     """|| H(t) - exp(iKt) H(beta) exp(-iKt) ||_F for h = H(beta) =
     hamiltonian_static(q, bath); zero up to roundoff.
 
@@ -203,11 +202,10 @@ def covariance_residual(q: QubitParams, h: BlockOp, t: float) -> float:
     computes every entry of (U (x) 1) h (U† (x) 1), and each block is compared
     with that of H(t) as _drive_at builds it from h.
     """
-    n, u = h.dim, rotation_frame_unitary(q, t)[None]
-    blocks = np.array(h.blocks).reshape(1, 2, 2, n, n)
-    rotated = qubit_sandwich(u, blocks, u.conj().transpose(0, 2, 1))
-    diff = np.array(_drive_at(h, q.omega, t).blocks) - rotated.reshape(4, n, n)
-    return linalg.frobenius_norm(diff.reshape(4 * n, n))  # the four blocks stacked
+    u = rotation_frame_unitary(q, t)[None]
+    rotated = qubit_sandwich(u, blocks(h)[None], u.conj().transpose(0, 2, 1))
+    diff = blocks(_drive_at(h, q.omega, t)) - rotated[0]
+    return linalg.frobenius_norm(diff.reshape(-1, diff.shape[-1]))  # the four blocks stacked
 
 
 def chunk_size(entries_per_point: int) -> int:
@@ -217,7 +215,7 @@ def chunk_size(entries_per_point: int) -> int:
 
 
 def _stepped_factors(
-    h: BlockOp,
+    h: np.ndarray,
     omega: float,
     x: np.ndarray,
     dt: float,
@@ -230,25 +228,24 @@ def _stepped_factors(
     exp(-i H(t_m) dt), with H(t_m) = _drive_at(h, omega, t_m) and
     t_m = (k + 1/2) dt.
 
-    The chunk's H(t_m) fill one (chunk, 2N, 2N) buffer: the static diagonal
-    blocks are written once, the _drive_offdiag blocks per chunk.  With plan
-    None one linalg.taylor_expm1 call on the dense plan gives E_m =
+    The chunk's H(t_m) fill one (chunk, 2N, 2N) buffer: h is written once,
+    the _drive_offdiag blocks over it per chunk.  With plan None one
+    linalg.taylor_expm1 call on the dense plan gives E_m =
     exp(-i H(t_m) dt) - I for the whole chunk, and each step is x + E_m @ x;
     the chunk is sized so that the kernel's work arrays fit CHUNK_ENTRIES.
     Otherwise each step is linalg.expm_action with that one Taylor plan.
     """
-    n = h.dim
     total = steps * substeps
-    dense = linalg.expm1_plan(flatten(h), -1j * dt) if plan is None else None
+    dense = linalg.expm1_plan(h, -1j * dt) if plan is None else None
     arrays = 1 + linalg.expm1_work(dense) if plan is None else 1
-    size = min(chunk_size(arrays * 4 * n * n), total)
-    buf = np.empty((size, 2 * n, 2 * n), dtype=complex)
-    buf[:, :n, :n] = h.a11
-    buf[:, n:, n:] = h.a22
+    size = min(chunk_size(arrays * h.size), total)
+    buf = np.empty((size, *h.shape), dtype=complex)
+    buf[:] = h
     yield x[None]
     for lo in range(0, total, size):
         hs = buf[: min(size, total - lo)]
-        hs[:, :n, n:], hs[:, n:, :n] = _drive_offdiag(
+        hb = blocks(hs)
+        hb[:, 0, 1], hb[:, 1, 0] = _drive_offdiag(
             h, omega, (np.arange(lo, lo + len(hs)) + 0.5) * dt
         )
         es = linalg.taylor_expm1(hs, -1j * dt, dense) if plan is None else None
@@ -262,15 +259,15 @@ def _stepped_factors(
 
 
 def _spectral_states(
-    h: BlockOp, p: np.ndarray, psi: np.ndarray, times: np.ndarray
+    h: np.ndarray, p: np.ndarray, psi: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
     """Tr_E(exp(-i h t) rho0 exp(i h t)) at each of `times` for
     rho0 = psi diag(p) psi†, as the bilinear forms e(t)^T C_ij e(t)* of the
     module docstring; no error builds up along the grid."""
-    w, v = linalg.hermitian_eig(flatten(h))
+    w, v = linalg.hermitian_eig(h)
     g = v.conj().T @ psi
     m = (g * p) @ g.conj().T
-    vb = v.reshape(2, h.dim, w.size)
+    vb = v.reshape(2, -1, w.size)
     # c[a, 2i + j, b] = (V_i^T V_j*)_ab M_ab; each entry has its own C_ij
     c = np.stack([(vb[i].T @ vb[j].conj()) * m for i in (0, 1) for j in (0, 1)], axis=1)
     c = c.reshape(w.size, -1)
@@ -283,13 +280,13 @@ def _spectral_states(
     return states
 
 
-def _state_factor(rho: BlockOp) -> tuple[np.ndarray, np.ndarray]:
+def _state_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, psi) with rho = psi diag(p) psi†, cut to the numerical rank of rho.
 
     The cut max(p) * 2N * eps is the matrix_rank tolerance, so the dropped
     eigenvalues carry no weight above roundoff.
     """
-    p, psi = linalg.hermitian_eig(flatten(rho))
+    p, psi = linalg.hermitian_eig(rho)
     keep = np.abs(p) > p.max() * p.size * np.finfo(float).eps
     return p[keep], psi[:, keep]
 
@@ -322,7 +319,7 @@ def reduced_dynamics(s: Scenario, mode: str = "rotating_stepped") -> Trajectory:
         n = s.substeps_per_step
         dt = s.t_max / (s.steps * n)
         # H(t) has the entry moduli of h, so one plan fits every step
-        plan = linalg.action_plan(flatten(h), -1j * dt, p.size)
+        plan = linalg.action_plan(h, -1j * dt, p.size)
         factors = _stepped_factors(h, q.omega, psi, dt, s.steps, n, plan)
         states = np.concatenate([_trace_env(phis, p) for phis in factors])
     else:

@@ -11,11 +11,12 @@ a solution X of
 
 makes the columns of [1; X] span an R-invariant subspace, and the
 congruence U_X = [[1, -X†], [X, 1]] block-diagonalizes R with diagonal
-blocks a + b X and c - b† X†.  Two independent solvers are provided: a
-spectral invariant-subspace construction and a Newton iteration on the
-residual.  Newton started from zero checks the subspace solution; started
-from it, Newton refines it.  A problem whose blocks are all real (imaginary
-parts exactly zero) is stored and solved in float64, any other in complex128.
+blocks a + b X and c - b† X†.  A RiccatiProblem holds R itself, the
+2N x 2N matrix, and reads a, b and c as views of its blocks.  Two
+independent solvers are provided: a spectral invariant-subspace construction
+and a Newton iteration on the residual.  Newton started from zero checks the
+subspace solution; started from it, Newton refines it.  An R with no
+imaginary part is stored and solved in float64, any other in complex128.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .bath import BathSpec, bath_hamiltonian, coupling_operator
-from .blockop import BlockOp, qubit_sandwich
+from .blockop import blocks, flatten, qubit_sandwich
 from .linalg import NotHermitianError, ShapeError, SylvesterSingularError
 
 # An invariant-subspace result whose recomputed residual exceeds this
@@ -63,37 +64,37 @@ class AmbiguousSubspaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """Blocks a, b, c of a Hermitian block operator; a and c Hermitian."""
+    """A Hermitian block operator R = [[a, b], [b†, c]]; a, b and c are views
+    of the blocks of the stored copy of R."""
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    r: np.ndarray
 
     def __post_init__(self):
-        blocks = [np.asarray(m, dtype=complex) for m in (self.a, self.b, self.c)]
-        # all three real: R is real symmetric, and so are its eigenvectors and X
-        if not any(m.imag.any() for m in blocks):
-            blocks = [np.ascontiguousarray(m.real) for m in blocks]
-        a, b, c = blocks
-        for name, m in (("a", a), ("b", b), ("c", c)):
-            if m.ndim != 2 or m.shape != a.shape:
-                raise ShapeError(f"block {name} must match shape {a.shape}")
-        if a.shape[0] != a.shape[1]:
-            raise ShapeError(f"blocks must be square, got {a.shape}")
-        for name, m in (("a", a), ("c", c)):
-            if not linalg.is_hermitian(m):
-                raise NotHermitianError(f"block {name} must be Hermitian")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        r = np.array(self.r, dtype=complex)
+        if not linalg.is_hermitian(r):
+            raise NotHermitianError("block operator R must be Hermitian")
+        # eigh reads the lower triangle of R, the residual and Newton read b:
+        # the lower-left block is made b† so that both see one operator
+        rb = blocks(r)
+        rb[1, 0] = rb[0, 1].conj().T
+        # no imaginary part: R is real symmetric, and so are its eigenvectors and X
+        object.__setattr__(self, "r", r if r.imag.any() else np.ascontiguousarray(r.real))
 
     @property
     def dim(self) -> int:
-        return self.a.shape[0]
+        return self.r.shape[0] // 2
 
-    def full(self) -> np.ndarray:
-        """The Hermitian 2N x 2N matrix [[a, b], [b†, c]]."""
-        return np.block([[self.a, self.b], [self.b.conj().T, self.c]])
+    @property
+    def a(self) -> np.ndarray:
+        return blocks(self.r)[0, 0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return blocks(self.r)[0, 1]
+
+    @property
+    def c(self) -> np.ndarray:
+        return blocks(self.r)[1, 1]
 
 
 @dataclass(frozen=True)
@@ -157,15 +158,6 @@ def _make_solution(p: RiccatiProblem, x: np.ndarray, method: str, iterations: in
         eta=_eta(r, x, *_block_norms(p)),
         singular_values=np.linalg.svd(x, compute_uv=False), trace=trace,
     )
-
-
-def problem_from_blockop(h: BlockOp) -> RiccatiProblem:
-    """Read the blocks of a Hermitian BlockOp as a Riccati problem."""
-    if linalg.frobenius_norm(h.a21 - h.a12.conj().T) > linalg.TOL_HERM_REL * max(
-        1.0, linalg.frobenius_norm(h.a12)
-    ):
-        raise NotHermitianError("lower-left block is not the adjoint of upper-right")
-    return RiccatiProblem(a=h.a11, b=h.a12, c=h.a22)
 
 
 def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
@@ -246,8 +238,7 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
     above 1e12) or the recomputed residual shows the subspace is not a
     solution graph; AmbiguousSubspaceError when the top-block weights tie.
     """
-    r = p.full()
-    _, vec = linalg.hermitian_eig(r)
+    _, vec = linalg.hermitian_eig(p.r)
     sel = _select_branch(p, vec)
     n = p.dim
     y1 = vec[:n, sel]
@@ -259,7 +250,7 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
         )
     x = np.linalg.solve(y1.T, y2.T).T
     sol = _make_solution(p, x, "invariant_subspace", 0)
-    cap = _SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(r))
+    cap = _SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(p.r))
     if sol.residual > cap:
         raise NoGraphError(
             f"selected graph branch is not a solution graph: residual "
@@ -278,7 +269,7 @@ class Diagonalization:
 
 
 def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> Diagonalization:
-    """Transform R = p.full() by U_X^{-1} R U_X, with the congruence factor
+    """Transform R = p.r by U_X^{-1} R U_X, with the congruence factor
     U_X = [[1, -X†], [X, 1]], and report the off-diagonal leftover.
 
     For an exact solution the result is diag(a + b X, c - b† X†); the
@@ -292,15 +283,12 @@ def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> Diagonalization:
     x, n = sol.x, p.dim
     eye = np.eye(n)
     ux = np.block([[eye, -x.conj().T], [x, eye]])
-    transformed = np.linalg.solve(ux, p.full() @ ux)
-    off = np.sqrt(
-        linalg.frobenius_norm(transformed[:n, n:]) ** 2
-        + linalg.frobenius_norm(transformed[n:, :n]) ** 2
-    )
+    tb = blocks(np.linalg.solve(ux, p.r @ ux))
+    off = np.sqrt(linalg.frobenius_norm(tb[0, 1]) ** 2 + linalg.frobenius_norm(tb[1, 0]) ** 2)
     s = sol.singular_values
     return Diagonalization(
-        d1=transformed[:n, :n],
-        d2=transformed[n:, n:],
+        d1=tb[0, 0],
+        d2=tb[1, 1],
         offdiag_residual=float(off),
         cond_ux=float(np.hypot(1.0, s[0]) / np.hypot(1.0, s[-1])),
     )
@@ -360,27 +348,26 @@ def periodic_phase(alpha: float, t: float) -> complex:
     return complex(np.exp(-2j * alpha * t))
 
 
-def periodic_bom(spec: BathSpec, beta: float, alpha: float, t: float) -> BlockOp:
+def periodic_bom(spec: BathSpec, beta: float, alpha: float, t: float) -> np.ndarray:
     """Block operator [[H_E, z_t* (V + beta)], [z_t (V + beta), H_E]]."""
     w = coupling_operator(spec) + beta * np.eye(spec.env_dim)
     return periodic_from_blocks(bath_hamiltonian(spec), w, alpha, t)
 
 
-def periodic_from_blocks(he: np.ndarray, w: np.ndarray, alpha: float, t: float) -> BlockOp:
+def periodic_from_blocks(he: np.ndarray, w: np.ndarray, alpha: float, t: float) -> np.ndarray:
     """periodic_bom from an assembled H_E and W = V + beta."""
     z = periodic_phase(alpha, t)
-    return BlockOp(he, np.conj(z) * w, z * w, he)
+    return flatten(np.array([[he, np.conj(z) * w], [z * w, he]]))
 
 
-def time_dependent_residual(h: BlockOp, alpha: float, t: float) -> float:
+def time_dependent_residual(h: np.ndarray, alpha: float, t: float) -> float:
     """Residual of X_t = z_t 1 in the Riccati equation of h = periodic_bom(..., alpha, t).
 
     The phase X_t = z_t 1 solves the equation identically for every t, so
     the returned norm is pure roundoff.
     """
-    p = RiccatiProblem(a=h.a11, b=h.a12, c=h.a22)
-    z = periodic_phase(alpha, t)
-    return residual(p, z * np.eye(h.dim))
+    p = RiccatiProblem(h)
+    return residual(p, periodic_phase(alpha, t) * np.eye(p.dim))
 
 
 def s_frame_unitary(alpha: float, t: float) -> np.ndarray:
@@ -390,7 +377,7 @@ def s_frame_unitary(alpha: float, t: float) -> np.ndarray:
     return np.array([[1.0, -np.conj(z)], [z, 1.0]]) / np.sqrt(2.0)
 
 
-def s_frame_transform(h: BlockOp, alpha: float, t: float) -> BlockOp:
+def s_frame_transform(h: np.ndarray, alpha: float, t: float) -> np.ndarray:
     """S_t† h S_t for h = periodic_bom(spec, beta, alpha, t); equals
     diag(H_E + V + beta, H_E - V - beta) exactly.
 
@@ -399,7 +386,5 @@ def s_frame_transform(h: BlockOp, alpha: float, t: float) -> BlockOp:
     vanish.  The time dependence cancels: the transformed operator is the
     same block-diagonal matrix at every t.
     """
-    n, s = h.dim, s_frame_unitary(alpha, t)[None]
-    blocks = np.array(h.blocks).reshape(1, 2, 2, n, n)
-    out = qubit_sandwich(s.conj().transpose(0, 2, 1), blocks, s)
-    return BlockOp(*out.reshape(4, n, n))
+    s = s_frame_unitary(alpha, t)[None]
+    return flatten(qubit_sandwich(s.conj().transpose(0, 2, 1), blocks(h)[None], s)[0])

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .bath import BathMode, BathSpec, DimensionCapError
-from .blockop import BlockOp, kron_qubit_env, unflatten
 from .checks import CHECKS
 from .dynamics import MODES, InvalidStateError, QubitParams, Scenario
 
@@ -136,7 +135,7 @@ def _parse_bath(obj) -> BathSpec:
     return _build(BathSpec, "bath", modes=tuple(modes), fock_cutoff=cutoff)
 
 
-def _parse_initial(obj, bath: BathSpec) -> BlockOp:
+def _parse_initial(obj, bath: BathSpec) -> np.ndarray:
     _require_dict(obj, "initial", {"kind", "qubit_state", "env_state", "matrix"}, {"kind"})
     kind = obj["kind"]
     if kind == "product":
@@ -166,11 +165,11 @@ def _parse_initial(obj, bath: BathSpec) -> BlockOp:
             rho_e[level, level] = 1.0
         else:
             rho_e = _matrix(es, "initial.env_state", (n, n))
-        return kron_qubit_env(rho_q, rho_e)
+        return np.kron(rho_q, rho_e)
     if kind == "explicit":
         _require_dict(obj, "initial", {"kind", "matrix"}, {"kind", "matrix"})
         n = bath.env_dim
-        return unflatten(_matrix(obj["matrix"], "initial.matrix", (2 * n, 2 * n)))
+        return _matrix(obj["matrix"], "initial.matrix", (2 * n, 2 * n))
     raise ScenarioError(f"initial.kind: expected 'product' or 'explicit', got {kind!r}")
 
 

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from bomric.bath import BathMode, BathSpec
-from bomric.blockop import kron_qubit_env
 from bomric.dynamics import QubitParams, Scenario
 
 SPINBOSON_QUBIT = QubitParams(alpha=0.3, beta=0.5, omega=1.0)
+
+PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
+ID2 = np.eye(2, dtype=complex)
 
 
 def random_complex(rng, n, m=None):
@@ -32,7 +36,7 @@ def plus_fock_scenario(bath, steps, qubit=SPINBOSON_QUBIT, t_max=10.0):
     return Scenario(
         qubit=qubit,
         bath=bath,
-        initial_state=kron_qubit_env(plus, env),
+        initial_state=np.kron(plus, env),
         t_max=t_max,
         steps=steps,
     )

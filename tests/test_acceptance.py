@@ -13,12 +13,12 @@ import pytest
 
 from bomric import checks
 from bomric.bath import BathMode, BathSpec, coupling_operator
-from bomric.blockop import BlockOp, flatten, partial_trace_env
+from bomric.blockop import partial_trace_env
 from bomric.dynamics import QubitParams, hamiltonian_static, reduced_dynamics
 from bomric.linalg import expm, frobenius_norm, solve_sylvester
 from bomric.riccati import (
+    RiccatiProblem,
     diagonalize,
-    problem_from_blockop,
     residual,
     solve_dephasing_quadratic,
     solve_invariant_subspace,
@@ -95,14 +95,14 @@ def test_riccati_cross_solver_agreement(capsys):
     start = time.perf_counter()
     bath = BathSpec((BathMode(2.0, 0.2),), fock_cutoff=8)  # blocks are 9 x 9
     h = hamiltonian_static(SPINBOSON_QUBIT, bath)
-    p = problem_from_blockop(h)
+    p = RiccatiProblem(h)
     newton = solve_newton(p)
     subspace = solve_invariant_subspace(p)
     agreement = frobenius_norm(newton.x - subspace.x)
     offdiag = diagonalize(p, newton).offdiag_residual
 
     q0 = QubitParams(alpha=0.0, beta=0.5, omega=1.0)
-    decoupled = solve_newton(problem_from_blockop(hamiltonian_static(q0, bath)))
+    decoupled = solve_newton(RiccatiProblem(hamiltonian_static(q0, bath)))
     zero_exact = np.count_nonzero(decoupled.x) == 0
 
     elapsed = time.perf_counter() - start
@@ -172,7 +172,7 @@ def test_dephasing_scalar_reduction(capsys):
             m12 *= 0.2 / abs(m12)
         m = np.array([[m11, m12], [np.conj(m12), m22]])
         roots = solve_dephasing_quadratic(m)
-        p = problem_from_blockop(dephasing_hamiltonian(bath, m))
+        p = RiccatiProblem(dephasing_hamiltonian(bath, m))
         for x in (roots.principal, roots.partner):
             worst_resid = max(worst_resid, residual(p, x * eye) / v_norm)
         worst_pair = max(
@@ -285,13 +285,12 @@ def test_kernel_oracles(capsys):
     worst_pt = 0.0
     for _ in range(20):
         n = 6
-        b = BlockOp(*(random_complex(rng, n) for _ in range(4)))
-        big = flatten(b)
+        b = random_complex(rng, 2 * n)
         oracle = np.zeros((2, 2), dtype=complex)
         for i in range(2):
             for j in range(2):
                 for k in range(n):
-                    oracle[i, j] += big[i * n + k, j * n + k]
+                    oracle[i, j] += b[i * n + k, j * n + k]
         worst_pt = max(worst_pt, frobenius_norm(partial_trace_env(b) - oracle))
 
     elapsed = time.perf_counter() - start

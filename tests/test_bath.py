@@ -20,7 +20,7 @@ from bomric.bath import (
     weyl_operator,
     weyl_unitarity_defect,
 )
-from bomric.blockop import flatten
+from bomric.blockop import blocks
 from bomric.linalg import frobenius_norm, hermitian_eig, is_hermitian
 
 from conftest import random_hermitian
@@ -163,17 +163,18 @@ def test_dephasing_hamiltonian_blocks(small_bath):
     h = dephasing_hamiltonian(small_bath, m)
     he = bath_hamiltonian(small_bath)
     v = coupling_operator(small_bath)
-    assert frobenius_norm(h.a11 - (he + v)) <= 1e-15
-    assert frobenius_norm(h.a22 - (he - v)) <= 1e-15
-    assert frobenius_norm(h.a12 - 1.0j * v) <= 1e-15
-    assert frobenius_norm(h.a21 + 1.0j * v) <= 1e-15
-    assert is_hermitian(flatten(h))
+    hb = blocks(h)
+    assert frobenius_norm(hb[0, 0] - (he + v)) <= 1e-15
+    assert frobenius_norm(hb[1, 1] - (he - v)) <= 1e-15
+    assert frobenius_norm(hb[0, 1] - 1.0j * v) <= 1e-15
+    assert frobenius_norm(hb[1, 0] + 1.0j * v) <= 1e-15
+    assert is_hermitian(h)
 
 
 def test_dephasing_commutes_for_diagonal_m(small_bath):
     # with M diagonal both blocks share the eigenbasis of H_E + c V
     m = np.diag([0.7, -0.2]).astype(complex)
-    h = flatten(dephasing_hamiltonian(small_bath, m))
+    h = dephasing_hamiltonian(small_bath, m)
     n = small_bath.env_dim
     hq = np.kron(np.diag([1.0, -1.0]), np.eye(n))
     assert frobenius_norm(h @ hq - hq @ h) <= 1e-13

@@ -4,41 +4,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bomric.blockop import (
-    ID2,
-    PAULI_1,
-    PAULI_2,
-    PAULI_3,
-    BlockOp,
+    blocks,
     flatten,
-    kron_qubit_env,
     partial_trace_env,
     qubit_sandwich,
     sandwich_lemma_check,
     sandwich_lhs,
-    unflatten,
 )
 from bomric.linalg import ShapeError, frobenius_norm
 
-from conftest import random_complex
+from conftest import ID2, PAULI_1, PAULI_2, PAULI_3, random_complex
 
 
 def random_blockop(rng, n):
-    return BlockOp(*(random_complex(rng, n) for _ in range(4)))
+    return random_complex(rng, 2 * n)
 
 
 def block_mul(x, y):
     # the block matrix product, block by block
-    return BlockOp(
-        x.a11 @ y.a11 + x.a12 @ y.a21,
-        x.a11 @ y.a12 + x.a12 @ y.a22,
-        x.a21 @ y.a11 + x.a22 @ y.a21,
-        x.a21 @ y.a12 + x.a22 @ y.a22,
-    )
+    xb, yb = blocks(x), blocks(y)
+    return flatten(np.array([
+        [xb[0, 0] @ yb[0, 0] + xb[0, 1] @ yb[1, 0], xb[0, 0] @ yb[0, 1] + xb[0, 1] @ yb[1, 1]],
+        [xb[1, 0] @ yb[0, 0] + xb[1, 1] @ yb[1, 0], xb[1, 0] @ yb[0, 1] + xb[1, 1] @ yb[1, 1]],
+    ]))
 
 
 def block_adjoint(x):
     # the adjoint, block by block: the off-diagonal blocks swap
-    return BlockOp(x.a11.conj().T, x.a21.conj().T, x.a12.conj().T, x.a22.conj().T)
+    xb = blocks(x)
+    return flatten(np.array([
+        [xb[0, 0].conj().T, xb[1, 0].conj().T],
+        [xb[0, 1].conj().T, xb[1, 1].conj().T],
+    ]))
 
 
 def ptrace_oracle(big, n):
@@ -54,28 +51,31 @@ def ptrace_oracle(big, n):
 def test_flatten_matches_numpy_kron(rng):
     m = random_complex(rng, 2)
     e = random_complex(rng, 5)
-    assert frobenius_norm(flatten(kron_qubit_env(m, e)) - np.kron(m, e)) <= 1e-14
+    assert frobenius_norm(flatten(m[:, :, None, None] * e) - np.kron(m, e)) <= 1e-14
 
 
 def test_flatten_block_placement(rng):
-    b = random_blockop(rng, 3)
+    b = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
     big = flatten(b)
-    assert np.array_equal(big[:3, :3], b.a11)
-    assert np.array_equal(big[:3, 3:], b.a12)
-    assert np.array_equal(big[3:, :3], b.a21)
-    assert np.array_equal(big[3:, 3:], b.a22)
+    assert np.array_equal(big[:3, :3], b[0, 0])
+    assert np.array_equal(big[:3, 3:], b[0, 1])
+    assert np.array_equal(big[3:, :3], b[1, 0])
+    assert np.array_equal(big[3:, 3:], b[1, 1])
 
 
-def test_unflatten_roundtrip(rng):
-    b = random_blockop(rng, 4)
-    c = unflatten(flatten(b))
-    for blk, blk2 in zip(b.blocks, c.blocks):
-        assert np.array_equal(blk, blk2)
+def test_flatten_inverts_blocks(rng):
+    m = random_blockop(rng, 4)
+    assert np.array_equal(flatten(blocks(m)), m)
+    stack = np.array([random_blockop(rng, 3) for _ in range(5)])
+    assert blocks(stack).shape == (5, 2, 2, 3, 3)
+    assert np.array_equal(flatten(blocks(stack)), stack)
 
 
-def test_unflatten_rejects_odd_dimension():
-    with pytest.raises(ShapeError):
-        unflatten(np.zeros((3, 3), dtype=complex))
+def test_blocks_is_a_view(rng):
+    m = random_blockop(rng, 3)
+    blocks(m)[1, 0] = 7.0
+    assert np.all(m[3:, :3] == 7.0)
+    assert not np.any(m[:3, :] == 7.0) and not np.any(m[3:, 3:] == 7.0)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -84,8 +84,8 @@ def test_mul_is_flatten_homomorphism(seed):
     rng = np.random.default_rng(seed)
     a = random_blockop(rng, 3)
     b = random_blockop(rng, 3)
-    lhs = flatten(block_mul(a, b))
-    rhs = flatten(a) @ flatten(b)
+    lhs = block_mul(a, b)
+    rhs = a @ b
     assert frobenius_norm(lhs - rhs) <= 1e-12
 
 
@@ -94,33 +94,33 @@ def test_mul_is_flatten_homomorphism(seed):
 def test_adjoint_commutes_with_flatten(seed):
     rng = np.random.default_rng(seed)
     a = random_blockop(rng, 3)
-    assert np.array_equal(flatten(block_adjoint(a)), flatten(a).conj().T)
+    assert np.array_equal(block_adjoint(a), a.conj().T)
 
 
 def test_partial_trace_against_index_sum(rng):
     b = random_blockop(rng, 6)
     got = partial_trace_env(b)
-    assert frobenius_norm(got - ptrace_oracle(flatten(b), 6)) <= 1e-14
+    assert frobenius_norm(got - ptrace_oracle(b, 6)) <= 1e-14
 
 
 def test_partial_trace_of_product_state(rng):
     m = random_complex(rng, 2)
     e = random_complex(rng, 4)
-    got = partial_trace_env(kron_qubit_env(m, e))
+    got = partial_trace_env(np.kron(m, e))
     assert frobenius_norm(got - m * np.trace(e)) <= 1e-13
 
 
 def test_partial_trace_linearity(rng):
     a = random_blockop(rng, 3)
     b = random_blockop(rng, 3)
-    lhs = partial_trace_env(unflatten(flatten(a) + 2.0j * flatten(b)))
+    lhs = partial_trace_env(a + 2.0j * b)
     rhs = partial_trace_env(a) + 2.0j * partial_trace_env(b)
     assert frobenius_norm(lhs - rhs) <= 1e-13
 
 
 def test_partial_trace_respects_adjoint(rng):
     a = random_blockop(rng, 3)
-    lhs = partial_trace_env(unflatten(flatten(a).conj().T))
+    lhs = partial_trace_env(a.conj().T)
     rhs = partial_trace_env(a).conj().T
     assert frobenius_norm(lhs - rhs) <= 1e-13
 
@@ -130,14 +130,15 @@ def stacked_sample(rng, k, n):
     a1 = np.array([random_complex(rng, 2) for _ in range(k)])
     a2 = np.array([random_complex(rng, 2) for _ in range(k)])
     ops = [random_blockop(rng, n) for _ in range(k)]
-    b = np.array([[[op.a11, op.a12], [op.a21, op.a22]] for op in ops])
+    b = blocks(np.array(ops))
     return a1, b, a2, ops
 
 
 def dense_sandwich_lhs(a1, op, a2):
     # Tr_E((A1 (x) 1) B (A2 (x) 1)) from the full 2N x 2N matrices
-    eye = np.eye(op.dim)
-    return ptrace_oracle(np.kron(a1, eye) @ flatten(op) @ np.kron(a2, eye), op.dim)
+    n = len(op) // 2
+    eye = np.eye(n)
+    return ptrace_oracle(np.kron(a1, eye) @ op @ np.kron(a2, eye), n)
 
 
 def test_sandwich_lemma_for_qubit_factors(rng):
@@ -145,7 +146,7 @@ def test_sandwich_lemma_for_qubit_factors(rng):
     a1, b, a2, ops = stacked_sample(rng, 10, 5)
     resid = sandwich_lemma_check(a1, b, a2)
     for r, op in zip(resid, ops):
-        assert r <= 1e-12 * max(frobenius_norm(flatten(op)), 1.0)
+        assert r <= 1e-12 * max(frobenius_norm(op), 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13])
@@ -158,7 +159,7 @@ def test_sandwich_kernel_against_dense_oracle(rng, n):
     for i, op in enumerate(ops):
         dense = dense_sandwich_lhs(a1[i], op, a2[i])
         assert frobenius_norm(lhs[i] - dense) <= 1e-13 * frobenius_norm(dense)
-        assert resid[i] <= 1e-12 * frobenius_norm(flatten(op))
+        assert resid[i] <= 1e-12 * frobenius_norm(op)
 
 
 @pytest.mark.parametrize("k", [1, 4])
@@ -170,16 +171,16 @@ def test_qubit_sandwich_against_dense_product(rng, n, k):
     assert full.shape == (k, 2, 2, n, n)
     eye = np.eye(n)
     for i, op in enumerate(ops):
-        dense = np.kron(a1[i], eye) @ flatten(op) @ np.kron(a2[i], eye)
-        got = flatten(BlockOp(*full[i].reshape(4, n, n)))
-        assert np.max(np.abs(got - dense)) <= 1e-13 * frobenius_norm(flatten(op))
+        dense = np.kron(a1[i], eye) @ op @ np.kron(a2[i], eye)
+        got = flatten(full[i])
+        assert np.max(np.abs(got - dense)) <= 1e-13 * frobenius_norm(op)
 
 
 def test_partial_trace_breaks_for_env_acting_factor(rng):
     # the identity needs qubit-only factors; a generic env factor breaks it
     a1 = random_blockop(rng, 4)
     b = random_blockop(rng, 4)
-    lhs = partial_trace_env(unflatten(flatten(a1) @ flatten(b)))
+    lhs = partial_trace_env(a1 @ b)
     rhs = partial_trace_env(a1) @ partial_trace_env(b)
     assert frobenius_norm(lhs - rhs) > 1e-6
 
@@ -192,13 +193,13 @@ def test_pauli_algebra():
         assert frobenius_norm(p @ p - ID2) == 0.0
 
 
+def test_blocks_rejects_odd_dimension():
+    with pytest.raises(ShapeError):
+        blocks(np.zeros((3, 3), dtype=complex))
+
+
 def test_blockop_shape_validation(rng):
-    with pytest.raises(ShapeError):
-        BlockOp(
-            random_complex(rng, 3),
-            random_complex(rng, 3),
-            random_complex(rng, 3),
-            random_complex(rng, 2),
-        )
-    with pytest.raises(ShapeError):
-        kron_qubit_env(random_complex(rng, 3), random_complex(rng, 3))
+    # a block operator is a square matrix of even dimension, or a stack of them
+    for shape in ((4, 6), (4,), (2, 5, 5)):
+        with pytest.raises(ShapeError):
+            blocks(np.zeros(shape, dtype=complex))

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from bomric import cli, dynamics, linalg, riccati
 from bomric.bath import STEP_CAP
-from bomric.blockop import PAULI_1, PAULI_2, PAULI_3
 from bomric.scenario import load_scenario
 
-from conftest import random_density
+from conftest import PAULI_1, PAULI_2, PAULI_3, random_density
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 CLOSED_QUBIT = SCENARIO_DIR / "closed_qubit.json"
@@ -548,15 +547,15 @@ def test_riccati_accepts_graph_solution_at_roundoff_floor(tmp_path, capsys):
     assert newton["eta"] == report["subspace"]["eta"]
     s = load_scenario(tmp_path / "scenario.json").scenario
     h = dynamics.hamiltonian_static(s.qubit, s.bath)
-    r_norm = np.linalg.norm(riccati.problem_from_blockop(h).full())
+    r_norm = np.linalg.norm(riccati.RiccatiProblem(h).r)
     assert 1e-12 < newton["residual"] <= 1e-9 * max(1.0, r_norm)
 
 
 def test_riccati_subspace_cap_failure_states_its_cause(capsys, monkeypatch):
     s = load_scenario(RICCATI_SB).scenario
-    p = riccati.problem_from_blockop(dynamics.hamiltonian_static(s.qubit, s.bath))
+    p = riccati.RiccatiProblem(dynamics.hamiltonian_static(s.qubit, s.bath))
     ok = riccati.solve_invariant_subspace(p)
-    _, vec = linalg.hermitian_eig(p.full())
+    _, vec = linalg.hermitian_eig(p.r)
     y1 = vec[: p.dim, riccati._select_branch(p, vec)]
     monkeypatch.setattr(riccati, "_SUBSPACE_RESIDUAL_CAP", 1e-30)
     rc = cli.main(["riccati", str(RICCATI_SB)])
@@ -632,8 +631,8 @@ def test_riccati_report_fields_on_bundled_scenarios(tmp_path, scenario):
         assert report == DEPHASING_REPORT
         return
     s = load_scenario(scenario).scenario
-    p = riccati.problem_from_blockop(dynamics.hamiltonian_static(s.qubit, s.bath))
-    cap = riccati._SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(p.full()))
+    p = riccati.RiccatiProblem(dynamics.hamiltonian_static(s.qubit, s.bath))
+    cap = riccati._SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(p.r))
     assert report["subspace"]["residual"] <= cap
     newton = report["newton"]
     # the graph X is already at the roundoff floor: the refinement takes no

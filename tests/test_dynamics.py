@@ -8,15 +8,6 @@ import pytest
 import scipy.linalg
 
 from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator
-from bomric.blockop import (
-    PAULI_1,
-    PAULI_2,
-    PAULI_3,
-    BlockOp,
-    flatten,
-    kron_qubit_env,
-    unflatten,
-)
 from bomric.dynamics import (
     MODES,
     InvalidStateError,
@@ -35,7 +26,7 @@ from bomric.linalg import expm, frobenius_norm
 from bomric.riccati import periodic_bom, s_frame_unitary
 from bomric.scenario import load_scenario
 
-from conftest import random_hermitian
+from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -51,7 +42,7 @@ def fock_ground(bath):
 
 
 def product_state(qubit_rho, bath):
-    return kron_qubit_env(qubit_rho, fock_ground(bath))
+    return np.kron(qubit_rho, fock_ground(bath))
 
 
 def closed_scenario(steps=400, t_max=5.0, qubit=None):
@@ -67,14 +58,14 @@ def closed_scenario(steps=400, t_max=5.0, qubit=None):
 
 def propagator_static(h, t):
     """exp(-i h t) for a Hermitian block operator: the dense oracle."""
-    return unflatten(expm(flatten(h), -1j * t))
+    return expm(h, -1j * t)
 
 
 def propagator_factored(q, bath, t):
     """Exact driven propagator exp(iKt) exp(-i H(beta - omega/2) t)."""
     h_eff = hamiltonian_static(q, bath, beta=q.beta - q.omega / 2.0)
-    conj = kron_qubit_env(rotation_frame_unitary(q, t), np.eye(bath.env_dim))
-    return unflatten(flatten(conj) @ flatten(propagator_static(h_eff, t)))
+    conj = np.kron(rotation_frame_unitary(q, t), np.eye(bath.env_dim))
+    return conj @ propagator_static(h_eff, t)
 
 
 def step_evolve(h, omega, t_max, steps):
@@ -83,16 +74,16 @@ def step_evolve(h, omega, t_max, steps):
     the stepper of reduced_dynamics run on the identity, whose width puts
     every step on the dense plan; one group of `steps` substeps keeps only
     the final product."""
-    eye = np.eye(2 * h.dim, dtype=complex)
+    eye = np.eye(len(h), dtype=complex)
     _, (u,) = dynamics._stepped_factors(h, omega, eye, t_max / steps, 1, steps, None)
-    return unflatten(u)
+    return u
 
 
 def dense_covariance_residual(q, h, t):
     # || H(t) - (U (x) 1) H(beta) (U† (x) 1) ||_F from full 2N x 2N products
-    conj = flatten(kron_qubit_env(rotation_frame_unitary(q, t), np.eye(h.dim)))
-    rotated = conj @ flatten(h) @ conj.conj().T
-    return frobenius_norm(flatten(dynamics._drive_at(h, q.omega, t)) - rotated)
+    conj = np.kron(rotation_frame_unitary(q, t), np.eye(len(h) // 2))
+    rotated = conj @ h @ conj.conj().T
+    return frobenius_norm(dynamics._drive_at(h, q.omega, t) - rotated)
 
 
 def rabi_propagator(q, t):
@@ -119,14 +110,14 @@ def test_rotating_hamiltonian_matches_trig_form():
             + np.kron(np.eye(2), he)
             + np.kron(PAULI_3, v)
         )
-        got = flatten(hamiltonian_rotating(q, bath, t))
+        got = hamiltonian_rotating(q, bath, t)
         assert frobenius_norm(got - oracle) <= 1e-13
 
 
 def test_rotating_reduces_to_static_at_t_zero():
     q = QubitParams(alpha=0.7, beta=0.4, omega=1.3)
     bath = BathSpec((BathMode(2.0, 0.2),), fock_cutoff=3)
-    d = flatten(hamiltonian_rotating(q, bath, 0.0)) - flatten(hamiltonian_static(q, bath))
+    d = hamiltonian_rotating(q, bath, 0.0) - hamiltonian_static(q, bath)
     assert frobenius_norm(d) == 0.0
 
 
@@ -137,7 +128,7 @@ def test_covariance_residual_vanishes(rng):
         )
         bath = BathSpec((BathMode(1.5, 0.3),), fock_cutoff=3)
         t = rng.uniform(0.0, 20.0)
-        scale = max(1.0, frobenius_norm(flatten(hamiltonian_static(q, bath))))
+        scale = max(1.0, frobenius_norm(hamiltonian_static(q, bath)))
         assert covariance_residual(q, hamiltonian_static(q, bath), t) <= 1e-12 * scale
 
 
@@ -150,25 +141,24 @@ def test_covariance_residual_against_dense_route(rng):
         h = hamiltonian_static(q, bath)
         t = rng.uniform(0.0, 20.0)
         diff = covariance_residual(q, h, t) - dense_covariance_residual(q, h, t)
-        assert abs(diff) <= 1e-13 * frobenius_norm(flatten(h))
+        assert abs(diff) <= 1e-13 * frobenius_norm(h)
 
 
 def test_propagator_static_unitary_and_semigroup(small_bath):
     h = hamiltonian_static(QubitParams(0.3, 0.5, 1.0), small_bath)
     n = 2 * small_bath.env_dim
-    u1 = flatten(propagator_static(h, 1.3))
-    u2 = flatten(propagator_static(h, 0.9))
-    u3 = flatten(propagator_static(h, 2.2))
+    u1 = propagator_static(h, 1.3)
+    u2 = propagator_static(h, 0.9)
+    u3 = propagator_static(h, 2.2)
     assert frobenius_norm(u1.conj().T @ u1 - np.eye(n)) <= 1e-12
     assert frobenius_norm(u1 @ u2 - u3) <= 1e-11
 
 
 def test_propagator_static_matches_spectral_route(small_bath):
     h = hamiltonian_static(QubitParams(0.3, 0.5, 1.0), small_bath)
-    big = flatten(h)
-    w, v = np.linalg.eigh(big)
+    w, v = np.linalg.eigh(h)
     oracle = (v * np.exp(-1j * w * 1.7)) @ v.conj().T
-    assert frobenius_norm(flatten(propagator_static(h, 1.7)) - oracle) <= 1e-11
+    assert frobenius_norm(propagator_static(h, 1.7) - oracle) <= 1e-11
 
 
 def test_factored_propagator_closed_qubit_rabi():
@@ -176,7 +166,7 @@ def test_factored_propagator_closed_qubit_rabi():
     # two-level closed form
     q = QubitParams(alpha=0.8, beta=0.6, omega=1.1)
     for t in (0.0, 0.7, 3.1, 9.4):
-        u = flatten(propagator_factored(q, TRIVIAL_BATH, t))
+        u = propagator_factored(q, TRIVIAL_BATH, t)
         oracle = np.kron(rabi_propagator(q, t), expm(bath_hamiltonian(TRIVIAL_BATH), -1j * t))
         assert frobenius_norm(u - oracle) <= 1e-12
 
@@ -185,10 +175,10 @@ def test_factored_equals_stepped_limit():
     q = QubitParams(alpha=1.0, beta=1.0, omega=1.0)
     bath = TRIVIAL_BATH
     t_max = 5.0
-    exact = flatten(propagator_factored(q, bath, t_max))
+    exact = propagator_factored(q, bath, t_max)
     h = hamiltonian_static(q, bath)
     err = [
-        frobenius_norm(flatten(step_evolve(h, q.omega, t_max, n)) - exact)
+        frobenius_norm(step_evolve(h, q.omega, t_max, n) - exact)
         for n in (100, 200)
     ]
     assert err[1] < err[0]
@@ -220,7 +210,7 @@ def test_step_evolve_on_periodic_drive(small_bath):
     t_max = 3.0
     exact = closed_form(t_max)
     err = [
-        frobenius_norm(flatten(step_evolve(h, -2.0 * alpha, t_max, k)) - exact)
+        frobenius_norm(step_evolve(h, -2.0 * alpha, t_max, k) - exact)
         for k in (80, 160)
     ]
     assert err[1] < err[0]
@@ -240,7 +230,7 @@ def test_frozen_drive_propagator_diagonalizes(small_bath):
     diag = np.block(
         [[he + w, np.zeros((n, n))], [np.zeros((n, n)), he - w]]
     )
-    lhs = flatten(propagator_static(h_frozen, t))
+    lhs = propagator_static(h_frozen, t)
     rhs = s @ expm(diag, -1j * t) @ s.conj().T
     assert frobenius_norm(lhs - rhs) <= 1e-12
 
@@ -387,7 +377,7 @@ def test_reduced_dynamics_matches_dense_oracle(kind, mode, monkeypatch):
     s = Scenario(
         qubit=ORACLE_QUBIT,
         bath=oracle_bath(cutoff),
-        initial_state=unflatten(rho0),
+        initial_state=rho0,
         t_max=1.5 if kind == "rank1_wide" else 3.0,
         steps=12,
         substeps_per_step=2,
@@ -414,7 +404,7 @@ def test_chunk_boundaries_keep_the_states(kind, mode, points, monkeypatch):
     s = Scenario(
         qubit=ORACLE_QUBIT,
         bath=oracle_bath(cutoff),
-        initial_state=unflatten(rho0),
+        initial_state=rho0,
         t_max=1.5 if kind == "rank1_wide" else 3.0,
         steps=12,
         substeps_per_step=3,
@@ -440,7 +430,7 @@ def test_thin_factor_guard_sees_the_stacked_dense_path(monkeypatch):
     s = Scenario(
         qubit=ORACLE_QUBIT,
         bath=oracle_bath(3),
-        initial_state=unflatten(oracle_initial_state("rank1_wide")),
+        initial_state=oracle_initial_state("rank1_wide"),
         t_max=1.5,
         steps=12,
     )
@@ -453,14 +443,14 @@ def test_thin_factor_guard_sees_the_stacked_dense_path(monkeypatch):
 def mpmath_midpoint_states(s):
     """Reduced states of the midpoint product of exp(-i H(t_k) dt) acting on
     rho0, in 30-digit arithmetic from the double-precision blocks of H."""
-    h = flatten(hamiltonian_static(s.qubit, s.bath))
+    h = hamiltonian_static(s.qubit, s.bath)
     n = h.shape[0] // 2
     static, upper = h.copy(), np.zeros_like(h)
     static[:n, n:] = static[n:, :n] = 0.0
     upper[:n, n:] = h[:n, n:]
     with mpmath.workdps(30):
         static, upper = mpmath.matrix(static.tolist()), mpmath.matrix(upper.tolist())
-        rho = mpmath.matrix(flatten(s.initial_state).tolist())
+        rho = mpmath.matrix(s.initial_state.tolist())
         dt = mpmath.mpf(s.t_max) / s.steps
         rhos = [rho]
         for k in range(s.steps):
@@ -481,7 +471,7 @@ def test_dense_midpoint_steps_match_a_multiprecision_product():
         t_max=4.0,
         steps=200,
     )
-    h = flatten(hamiltonian_static(s.qubit, s.bath))
+    h = hamiltonian_static(s.qubit, s.bath)
     assert linalg.action_plan(h, -1j * s.t_max / s.steps, 1) is None
     traj = reduced_dynamics(s, "rotating_stepped")
     oracle = mpmath_midpoint_states(s)
@@ -507,11 +497,11 @@ def test_rotating_frame_halving_on_action_path():
     s = Scenario(
         qubit=ORACLE_QUBIT,
         bath=oracle_bath(3),
-        initial_state=unflatten(oracle_initial_state("rank1_wide")),
+        initial_state=oracle_initial_state("rank1_wide"),
         t_max=1.5,
         steps=24,
     )
-    h = flatten(hamiltonian_static(s.qubit, s.bath))
+    h = hamiltonian_static(s.qubit, s.bath)
     assert linalg.action_plan(h, -1j * s.t_max / s.steps, 1) is not None
     coarse = max(rotating_frame_check(s))
     fine = max(rotating_frame_check(replace(s, steps=2 * s.steps)))
@@ -571,18 +561,18 @@ def test_state_validation_rejects_bad_inputs(small_bath):
     n = small_bath.env_dim
     good = fock_ground(small_bath)
 
-    unnormalized = kron_qubit_env(2.0 * PLUS, good)
+    unnormalized = np.kron(2.0 * PLUS, good)
     with pytest.raises(InvalidStateError):
         validate_state(unnormalized)
 
-    nonhermitian = BlockOp(good, 0.1 * np.eye(n), np.zeros((n, n)), np.zeros((n, n)))
+    nonhermitian = np.block([[good, 0.1 * np.eye(n)], [np.zeros((n, n)), np.zeros((n, n))]])
     with pytest.raises(InvalidStateError):
         validate_state(nonhermitian)
 
     # a real state's spectrum is taken in float64, a complex one's in
     # complex128; both give the same verdict and message
-    negative = kron_qubit_env(np.diag([1.5, -0.5]).astype(complex), good)
-    negative_complex = kron_qubit_env(np.array([[0.5, 1j], [-1j, 0.5]]), good)
+    negative = np.kron(np.diag([1.5, -0.5]).astype(complex), good)
+    negative_complex = np.kron(np.array([[0.5, 1j], [-1j, 0.5]]), good)
     for state in (negative, negative_complex):
         with pytest.raises(InvalidStateError, match="^state has negative eigenvalue -5.000e-01$"):
             validate_state(state)

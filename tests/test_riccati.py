@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator, dephasing_hamiltonian
-from bomric.blockop import BlockOp, flatten
-from bomric.dynamics import QubitParams, hamiltonian_static
+from bomric.blockop import blocks
+from bomric.dynamics import QubitParams, hamiltonian_from_blocks, hamiltonian_static
 from bomric import riccati
 from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm, hermitian_eig
 from bomric.riccati import (
@@ -17,8 +17,8 @@ from bomric.riccati import (
     RiccatiProblem,
     diagonalize,
     periodic_bom,
+    periodic_from_blocks,
     periodic_phase,
-    problem_from_blockop,
     residual,
     s_frame_transform,
     s_frame_unitary,
@@ -34,13 +34,19 @@ QUBIT = QubitParams(alpha=0.3, beta=0.5, omega=1.0)
 
 
 def spinboson_problem(bath):
-    return problem_from_blockop(hamiltonian_static(QUBIT, bath))
+    return RiccatiProblem(hamiltonian_static(QUBIT, bath))
+
+
+def problem(a, b, c):
+    # the problem of R = [[a, b], [b†, c]]
+    a, b, c = (np.asarray(m) for m in (a, b, c))
+    return RiccatiProblem(np.block([[a, b], [b.conj().T, c]]))
 
 
 def test_scalar_root_closed_form():
     # 1 x 1 problem: alpha x^2 + 2 beta x - alpha = 0
     alpha, beta, h = 0.3, 0.5, 1.7
-    p = RiccatiProblem(a=[[h + beta]], b=[[alpha]], c=[[h - beta]])
+    p = problem([[h + beta]], [[alpha]], [[h - beta]])
     sol = solve_newton(p)
     expected = (-beta + math.sqrt(beta**2 + alpha**2)) / alpha
     assert abs(complex(sol.x[0, 0]) - expected) <= 1e-14
@@ -61,7 +67,7 @@ def test_newton_on_spin_boson(riccati_bath):
 
 def test_newton_decoupled_blocks_give_zero(riccati_bath):
     q0 = QubitParams(alpha=0.0, beta=0.5, omega=1.0)
-    p = problem_from_blockop(hamiltonian_static(q0, riccati_bath))
+    p = RiccatiProblem(hamiltonian_static(q0, riccati_bath))
     sol = solve_newton(p)
     assert sol.iterations == 0
     assert np.count_nonzero(sol.x) == 0
@@ -82,7 +88,7 @@ def test_real_coupling_graph_x_is_float64_and_matches_complex_arithmetic(riccati
     x = solve_invariant_subspace(p).x
     # the same graph branch from the eigenvectors of R taken in complex128
     n = p.dim
-    _, vec = np.linalg.eigh(p.full().astype(np.complex128))
+    _, vec = np.linalg.eigh(p.r.astype(np.complex128))
     weights = np.sum(np.abs(vec[:n]) ** 2, axis=0)
     sel = np.sort(np.argsort(weights)[::-1][:n])
     xc = np.linalg.solve(vec[:n, sel].T, vec[n:, sel].T).T
@@ -101,7 +107,7 @@ def test_riccati_field_follows_the_coupling(g, field):
     sub = solve_invariant_subspace(p)
     newton = solve_newton(p)
     assert sub.x.dtype == newton.x.dtype == field
-    assert sub.residual <= riccati._SUBSPACE_RESIDUAL_CAP * max(1.0, frobenius_norm(p.full()))
+    assert sub.residual <= riccati._SUBSPACE_RESIDUAL_CAP * max(1.0, frobenius_norm(p.r))
     assert frobenius_norm(sub.x - newton.x) <= 1e-8
     assert sub.x_norm2 == np.linalg.norm(sub.x, 2)
     diag = diagonalize(p, newton)
@@ -115,7 +121,7 @@ def test_upper_half_graph_for_separated_spectra(rng):
     spread = float(np.ptp(np.linalg.eigvalsh(h)))
     s = spread + 1.0
     b = 0.05 * random_complex(rng, 6)
-    p = RiccatiProblem(a=h + s * np.eye(6), b=b, c=h - s * np.eye(6))
+    p = problem(h + s * np.eye(6), b, h - s * np.eye(6))
     newton = solve_newton(p)
     graph = solve_invariant_subspace(p)
     assert frobenius_norm(graph.x - newton.x) <= 1e-8
@@ -123,7 +129,7 @@ def test_upper_half_graph_for_separated_spectra(rng):
 
 def test_ambiguous_graph_weights_raise():
     # a = c = 0, b = 1: both eigenvectors carry weight 1/2 on the top block
-    p = RiccatiProblem(a=[[0.0]], b=[[1.0]], c=[[0.0]])
+    p = problem([[0.0]], [[1.0]], [[0.0]])
     with pytest.raises(AmbiguousSubspaceError):
         solve_invariant_subspace(p)
 
@@ -132,7 +138,7 @@ def test_vertical_subspace_has_no_graph(monkeypatch, riccati_bath):
     # the graph branch's Y1 is invertible here; with the cap below its
     # condition number the subspace counts as vertical
     p = spinboson_problem(riccati_bath)
-    _, vec = hermitian_eig(p.full())
+    _, vec = hermitian_eig(p.r)
     cond = np.linalg.cond(vec[: p.dim, riccati._select_branch(p, vec)])
     monkeypatch.setattr(riccati, "_Y1_COND_CAP", 0.5 * cond)
     with pytest.raises(NoGraphError) as exc:
@@ -166,7 +172,7 @@ def test_congruence_factor_normal_equations(seed):
 
 def test_diagonalize_splits_spectrum(riccati_bath):
     h = hamiltonian_static(QUBIT, riccati_bath)
-    p = problem_from_blockop(h)
+    p = RiccatiProblem(h)
     sol = solve_newton(p)
     diag = diagonalize(p, sol)
     assert diag.offdiag_residual <= 10.0 * max(sol.residual, 1e-15) * diag.cond_ux
@@ -175,7 +181,7 @@ def test_diagonalize_splits_spectrum(riccati_bath):
     got = np.sort_complex(
         np.concatenate([np.linalg.eigvals(diag.d1), np.linalg.eigvals(diag.d2)])
     )
-    expected = np.sort_complex(np.linalg.eigvalsh(flatten(h)).astype(complex))
+    expected = np.sort_complex(np.linalg.eigvalsh(h).astype(complex))
     assert np.max(np.abs(got - expected)) <= 1e-9
 
 
@@ -183,7 +189,7 @@ def _dense_diagonalize(p, x):
     # reference transform: one 2N LU solve with U_X, which diagonalize must
     # reproduce bit for bit
     ux = congruence_factor(x)
-    transformed = np.linalg.solve(ux, p.full() @ ux)
+    transformed = np.linalg.solve(ux, p.r @ ux)
     n = p.dim
     off = np.sqrt(
         frobenius_norm(transformed[:n, n:]) ** 2 + frobenius_norm(transformed[n:, :n]) ** 2
@@ -196,8 +202,7 @@ def test_diagonalize_condition_from_singular_values_of_x(rng, x_norm2):
     n = 8
     x = random_complex(rng, n)
     x *= x_norm2 / np.linalg.norm(x, 2)
-    p = RiccatiProblem(a=random_hermitian(rng, n), b=random_complex(rng, n),
-                       c=random_hermitian(rng, n))
+    p = problem(random_hermitian(rng, n), random_complex(rng, n), random_hermitian(rng, n))
     sol = riccati.RiccatiSolution(x=x, method="test", iterations=0, residual=0.0, eta=0.0,
                                   singular_values=np.linalg.svd(x, compute_uv=False))
     diag = diagonalize(p, sol)
@@ -223,7 +228,7 @@ def test_newton_resonant_drive_fails():
     # 2 beta equal to the mode frequency makes the linearization singular:
     # the spectra of the shifted blocks coincide level by level
     bath = BathSpec((BathMode(1.0, 0.2),), fock_cutoff=8)
-    p = problem_from_blockop(hamiltonian_static(QubitParams(0.3, 0.5, 1.0), bath))
+    p = RiccatiProblem(hamiltonian_static(QubitParams(0.3, 0.5, 1.0), bath))
     with pytest.raises(RiccatiConvergenceError) as exc:
         solve_newton(p)
     assert len(exc.value.trace) >= 1
@@ -234,7 +239,7 @@ def test_newton_eta_rule_does_not_rescue_resonant_stall():
     # the roundoff floor, so the iteration still runs out of steps (cutoff 6
     # is too close to the budget: there the iterates converge in 38 steps)
     bath = BathSpec((BathMode(1.0, 0.2),), fock_cutoff=7)
-    p = problem_from_blockop(hamiltonian_static(QUBIT, bath))
+    p = RiccatiProblem(hamiltonian_static(QUBIT, bath))
     with pytest.raises(RiccatiConvergenceError) as exc:
         solve_newton(p)
     assert len(exc.value.trace) == riccati.MAX_NEWTON_ITERS + 1
@@ -246,7 +251,7 @@ def test_newton_never_accepts_overflowing_eta_denominator(monkeypatch):
     # overflows; a denominator of inf must not read as eta = 0
     monkeypatch.setattr(riccati, "MAX_NEWTON_ITERS", 0)
     zero = np.zeros((2, 2))
-    p = RiccatiProblem(a=zero, b=[[1.0, 0.0], [0.0, 0.0]], c=zero)
+    p = problem(zero, [[1.0, 0.0], [0.0, 0.0]], zero)
     x0 = np.array([[0.0, 1e160], [0.0, 0.0]])
     assert residual(p, x0) == 1.0
     with pytest.raises(RiccatiConvergenceError) as exc:
@@ -271,13 +276,41 @@ def test_newton_accepts_eta_floor_above_absolute_tolerance(riccati_bath, monkeyp
 def test_problem_validation(rng):
     h = random_hermitian(rng, 3)
     with pytest.raises(NotHermitianError):
-        RiccatiProblem(a=random_complex(rng, 3), b=h, c=h)
+        problem(random_complex(rng, 3), h, h)
     with pytest.raises(ShapeError):
-        RiccatiProblem(a=h, b=random_complex(rng, 2), c=h)
+        RiccatiProblem(random_hermitian(rng, 5))
+    with pytest.raises(ShapeError):
+        RiccatiProblem(random_complex(rng, 2, 4))
     eye, zero = np.eye(3), np.zeros((3, 3))
-    bad = BlockOp(eye, zero + 1.0, zero, eye)
     with pytest.raises(NotHermitianError):
-        problem_from_blockop(bad)
+        RiccatiProblem(np.block([[eye, zero + 1.0], [zero, eye]]))
+
+
+def test_lower_left_block_is_made_the_adjoint(rng):
+    # R Hermitian only within tolerance: eigh would read the lower-left block
+    # and the residual b, so the stored R takes b† there and solves the same
+    # problem as the exactly Hermitian input
+    n = 5
+    h = random_hermitian(rng, n)
+    exact = problem(h + 3.0 * np.eye(n), 0.1 * random_complex(rng, n), h - 3.0 * np.eye(n))
+    off = exact.r.copy()
+    off[n:, :n] += 1e-14 * random_complex(rng, n)
+    near = RiccatiProblem(off)
+    assert np.array_equal(near.r, exact.r)
+    assert np.array_equal(solve_invariant_subspace(near).x, solve_invariant_subspace(exact).x)
+
+
+def test_block_operator_builders_are_exactly_hermitian():
+    bath = BathSpec((BathMode(1.3, 0.2 - 0.1j), BathMode(0.7, -0.05 + 0.3j)), fock_cutoff=3)
+    he, v = bath_hamiltonian(bath), coupling_operator(bath)
+    w = v + 0.5 * np.eye(bath.env_dim)
+    m = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]])
+    for r in (
+        hamiltonian_from_blocks(QUBIT, he, v),
+        dephasing_hamiltonian(bath, m),
+        periodic_from_blocks(he, w, 0.3, 1.7),
+    ):
+        assert np.array_equal(r, r.conj().T)
 
 
 def test_initial_guess_is_used(riccati_bath):
@@ -327,7 +360,7 @@ def test_dephasing_root_pair_structure(m11, m22, re12, im12):
 def test_dephasing_scalar_root_solves_operator_equation(small_bath):
     m = np.array([[1.0, 1.0j], [-1.0j, -1.0]])
     roots = solve_dephasing_quadratic(m)
-    p = problem_from_blockop(dephasing_hamiltonian(small_bath, m))
+    p = RiccatiProblem(dephasing_hamiltonian(small_bath, m))
     vnorm = frobenius_norm(coupling_operator(small_bath))
     eye = np.eye(small_bath.env_dim)
     for x in (roots.principal, roots.partner):
@@ -358,9 +391,9 @@ def test_phase_solves_driven_riccati(small_bath):
         scale = max(1.0, frobenius_norm(w))
         assert time_dependent_residual(h, 0.3, float(t)) <= 1e-13 * scale
         # and the blocks are what they should be
-        assert frobenius_norm(h.a11 - bath_hamiltonian(small_bath)) == 0.0
+        assert frobenius_norm(blocks(h)[0, 0] - bath_hamiltonian(small_bath)) == 0.0
         z = periodic_phase(0.3, float(t))
-        assert frobenius_norm(h.a21 - z * w) <= 1e-15
+        assert frobenius_norm(blocks(h)[1, 0] - z * w) <= 1e-15
 
 
 def test_drive_frame_unitary(small_bath):
@@ -373,11 +406,11 @@ def test_drive_frame_diagonalizes_at_all_times(small_bath):
     he = bath_hamiltonian(small_bath)
     w = coupling_operator(small_bath) + 0.5 * np.eye(small_bath.env_dim)
     for t in (0.0, 0.4, 3.3, 7.9):
-        d = s_frame_transform(periodic_bom(small_bath, 0.5, 0.3, t), alpha=0.3, t=t)
-        assert frobenius_norm(d.a12) <= 1e-13
-        assert frobenius_norm(d.a21) <= 1e-13
-        assert frobenius_norm(d.a11 - (he + w)) <= 1e-13
-        assert frobenius_norm(d.a22 - (he - w)) <= 1e-13
+        d = blocks(s_frame_transform(periodic_bom(small_bath, 0.5, 0.3, t), alpha=0.3, t=t))
+        assert frobenius_norm(d[0, 1]) <= 1e-13
+        assert frobenius_norm(d[1, 0]) <= 1e-13
+        assert frobenius_norm(d[0, 0] - (he + w)) <= 1e-13
+        assert frobenius_norm(d[1, 1] - (he - w)) <= 1e-13
 
 
 def test_drive_frame_transform_against_dense_product(small_bath):
@@ -386,12 +419,12 @@ def test_drive_frame_transform_against_dense_product(small_bath):
     for t in (0.0, 0.4, 3.3, 7.9):
         h = periodic_bom(small_bath, 0.5, 0.3, t)
         s = np.kron(s_frame_unitary(alpha=0.3, t=t), eye)
-        dense = s.conj().T @ flatten(h) @ s
-        got = flatten(s_frame_transform(h, alpha=0.3, t=t))
-        assert np.max(np.abs(got - dense)) <= 1e-13 * frobenius_norm(flatten(h))
+        dense = s.conj().T @ h @ s
+        got = s_frame_transform(h, alpha=0.3, t=t)
+        assert np.max(np.abs(got - dense)) <= 1e-13 * frobenius_norm(h)
 
 
 def test_drive_frame_transform_is_time_independent(small_bath):
     d0 = s_frame_transform(periodic_bom(small_bath, 0.5, 0.3, 0.0), alpha=0.3, t=0.0)
     d1 = s_frame_transform(periodic_bom(small_bath, 0.5, 0.3, 5.5), alpha=0.3, t=5.5)
-    assert frobenius_norm(flatten(d0) - flatten(d1)) <= 1e-12
+    assert frobenius_norm(d0 - d1) <= 1e-12

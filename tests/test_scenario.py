@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bomric.bath import STEP_CAP
-from bomric.blockop import flatten
 from bomric.scenario import (
     CHECK_NAMES,
     RunConfig,
@@ -58,7 +57,7 @@ def test_product_state_assembly_matches_kron():
     env = np.zeros((n, n))
     env[0, 0] = 1.0
     oracle = np.kron(np.full((2, 2), 0.5), env)
-    assert np.allclose(flatten(cfg.scenario.initial_state), oracle)
+    assert np.allclose(cfg.scenario.initial_state, oracle)
 
 
 def test_named_qubit_states():
@@ -73,7 +72,7 @@ def test_named_qubit_states():
         doc["initial"]["qubit_state"] = name
         cfg = scenario_from_dict(doc)
         n = cfg.scenario.bath.env_dim
-        top = flatten(cfg.scenario.initial_state)[:2 * n:n, :2 * n:n]
+        top = cfg.scenario.initial_state[:2 * n:n, :2 * n:n]
         # sampling the (i n, j n) grid recovers rho times env[0, 0]
         assert np.allclose(top, rho)
 
@@ -83,7 +82,7 @@ def test_matrix_encoded_states():
     doc["initial"]["qubit_state"] = {"re": [[0.5, 0.0], [0.0, 0.5]]}
     doc["initial"]["env_state"] = {"re": (np.eye(5) / 5.0).tolist()}
     cfg = scenario_from_dict(doc)
-    assert abs(np.trace(flatten(cfg.scenario.initial_state)) - 1.0) <= 1e-12
+    assert abs(np.trace(cfg.scenario.initial_state) - 1.0) <= 1e-12
 
 
 def test_explicit_initial_state():
@@ -93,7 +92,7 @@ def test_explicit_initial_state():
     rho[0, 0] = 1.0
     doc["initial"] = {"kind": "explicit", "matrix": {"re": rho.tolist()}}
     cfg = scenario_from_dict(doc)
-    assert np.allclose(flatten(cfg.scenario.initial_state), rho)
+    assert np.allclose(cfg.scenario.initial_state, rho)
 
 
 def test_complex_mode_coupling():

@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 from bomric import linalg
-from bomric.blockop import flatten
 from bomric.dynamics import hamiltonian_static
 from bomric.scenario import load_scenario
 
@@ -35,7 +34,7 @@ def test_convergence_sweep_script_on_action_path(tmp_path):
     path = tmp_path / "thin.json"
     path.write_text(json.dumps(doc))
     s = load_scenario(path).scenario
-    h = flatten(hamiltonian_static(s.qubit, s.bath))
+    h = hamiltonian_static(s.qubit, s.bath)
     assert linalg.action_plan(h, -1j * s.t_max / s.steps, 1) is not None
 
     lines = run_script("convergence_sweep.py", str(path), "--steps", "250", "500", cwd=tmp_path)

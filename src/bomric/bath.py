@@ -4,17 +4,19 @@ A bath is a list of harmonic modes, each truncated at a shared Fock cutoff
 n_max (local dimension n_max + 1).  Multi-mode operators are Kronecker
 products with mode 0 as the slowest index, so for two modes with
 frequencies (1, 2) at n_max = 1 the bath Hamiltonian is diag(0, 2, 1, 3).
+A BathSpec builds its H_E and V once, on first use, as the read-only
+arrays spec.he and spec.v; every operator built from H_E or V reads those.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import linalg
 from .blockop import flatten
-from .linalg import NotHermitianError, ShapeError
+from .linalg import ShapeError
 
 ENV_DIM_CAP = 64
 
@@ -77,6 +79,16 @@ class BathSpec:
     def env_dim(self) -> int:
         return self.local_dim ** len(self.modes)
 
+    @cached_property
+    def he(self) -> np.ndarray:
+        """H_E = bath_hamiltonian(self), built on first use."""
+        return bath_hamiltonian(self)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """V = coupling_operator(self), built on first use."""
+        return coupling_operator(self)
+
 
 def _ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
@@ -97,20 +109,22 @@ def annihilation(spec: BathSpec, k: int) -> np.ndarray:
 
 
 def bath_hamiltonian(spec: BathSpec) -> np.ndarray:
-    """Sum of omega_k a_k† a_k; diagonal in the Fock basis."""
+    """Sum of omega_k a_k† a_k; diagonal in the Fock basis; read-only."""
     h = np.zeros((spec.env_dim, spec.env_dim), dtype=complex)
     for k, mode in enumerate(spec.modes):
         a = annihilation(spec, k)
         h += mode.omega * (a.conj().T @ a)
+    h.flags.writeable = False
     return h
 
 
 def coupling_operator(spec: BathSpec) -> np.ndarray:
-    """Sum of g_k* a_k + g_k a_k†; Hermitian by construction."""
+    """Sum of g_k* a_k + g_k a_k†; Hermitian by construction; read-only."""
     v = np.zeros((spec.env_dim, spec.env_dim), dtype=complex)
     for k, mode in enumerate(spec.modes):
         a = annihilation(spec, k)
         v += np.conj(mode.g) * a + mode.g * a.conj().T
+    v.flags.writeable = False
     return v
 
 
@@ -204,8 +218,7 @@ def displaced_check(spec: BathSpec) -> DisplacedCheck:
     -sum_k |g_k|^2 / omega_k.  Residuals are Frobenius norms of the
     remaining mismatch on that subspace.
     """
-    he = bath_hamiltonian(spec)
-    v = coupling_operator(spec)
+    he, v = spec.he, spec.v
     w = weyl_operator(spec)
     levels = comparison_levels(spec)
     idx = _low_fock_indices(spec, levels)
@@ -228,11 +241,8 @@ def displaced_check(spec: BathSpec) -> DisplacedCheck:
 
 def dephasing_hamiltonian(spec: BathSpec, m) -> np.ndarray:
     """Block operator 1 (x) H_E + M (x) V for a Hermitian 2 x 2 M."""
-    m = np.asarray(m, dtype=complex)
+    m = linalg.hermitian_part(m, "dephasing coupling matrix")
     if m.shape != (2, 2):
         raise ShapeError(f"dephasing coupling must be 2 x 2, got {m.shape}")
-    if not linalg.is_hermitian(m):
-        raise NotHermitianError("dephasing coupling matrix must be Hermitian")
-    he = bath_hamiltonian(spec)
-    v = coupling_operator(spec)
+    he, v = spec.he, spec.v
     return flatten(np.array([[he + m[0, 0] * v, m[0, 1] * v], [m[1, 0] * v, he + m[1, 1] * v]]))

@@ -4,6 +4,8 @@ Each check is a function of a Scenario alone and returns the dict that
 verify prints and writes: the measured residuals, the tolerance and
 "passed".  Seeds, sample counts, the time grid and the tolerances are the
 module constants below, so a check measures the same thing wherever it runs.
+Every check reads H_E and V from the scenario's BathSpec (spec.he, spec.v),
+so the six of them assemble each once.
 
 The sandwich check draws one row of standard normals per sample: the four
 N x N blocks of B as (re, im) pairs, then A1 (re, im), then A2 (re, im).
@@ -15,14 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, riccati
-from .bath import bath_hamiltonian, coupling_operator, displaced_check
+from .bath import displaced_check
 from .blockop import blocks, sandwich_lemma_check
 from .dynamics import (
     QubitParams,
     Scenario,
     chunk_size,
     covariance_residual,
-    hamiltonian_from_blocks,
+    hamiltonian_static,
     rotating_frame_check,
 )
 
@@ -40,7 +42,6 @@ WEYL_TOL = 1e-6
 def covariance(s: Scenario) -> dict:
     """Rotating the static generator reproduces the driven Hamiltonian."""
     rng = np.random.default_rng(SEED)
-    he, v = bath_hamiltonian(s.bath), coupling_operator(s.bath)
     worst = 0.0
     for _ in range(COVARIANCE_SAMPLES):
         q = QubitParams(
@@ -49,7 +50,7 @@ def covariance(s: Scenario) -> dict:
             omega=rng.uniform(0.1, 5.0),
         )
         t = rng.uniform(0.0, 20.0)
-        h = hamiltonian_from_blocks(q, he, v)
+        h = hamiltonian_static(q, s.bath)
         scale = linalg.frobenius_norm(h)
         worst = max(worst, covariance_residual(q, h, t) / scale)
     return {"residual": worst, "tolerance": IDENTITY_TOL, "passed": worst <= IDENTITY_TOL}
@@ -107,29 +108,24 @@ def _complex_pairs(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _phase_grid(s: Scenario):
-    """H_E, W = V + beta, alpha and a lazy (t, periodic operator) pair per grid time."""
-    he = bath_hamiltonian(s.bath)
-    w = coupling_operator(s.bath) + s.qubit.beta * np.eye(s.bath.env_dim)
-    alpha = s.qubit.alpha
-    times = np.linspace(0.0, s.t_max, PHASE_POINTS)
-    return he, w, alpha, ((t, riccati.periodic_from_blocks(he, w, alpha, t)) for t in times)
-
-
 def zt_riccati(s: Scenario) -> dict:
-    """The phase X_t = z_t solves the driven Riccati equation, relative to ||W||_F."""
-    _, w, alpha, grid = _phase_grid(s)
+    """The phase X_t = z_t solves the driven Riccati equation, relative to
+    ||W||_F, W = V + beta: F(z_t 1) on the N x N blocks of periodic_bom."""
+    he, alpha = s.bath.he, s.qubit.alpha
+    w = s.bath.v + s.qubit.beta * np.eye(s.bath.env_dim)
     scale = max(linalg.frobenius_norm(w), 1e-300)
-    worst = max(riccati.time_dependent_residual(h, alpha, t) / scale for t, h in grid)
+    worst = max(riccati.time_dependent_residual(he, w, alpha, t) / scale
+                for t in np.linspace(0.0, s.t_max, PHASE_POINTS))
     return {"residual": worst, "tolerance": PHASE_TOL, "passed": worst <= PHASE_TOL}
 
 
 def st_diagonalization(s: Scenario) -> dict:
     """The frame S_t makes H(t) static and block-diagonal: blocks H_E +- W."""
-    he, w, alpha, grid = _phase_grid(s)
-    worst_off = 0.0
-    worst_diag = 0.0
-    for t, h in grid:
+    he, (alpha, beta) = s.bath.he, (s.qubit.alpha, s.qubit.beta)
+    w = s.bath.v + beta * np.eye(s.bath.env_dim)
+    worst_off = worst_diag = 0.0
+    for t in np.linspace(0.0, s.t_max, PHASE_POINTS):
+        h = riccati.periodic_bom(s.bath, beta, alpha, t)
         tb = blocks(riccati.s_frame_transform(h, alpha, t))
         off = np.sqrt(linalg.frobenius_norm(tb[0, 1]) ** 2 + linalg.frobenius_norm(tb[1, 0]) ** 2)
         dev = max(

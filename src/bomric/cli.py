@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, linalg, riccati
-from .bath import DimensionCapError, coupling_operator, dephasing_hamiltonian
+from .bath import DimensionCapError, dephasing_hamiltonian
 from .dynamics import (
     MODES,
     InvalidStateError,
@@ -205,7 +205,6 @@ def _riccati_dephasing_report(config: RunConfig) -> dict:
     roots = riccati.solve_dephasing_quadratic(m)
     p = riccati.RiccatiProblem(dephasing_hamiltonian(config.scenario.bath, m))
     eye = np.eye(config.scenario.bath.env_dim)
-    v_norm = linalg.frobenius_norm(coupling_operator(config.scenario.bath))
     return {
         "kind": "dephasing",
         "principal_root": [roots.principal.real, roots.principal.imag],
@@ -213,7 +212,7 @@ def _riccati_dephasing_report(config: RunConfig) -> dict:
         "principal_abs": abs(roots.principal),
         "residual_principal": riccati.residual(p, roots.principal * eye),
         "residual_partner": riccati.residual(p, roots.partner * eye),
-        "coupling_norm": v_norm,
+        "coupling_norm": linalg.frobenius_norm(config.scenario.bath.v),
     }
 
 

@@ -9,13 +9,15 @@ is covariant under the rotation generated by K = -(w/2) s3 (x) 1:
 conjugating the static operator H(beta) by exp(iKt) reproduces H(t).  As a
 consequence the exact propagator factors as exp(iKt) exp(-iH(beta - w/2) t)
 and the reduced state of the driven problem is a rotating-frame dressing of
-the static problem at the shifted splitting beta - w/2.
+the static problem at the shifted splitting beta - w/2.  H(beta) is built
+from the bath's H_E and V, BathSpec.he and .v.
 
 All three propagation modes start from one factor of the initial state,
-rho0 = psi diag(p) psi†, cut to its numerical rank, and compute the reduced
-states a chunk of grid points at a time.  A chunk's largest work array holds
-at most CHUNK_ENTRIES entries (or one grid point's), so a grid of STEP_CAP
-points needs no more working memory than a short one.
+rho0 = psi diag(p) psi†, cut to its numerical rank (a Scenario stores rho0
+as the exact Hermitian part that validate_state checked), and compute the
+reduced states a chunk of grid points at a time.  A chunk's largest work
+array holds at most CHUNK_ENTRIES entries (or one grid point's), so a grid of
+STEP_CAP points needs no more working memory than a short one.
 
 "static_exact" and "factored" evaluate the closed form.  With the static
 H = V diag(w) V†, G = V† psi and M = G diag(p) G†, each entry of the reduced
@@ -50,7 +52,7 @@ from typing import Iterator
 import numpy as np
 
 from . import linalg
-from .bath import STEP_CAP, BathSpec, bath_hamiltonian, coupling_operator
+from .bath import STEP_CAP, BathSpec
 from .blockop import blocks, flatten, qubit_sandwich
 
 MODES = ("rotating_stepped", "static_exact", "factored")
@@ -88,24 +90,26 @@ class QubitParams:
         object.__setattr__(self, "omega", float(self.omega))
 
 
-def validate_state(rho: np.ndarray) -> None:
-    """Reject a density matrix that is not Hermitian, normalized, and PSD."""
-    if not linalg.is_hermitian(rho):
-        dev = linalg.hermitian_deviation(rho)
-        raise InvalidStateError(f"state is not Hermitian: deviation {dev:.3e}")
+def validate_state(rho: np.ndarray) -> np.ndarray:
+    """Reject a density matrix that is not Hermitian, normalized, and PSD;
+    return its exact Hermitian part, whose spectrum the positivity test read."""
+    try:
+        herm = linalg.hermitian_part(rho, "state")
+    except linalg.NotHermitianError as exc:
+        raise InvalidStateError(str(exc)) from None
     tr = np.trace(rho)
     if abs(tr - 1.0) > STATE_TOL:
         raise InvalidStateError(f"state trace is {tr:.12g}, expected 1")
-    herm = (rho + rho.conj().T) / 2.0
     w = np.linalg.eigvalsh(herm if herm.imag.any() else herm.real)  # a real state in float64
     if w[0] < -STATE_TOL:
         raise InvalidStateError(f"state has negative eigenvalue {w[0]:.3e}")
+    return herm
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One runnable problem: qubit, bath, initial state (a 2N x 2N density
-    matrix), and time grid."""
+    matrix, stored as the Hermitian part validate_state returns), and time grid."""
 
     qubit: QubitParams
     bath: BathSpec
@@ -129,8 +133,7 @@ class Scenario:
         object.__setattr__(self, "t_max", float(self.t_max))
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "substeps_per_step", int(self.substeps_per_step))
-        object.__setattr__(self, "initial_state", rho)
-        validate_state(rho)
+        object.__setattr__(self, "initial_state", validate_state(rho))
 
     @property
     def times(self) -> np.ndarray:
@@ -153,15 +156,8 @@ class Trajectory:
 
 def hamiltonian_static(q: QubitParams, bath: BathSpec, beta: float | None = None) -> np.ndarray:
     """H(beta) = [[H_E + V + beta, alpha], [alpha, H_E - V - beta]]."""
-    return hamiltonian_from_blocks(q, bath_hamiltonian(bath), coupling_operator(bath), beta)
-
-
-def hamiltonian_from_blocks(
-    q: QubitParams, he: np.ndarray, v: np.ndarray, beta: float | None = None
-) -> np.ndarray:
-    """hamiltonian_static from an assembled bath Hamiltonian he and coupling v."""
     b = q.beta if beta is None else float(beta)
-    eye = np.eye(he.shape[0], dtype=complex)
+    he, v, eye = bath.he, bath.v, np.eye(bath.env_dim, dtype=complex)
     return flatten(np.array([[he + v + b * eye, q.alpha * eye], [q.alpha * eye, he - v - b * eye]]))
 
 

@@ -11,23 +11,26 @@ a solution X of
 
 makes the columns of [1; X] span an R-invariant subspace, and the
 congruence U_X = [[1, -X†], [X, 1]] block-diagonalizes R with diagonal
-blocks a + b X and c - b† X†.  A RiccatiProblem holds R itself, the
-2N x 2N matrix, and reads a, b and c as views of its blocks.  Two
-independent solvers are provided: a spectral invariant-subspace construction
-and a Newton iteration on the residual.  Newton started from zero checks the
-subspace solution; started from it, Newton refines it.  An R with no
-imaginary part is stored and solved in float64, any other in complex128.
+blocks a + b X and c - b† X†.  riccati_map is the one form of the left side
+F(X).  A RiccatiProblem holds R itself, the 2N x 2N matrix, stored as its
+exact Hermitian part (linalg.hermitian_part), and reads a, b and c as views
+of its blocks.  Two independent solvers are provided: a spectral
+invariant-subspace construction and a Newton iteration on the residual.
+Newton started from zero checks the subspace solution; started from it,
+Newton refines it.  An R with no imaginary part is stored and solved in
+float64, any other in complex128.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from . import linalg
-from .bath import BathSpec, bath_hamiltonian, coupling_operator
+from .bath import BathSpec
 from .blockop import blocks, flatten, qubit_sandwich
-from .linalg import NotHermitianError, ShapeError, SylvesterSingularError
+from .linalg import ShapeError, SylvesterSingularError
 
 # An invariant-subspace result whose recomputed residual exceeds this
 # (times max(1, ||R||_F)) is rejected as not actually solving the equation.
@@ -44,12 +47,22 @@ _Y1_COND_CAP = 1e12
 MAX_NEWTON_ITERS = 40
 TOL_RESIDUAL = 1e-12
 ETA_TOL = 2.0**-53
+# In a critical case Newton's residual falls only by 1/4 a step (Guo &
+# Lancaster, Math. Comp. 67, 1998): one mode at 2 beta, cutoff 7, gives 23
+# such ratios in a row, and no case that converges more than 1.
+LINEAR_STALL_RATIO, LINEAR_STALL_TOL, LINEAR_STALL_STEPS = 0.25, 0.01, 5
 
 
 class RiccatiConvergenceError(RuntimeError):
-    """Newton failed; carries the residual trace of the iterates."""
+    """Newton failed; carries the residual trace of the iterates, and its
+    message names a linear stall (LINEAR_STALL_RATIO) in that trace."""
 
     def __init__(self, message: str, trace: list[float]):
+        near = np.abs(np.divide(trace[1:], trace[:-1]) - LINEAR_STALL_RATIO) <= LINEAR_STALL_TOL
+        run = max((len(list(g)) for hit, g in groupby(near) if hit), default=0)
+        if run >= LINEAR_STALL_STEPS:
+            message += (f"; linear convergence: residual ratio {LINEAR_STALL_RATIO} "
+                        f"over {run} steps (a critical case)")
         super().__init__(message)
         self.trace = trace
 
@@ -65,18 +78,15 @@ class AmbiguousSubspaceError(RuntimeError):
 @dataclass(frozen=True)
 class RiccatiProblem:
     """A Hermitian block operator R = [[a, b], [b†, c]]; a, b and c are views
-    of the blocks of the stored copy of R."""
+    of the blocks of the stored Hermitian part of R."""
 
     r: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.r, dtype=complex)
-        if not linalg.is_hermitian(r):
-            raise NotHermitianError("block operator R must be Hermitian")
-        # eigh reads the lower triangle of R, the residual and Newton read b:
-        # the lower-left block is made b† so that both see one operator
-        rb = blocks(r)
-        rb[1, 0] = rb[0, 1].conj().T
+        # eigh reads one triangle of R, the residual and Newton read all of
+        # a, b and c: the exact Hermitian part makes both see one operator
+        r = linalg.hermitian_part(self.r, "block operator R")
+        blocks(r)  # an odd dimension raises ShapeError
         # no imaginary part: R is real symmetric, and so are its eigenvectors and X
         object.__setattr__(self, "r", r if r.imag.any() else np.ascontiguousarray(r.real))
 
@@ -116,12 +126,17 @@ class RiccatiSolution:
         return float(self.singular_values[0])
 
 
+def riccati_map(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """F(X) = X b X + X a - c X - b† for the blocks a, b, c of R."""
+    return x @ b @ x + x @ a - c @ x - b.conj().T
+
+
 def residual(p: RiccatiProblem, x) -> float:
-    """Frobenius norm of X b X + X a - c X - b†."""
+    """||F(X)||_F, the Frobenius norm of riccati_map for p's blocks."""
     x = np.asarray(x)
     if x.shape != p.a.shape:
         raise ShapeError(f"solution shape {x.shape} does not match blocks {p.a.shape}")
-    return linalg.frobenius_norm(x @ p.b @ x + x @ p.a - p.c @ x - p.b.conj().T)
+    return linalg.frobenius_norm(riccati_map(x, p.a, p.b, p.c))
 
 
 def _block_norms(p: RiccatiProblem) -> tuple[float, float]:
@@ -174,17 +189,14 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
     trace, and the best eta in its message, when the iteration stalls, blows
     up, or hits a singular linearization.
     """
-    if x0 is None:
-        x = np.zeros_like(p.a)
-    else:
-        x = np.asarray(x0)
-        if x.shape != p.a.shape:
-            raise ShapeError("initial guess shape does not match problem blocks")
+    x = np.zeros_like(p.a) if x0 is None else np.asarray(x0)
+    if x.shape != p.a.shape:
+        raise ShapeError("initial guess shape does not match problem blocks")
     ac_norm, b_norm = _block_norms(p)
     trace: list[float] = []
     best_eta = np.inf  # min() with a NaN eta second keeps best_eta
     for it in range(MAX_NEWTON_ITERS + 1):
-        f = x @ p.b @ x + x @ p.a - p.c @ x - p.b.conj().T
+        f = riccati_map(x, p.a, p.b, p.c)
         r = linalg.frobenius_norm(f)
         trace.append(r)
         if not np.isfinite(r):
@@ -313,11 +325,9 @@ def solve_dephasing_quadratic(m) -> DephasingRoots:
     principal root is the one with |x| <= 1 (ties broken toward the root
     with the larger real part, then larger imaginary part).
     """
-    m = np.asarray(m, dtype=complex)
+    m = linalg.hermitian_part(m, "dephasing coupling matrix")
     if m.shape != (2, 2):
         raise ShapeError(f"dephasing coupling must be 2 x 2, got {m.shape}")
-    if not linalg.is_hermitian(m):
-        raise NotHermitianError("dephasing coupling matrix must be Hermitian")
     m12 = complex(m[0, 1])
     if m12 == 0:
         raise ValueError(
@@ -349,25 +359,20 @@ def periodic_phase(alpha: float, t: float) -> complex:
 
 
 def periodic_bom(spec: BathSpec, beta: float, alpha: float, t: float) -> np.ndarray:
-    """Block operator [[H_E, z_t* (V + beta)], [z_t (V + beta), H_E]]."""
-    w = coupling_operator(spec) + beta * np.eye(spec.env_dim)
-    return periodic_from_blocks(bath_hamiltonian(spec), w, alpha, t)
-
-
-def periodic_from_blocks(he: np.ndarray, w: np.ndarray, alpha: float, t: float) -> np.ndarray:
-    """periodic_bom from an assembled H_E and W = V + beta."""
+    """Block operator [[H_E, z_t* W], [z_t W, H_E]], W = V + beta."""
     z = periodic_phase(alpha, t)
-    return flatten(np.array([[he, np.conj(z) * w], [z * w, he]]))
+    w = spec.v + beta * np.eye(spec.env_dim)
+    return flatten(np.array([[spec.he, np.conj(z) * w], [z * w, spec.he]]))
 
 
-def time_dependent_residual(h: np.ndarray, alpha: float, t: float) -> float:
-    """Residual of X_t = z_t 1 in the Riccati equation of h = periodic_bom(..., alpha, t).
+def time_dependent_residual(he: np.ndarray, w: np.ndarray, alpha: float, t: float) -> float:
+    """||F(z_t 1)||_F for the blocks a = c = H_E, b = z_t* W of periodic_bom.
 
     The phase X_t = z_t 1 solves the equation identically for every t, so
     the returned norm is pure roundoff.
     """
-    p = RiccatiProblem(h)
-    return residual(p, periodic_phase(alpha, t) * np.eye(p.dim))
+    z = periodic_phase(alpha, t)
+    return linalg.frobenius_norm(riccati_map(z * np.eye(len(he)), he, np.conj(z) * w, he))
 
 
 def s_frame_unitary(alpha: float, t: float) -> np.ndarray:

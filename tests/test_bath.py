@@ -21,7 +21,7 @@ from bomric.bath import (
     weyl_unitarity_defect,
 )
 from bomric.blockop import blocks
-from bomric.linalg import frobenius_norm, hermitian_eig, is_hermitian
+from bomric.linalg import frobenius_norm, hermitian_eig, hermitian_part
 
 from conftest import random_hermitian
 
@@ -64,6 +64,17 @@ def test_hamiltonian_spectrum_is_tensor_sum():
 def test_coupling_operator_hermitian(small_bath):
     v = coupling_operator(small_bath)
     assert frobenius_norm(v - v.conj().T) <= 1e-14
+
+
+def test_bath_operators_are_built_once_and_read_only(small_bath):
+    assert np.array_equal(small_bath.he, bath_hamiltonian(small_bath))
+    assert np.array_equal(small_bath.v, coupling_operator(small_bath))
+    assert small_bath.he is small_bath.he and small_bath.v is small_bath.v
+    for m in (small_bath.he, small_bath.v):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m += 1.0
 
 
 def test_coupling_operator_matrix_elements():
@@ -168,7 +179,7 @@ def test_dephasing_hamiltonian_blocks(small_bath):
     assert frobenius_norm(hb[1, 1] - (he - v)) <= 1e-15
     assert frobenius_norm(hb[0, 1] - 1.0j * v) <= 1e-15
     assert frobenius_norm(hb[1, 0] + 1.0j * v) <= 1e-15
-    assert is_hermitian(h)
+    hermitian_part(h)  # raises NotHermitianError outside the tolerance
 
 
 def test_dephasing_commutes_for_diagonal_m(small_bath):

@@ -1,10 +1,12 @@
-"""The verification checks' sampling: chunked draws and their memory."""
+"""The verification checks: chunked sampling draws, their memory, and the
+bath operators the checks assemble."""
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bomric import checks, dynamics
+from bomric import bath, checks, dynamics
 from bomric.bath import BathMode, BathSpec
 
 from conftest import plus_fock_scenario
@@ -59,3 +61,24 @@ def test_sandwich_memory_at_the_dimension_cap():
         tracemalloc.stop()
     assert result["passed"]
     assert peak < 2 * 2**20
+
+
+def test_six_checks_assemble_each_bath_operator_once(monkeypatch):
+    # every check reads H_E and V from the scenario's BathSpec, which builds
+    # each on first use; the builders are counted under every name they have
+    calls = {"bath_hamiltonian": 0, "coupling_operator": 0}
+    modules = [m for k, m in sys.modules.items() if k.startswith("bomric.")]
+    for name in calls:
+        build = getattr(bath, name)
+
+        def counted(spec, name=name, build=build):
+            calls[name] += 1
+            return build(spec)
+
+        for mod in modules:
+            if getattr(mod, name, None) is build:
+                monkeypatch.setattr(mod, name, counted)
+    s = plus_fock_scenario(BathSpec((BathMode(1.0, 0.2),), 6), steps=100, t_max=1.0)
+    for check in checks.CHECKS.values():
+        assert check(s)["passed"]
+    assert calls == {"bath_hamiltonian": 1, "coupling_operator": 1}

@@ -594,6 +594,24 @@ def test_riccati_resonant_drive_reports_trace(tmp_path, capsys):
     assert "residual trace" in err and "best eta " in err and err.count("\n") == 1
 
 
+def test_riccati_newton_names_a_linear_stall(tmp_path, capsys):
+    # one mode at 2 beta, cutoff 7: Newton from zero halves its error each
+    # step (residual ratio 1/4), a critical case, and runs out of steps
+    doc = minimal_doc()
+    doc["bath"]["modes"][0]["omega"] = 1.0
+    doc["bath"]["fock_cutoff"] = 7
+    rc = cli.main(["riccati", str(write_doc(tmp_path, doc)), "--method", "newton"])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: newton did not reach")
+    assert "; linear convergence: residual ratio 0.25 over " in err
+    assert " steps (a critical case); residual trace" in err
+    # on weyl.json Newton's first linearization is singular: no run of ratios
+    assert cli.main(["riccati", str(WEYL), "--method", "newton"]) == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "linear convergence" not in err
+
+
 def test_riccati_dephasing_report(tmp_path, capsys):
     out = tmp_path / "deph.json"
     rc = cli.main(["riccati", str(DEPHASING), "--out", str(out)])

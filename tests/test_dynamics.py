@@ -578,6 +578,30 @@ def test_state_validation_rejects_bad_inputs(small_bath):
             validate_state(state)
 
 
+def test_near_hermitian_state_is_stored_as_its_hermitian_part(small_bath):
+    # the state propagated is the one whose spectrum validate_state checked
+    n = small_bath.env_dim
+    rho = product_state(PLUS, small_bath)
+    rho[n, 0] += 1e-13
+    s = Scenario(QubitParams(0.3, 0.5, 1.0), small_bath, rho, t_max=1.0, steps=10)
+    assert np.array_equal(s.initial_state, (rho + rho.conj().T) / 2.0)
+    assert np.array_equal(s.initial_state, s.initial_state.conj().T)
+    assert np.array_equal(validate_state(rho), s.initial_state)
+
+
+def test_state_validation_messages(small_bath):
+    ground = product_state(np.diag([1.0, 0.0]).astype(complex), small_bath)
+    skew = ground.copy()
+    skew[0, 1] = 0.1
+    for rho, message in (
+        (skew, "state is not Hermitian: deviation 1.414e-01"),
+        (2.0 * ground, "state trace is 2+0j, expected 1"),
+    ):
+        with pytest.raises(InvalidStateError) as exc:
+            validate_state(rho)
+        assert str(exc.value) == message
+
+
 def test_scenario_validation(small_bath):
     state = product_state(PLUS, small_bath)
     with pytest.raises(ValueError):

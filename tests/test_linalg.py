@@ -14,7 +14,7 @@ from bomric.linalg import (
     expm,
     frobenius_norm,
     hermitian_eig,
-    is_hermitian,
+    hermitian_part,
     solve_sylvester,
 )
 
@@ -206,12 +206,25 @@ def test_frobenius_norm_definition(rng):
     assert abs(frobenius_norm(a) - np.sqrt(np.sum(np.abs(a) ** 2))) <= 1e-13
 
 
+def test_hermitian_part_is_exact_and_does_not_overflow(rng):
+    near = random_hermitian(rng, 6)
+    near[4, 1] += 1e-12
+    part = hermitian_part(near)
+    assert np.array_equal(part, part.conj().T)
+    assert np.array_equal(part, (near + near.conj().T) / 2.0)
+    huge = np.array([[1.5e308, -1e308j], [1e308j, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(hermitian_part(huge), huge)
+
+
 def test_huge_entries_neither_overflow_the_norm_nor_pass_as_hermitian():
     # the plain sum of squares overflows above about 1e154
     a = np.array([[1.0, 5.0], [0.0, 1.0]]) * 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert frobenius_norm(a) == pytest.approx(np.sqrt(27.0) * 1e200, rel=1e-15)
-        assert not is_hermitian(a)
-        assert is_hermitian(a + a.T)
+        with pytest.raises(NotHermitianError):
+            hermitian_part(a)
+        hermitian_part(a + a.T)
         assert frobenius_norm(np.array([[np.inf, 1.0]])) == np.inf

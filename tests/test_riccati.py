@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator, dephasing_hamiltonian
 from bomric.blockop import blocks
-from bomric.dynamics import QubitParams, hamiltonian_from_blocks, hamiltonian_static
+from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric import riccati
 from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm, hermitian_eig
 from bomric.riccati import (
@@ -17,7 +17,6 @@ from bomric.riccati import (
     RiccatiProblem,
     diagonalize,
     periodic_bom,
-    periodic_from_blocks,
     periodic_phase,
     residual,
     s_frame_transform,
@@ -286,29 +285,50 @@ def test_problem_validation(rng):
         RiccatiProblem(np.block([[eye, zero + 1.0], [zero, eye]]))
 
 
-def test_lower_left_block_is_made_the_adjoint(rng):
-    # R Hermitian only within tolerance: eigh would read the lower-left block
-    # and the residual b, so the stored R takes b† there and solves the same
-    # problem as the exactly Hermitian input
-    n = 5
+def hermitian_r(rng, n=5):
+    """A writable copy of an exactly Hermitian complex R = [[a, b], [b†, c]]."""
     h = random_hermitian(rng, n)
-    exact = problem(h + 3.0 * np.eye(n), 0.1 * random_complex(rng, n), h - 3.0 * np.eye(n))
-    off = exact.r.copy()
-    off[n:, :n] += 1e-14 * random_complex(rng, n)
-    near = RiccatiProblem(off)
-    assert np.array_equal(near.r, exact.r)
-    assert np.array_equal(solve_invariant_subspace(near).x, solve_invariant_subspace(exact).x)
+    return problem(h + 3.0 * np.eye(n), 0.1 * random_complex(rng, n), h - 3.0 * np.eye(n)).r.copy()
+
+
+def assert_solved_as_hermitian_part(r):
+    # eigh reads one triangle of R, the residual and Newton all of a, b and
+    # c: R is stored as its exact Hermitian part, so they read one operator
+    near = RiccatiProblem(r)
+    part = (r + r.conj().T) / 2.0
+    assert not np.array_equal(r, r.conj().T)
+    assert np.array_equal(near.r, part)
+    assert np.array_equal(near.r, near.r.conj().T)
+    x = solve_invariant_subspace(near).x
+    assert np.array_equal(x, solve_invariant_subspace(RiccatiProblem(part)).x)
+    assert residual(near, x) == residual(RiccatiProblem(part), x)
+
+
+def test_lower_left_block_is_made_the_adjoint(rng):
+    # the lower-left block moved within tolerance: the stored one is the
+    # adjoint of the stored b
+    r = hermitian_r(rng)
+    r[5:, :5] += 1e-14 * random_complex(rng, 5)
+    assert_solved_as_hermitian_part(r)
+    rb = blocks(RiccatiProblem(r).r)
+    assert np.array_equal(rb[1, 0], rb[0, 1].conj().T)
+
+
+def test_diagonal_block_within_tolerance_is_made_hermitian(rng):
+    # a[1, 0] off by 1e-12: eigh reads a's lower triangle and the residual
+    # all of a, so both must read the one stored part
+    r = hermitian_r(rng)
+    r[1, 0] += 1e-12
+    assert_solved_as_hermitian_part(r)
 
 
 def test_block_operator_builders_are_exactly_hermitian():
     bath = BathSpec((BathMode(1.3, 0.2 - 0.1j), BathMode(0.7, -0.05 + 0.3j)), fock_cutoff=3)
-    he, v = bath_hamiltonian(bath), coupling_operator(bath)
-    w = v + 0.5 * np.eye(bath.env_dim)
     m = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]])
     for r in (
-        hamiltonian_from_blocks(QUBIT, he, v),
+        hamiltonian_static(QUBIT, bath),
         dephasing_hamiltonian(bath, m),
-        periodic_from_blocks(he, w, 0.3, 1.7),
+        periodic_bom(bath, 0.5, 0.3, 1.7),
     ):
         assert np.array_equal(r, r.conj().T)
 
@@ -385,15 +405,29 @@ def test_periodic_phase_winding():
 
 
 def test_phase_solves_driven_riccati(small_bath):
+    eye = np.eye(small_bath.env_dim)
+    w = coupling_operator(small_bath) + 0.5 * eye
+    scale = max(1.0, frobenius_norm(w))
     for t in np.linspace(0.0, 12.0, 13):
         h = periodic_bom(small_bath, beta=0.5, alpha=0.3, t=float(t))
-        w = coupling_operator(small_bath) + 0.5 * np.eye(small_bath.env_dim)
-        scale = max(1.0, frobenius_norm(w))
-        assert time_dependent_residual(h, 0.3, float(t)) <= 1e-13 * scale
+        z = periodic_phase(0.3, float(t))
+        assert residual(RiccatiProblem(h), z * eye) <= 1e-13 * scale
+        assert time_dependent_residual(small_bath.he, w, 0.3, float(t)) <= 1e-13 * scale
         # and the blocks are what they should be
         assert frobenius_norm(blocks(h)[0, 0] - bath_hamiltonian(small_bath)) == 0.0
-        z = periodic_phase(0.3, float(t))
         assert frobenius_norm(blocks(h)[1, 0] - z * w) <= 1e-15
+
+
+def test_block_level_phase_residual_is_that_of_periodic_bom(small_bath):
+    # zt_riccati takes F(z_t 1) on the N x N blocks (H_E, z_t* W) of
+    # periodic_bom; the generic residual on the 2N x 2N operator agrees
+    eye = np.eye(small_bath.env_dim)
+    w = small_bath.v + 0.5 * eye
+    for t in (0.0, 0.4, 1.7, 3.3, 7.9):
+        z = periodic_phase(0.3, t)
+        full = residual(RiccatiProblem(periodic_bom(small_bath, 0.5, 0.3, t)), z * eye)
+        blockwise = time_dependent_residual(small_bath.he, w, 0.3, t)
+        assert blockwise == pytest.approx(full, rel=0.0, abs=1e-15 * frobenius_norm(w))
 
 
 def test_drive_frame_unitary(small_bath):

@@ -9,6 +9,7 @@ arrays spec.he and spec.v; every operator built from H_E or V reads those.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -51,7 +52,8 @@ class BathMode:
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Modes plus a shared Fock cutoff; validates the dimension cap."""
+    """Modes plus a shared Fock cutoff; validates the dimension cap and that
+    H_E and V fit in float64."""
 
     modes: tuple[BathMode, ...]
     fock_cutoff: int
@@ -69,6 +71,14 @@ class BathSpec:
         if self.env_dim > ENV_DIM_CAP:
             raise DimensionCapError(
                 f"environment dimension {self.env_dim} exceeds cap {ENV_DIM_CAP}"
+            )
+        # the largest entries of H_E and of V, at every mode's top Fock level
+        he_top = self.fock_cutoff * sum(m.omega for m in modes)
+        v_top = math.sqrt(self.fock_cutoff) * max(math.hypot(m.g.real, m.g.imag) for m in modes)
+        if not max(he_top, v_top) < math.inf:
+            raise ValueError(
+                f"H_E or V overflows float64: fock_cutoff * sum(omega) = {he_top:.3e}, "
+                f"sqrt(fock_cutoff) * max |g| = {v_top:.3e}"
             )
 
     @property

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ShapeError
+from .linalg import ShapeError, frobenius_norm
 
 
 def blocks(m) -> np.ndarray:
@@ -33,6 +33,12 @@ def flatten(b) -> np.ndarray:
     b = np.asarray(b)
     n = b.shape[-1]
     return b.swapaxes(-3, -2).reshape(*b.shape[:-4], 2 * n, 2 * n)
+
+
+def offdiag_norm(b) -> float:
+    """||[b12; b21]||_F for the (2, 2, N, N) blocks b of a block operator: the
+    two off-diagonal blocks stacked, by frobenius_norm, so no square overflows."""
+    return frobenius_norm(np.concatenate((b[0, 1], b[1, 0])))
 
 
 def partial_trace_env(m) -> np.ndarray:

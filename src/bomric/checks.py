@@ -2,7 +2,8 @@
 
 Each check is a function of a Scenario alone and returns the dict that
 verify prints and writes: the measured residuals, the tolerance and
-"passed".  Seeds, sample counts, the time grid and the tolerances are the
+"passed".  A residual that is NaN at any sample makes the worst one NaN,
+and the check fails.  Seeds, sample counts, the time grid and the tolerances are the
 module constants below, so a check measures the same thing wherever it runs.
 Every check reads H_E and V from the scenario's BathSpec (spec.he, spec.v),
 so the six of them assemble each once.
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import linalg, riccati
 from .bath import displaced_check
-from .blockop import blocks, sandwich_lemma_check
+from .blockop import blocks, offdiag_norm, sandwich_lemma_check
 from .dynamics import (
     QubitParams,
     Scenario,
@@ -39,10 +40,15 @@ PHASE_TOL = 1e-13
 WEYL_TOL = 1e-6
 
 
+def _worst(residuals) -> float:
+    """The largest of the residuals, NaN if any is NaN, so a NaN fails the check."""
+    return float(np.max(residuals))
+
+
 def covariance(s: Scenario) -> dict:
     """Rotating the static generator reproduces the driven Hamiltonian."""
     rng = np.random.default_rng(SEED)
-    worst = 0.0
+    resid = []
     for _ in range(COVARIANCE_SAMPLES):
         q = QubitParams(
             alpha=rng.uniform(-2, 2),
@@ -52,7 +58,8 @@ def covariance(s: Scenario) -> dict:
         t = rng.uniform(0.0, 20.0)
         h = hamiltonian_static(q, s.bath)
         scale = linalg.frobenius_norm(h)
-        worst = max(worst, covariance_residual(q, h, t) / scale)
+        resid.append(covariance_residual(q, h, t) / scale)
+    worst = _worst(resid)
     return {"residual": worst, "tolerance": IDENTITY_TOL, "passed": worst <= IDENTITY_TOL}
 
 
@@ -89,7 +96,7 @@ def sandwich(s: Scenario) -> dict:
     rng = np.random.default_rng(SEED + 1)
     n = s.bath.env_dim
     chunk = chunk_size(4 * n * n)  # samples per chunk, each with 4N^2 entries of B
-    worst = 0.0
+    resid = []
     for start in range(0, SANDWICH_SAMPLES, chunk):
         m = min(chunk, SANDWICH_SAMPLES - start)
         draws = rng.standard_normal((m, 8 * n * n + 16))
@@ -97,7 +104,8 @@ def sandwich(s: Scenario) -> dict:
         b = _complex_pairs(blocks.reshape(m, 4, 2, n * n)).reshape(m, 2, 2, n, n)
         a = _complex_pairs(qubit.reshape(m, 2, 2, 4)).reshape(m, 2, 2, 2)
         scale = np.linalg.norm(b.reshape(m, -1), axis=1)
-        worst = max(worst, float(np.max(sandwich_lemma_check(a[:, 0], b, a[:, 1]) / scale)))
+        resid.append(sandwich_lemma_check(a[:, 0], b, a[:, 1]) / scale)
+    worst = _worst(np.concatenate(resid))
     return {"residual": worst, "tolerance": IDENTITY_TOL, "passed": worst <= IDENTITY_TOL}
 
 
@@ -114,8 +122,8 @@ def zt_riccati(s: Scenario) -> dict:
     he, alpha = s.bath.he, s.qubit.alpha
     w = s.bath.v + s.qubit.beta * np.eye(s.bath.env_dim)
     scale = max(linalg.frobenius_norm(w), 1e-300)
-    worst = max(riccati.time_dependent_residual(he, w, alpha, t) / scale
-                for t in np.linspace(0.0, s.t_max, PHASE_POINTS))
+    worst = _worst([riccati.time_dependent_residual(he, w, alpha, t) / scale
+                    for t in np.linspace(0.0, s.t_max, PHASE_POINTS)])
     return {"residual": worst, "tolerance": PHASE_TOL, "passed": worst <= PHASE_TOL}
 
 
@@ -123,17 +131,13 @@ def st_diagonalization(s: Scenario) -> dict:
     """The frame S_t makes H(t) static and block-diagonal: blocks H_E +- W."""
     he, (alpha, beta) = s.bath.he, (s.qubit.alpha, s.qubit.beta)
     w = s.bath.v + beta * np.eye(s.bath.env_dim)
-    worst_off = worst_diag = 0.0
+    off, dev = [], []
     for t in np.linspace(0.0, s.t_max, PHASE_POINTS):
         h = riccati.periodic_bom(s.bath, beta, alpha, t)
         tb = blocks(riccati.s_frame_transform(h, alpha, t))
-        off = np.sqrt(linalg.frobenius_norm(tb[0, 1]) ** 2 + linalg.frobenius_norm(tb[1, 0]) ** 2)
-        dev = max(
-            float(np.max(np.abs(tb[0, 0] - (he + w)))),
-            float(np.max(np.abs(tb[1, 1] - (he - w)))),
-        )
-        worst_off = max(worst_off, off)
-        worst_diag = max(worst_diag, dev)
+        off.append(offdiag_norm(tb))
+        dev += [np.max(np.abs(tb[0, 0] - (he + w))), np.max(np.abs(tb[1, 1] - (he - w)))]
+    worst_off, worst_diag = _worst(off), _worst(dev)
     return {
         "offdiag_residual": worst_off,
         "diag_deviation": worst_diag,
@@ -145,7 +149,7 @@ def st_diagonalization(s: Scenario) -> dict:
 def weyl_displacement(s: Scenario) -> dict:
     """The Weyl displacement shifts the bath by the constant -sum |g|^2/omega."""
     check = displaced_check(s.bath)
-    resid = max(check.residual_plus, check.residual_minus)
+    resid = _worst([check.residual_plus, check.residual_minus])
     c_dev = abs(check.c_fit - check.c_expected)
     return {
         "residual": resid,

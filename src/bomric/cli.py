@@ -353,7 +353,11 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "riccati": cmd_riccati, "verify": cmd_verify}
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        # a float64 overflow or invalid operation shows in the result, where
+        # the sanity caps, the checks and the solvers report it; numpy's
+        # RuntimeWarnings would only add lines to stderr
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

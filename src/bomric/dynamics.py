@@ -38,8 +38,13 @@ stack.  On the dense plan one linalg.taylor_expm1 call gives
 E = exp(-i H(t_m) dt) - I for the whole stack, and each step advances the
 factor as x + E @ x; a thin factor, such as a pure state's single column,
 takes a truncated Taylor series (linalg.expm_action) per step instead.  The
-drive only rotates phases, so ||H(t) dt||_1 and hence either plan are the
-same at every step.
+steps exponentiate H(t) - mu 1 with mu = Tr H / 2N (the trace shift of
+Al-Mohy & Higham 2011, Algorithm 3.2): exp(-i (H - mu) dt) is exp(-i H dt)
+times the scalar phase exp(i mu dt), which multiplies every column of x
+alike and cancels in Tr_E(x diag(p) x†), while ||(H - mu) dt||_1 is smaller,
+so both plans take fewer products.  A mu that is not finite is taken as 0.
+The drive only rotates phases and leaves the diagonal alone, so
+||(H(t) - mu) dt||_1 and hence either plan are the same at every step.
 
 reduced_dynamics raises TrajectorySanityError when a trajectory leaves the
 sanity caps below.
@@ -312,6 +317,12 @@ def reduced_dynamics(s: Scenario, mode: str = "rotating_stepped") -> Trajectory:
     p, psi = _state_factor(s.initial_state)
     if mode == "rotating_stepped":
         h = hamiltonian_static(q, s.bath)
+        # the steps take H(t) - mu 1, mu = Tr H / 2N (see the module docstring);
+        # each term of the sum is at most max|d| / 2N, so a finite d gives a finite mu
+        d = h.diagonal().real
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = float(np.sum(d / d.size))
+        h.flat[:: len(h) + 1] -= mu if np.isfinite(mu) else 0.0
         n = s.substeps_per_step
         dt = s.t_max / (s.steps * n)
         # H(t) has the entry moduli of h, so one plan fits every step

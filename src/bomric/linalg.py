@@ -126,8 +126,8 @@ def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:
     The action is kept only when its m * s products on the n x r block cost
     less than one dense step (taylor_expm1, then x + E @ x), taken as
     m * s * r <= n // 2.  Median microseconds per step of the stepper at one
-    BLAS thread, ||a dt||_1 = 0.35 (m * s = 13), action / dense, with * on
-    the path the rule takes:
+    BLAS thread, measured at ||a dt||_1 = 0.35 (m * s = 13, and one squaring
+    on the dense plan), action / dense, with * on the path the rule takes:
 
         n    r = 1        2            4            8            n
         18     64 / 37*     77 / 37*     84 / 38*     93 / 38*     89 / 37*
@@ -136,7 +136,10 @@ def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:
         128   194* / 2718  373* / 2738  383* / 2734  568 / 2694* 5525 / 3021*
 
     The rule takes the faster path at r = 1 and r = n; it keeps mid-rank
-    steps dense at n >= 64 that the action wins by 2-5x.
+    steps dense at n >= 64 that the action wins by 2-5x.  The stepper passes
+    the trace-free H - mu (see dynamics), which on the bundled and benchmark
+    baths has ||a dt||_1 = 0.19-0.23 (m * s = 11-12, no squaring), so its
+    steps cost a little less than the table lists.
     """
     a = _as_square(a)
     norm1 = _norm1(a, scale)
@@ -153,8 +156,11 @@ def expm_action(a, scale: complex, x, plan: tuple[int, int]) -> np.ndarray:
 
     The plan (m, s) takes s steps of the degree-m Taylor series of
     exp(scale * a / s) (Al-Mohy & Higham 2011, Algorithm 3.2 without the
-    trace shift or the early exit: at these sizes the exit test's norms cost
-    more than the products they could save).
+    early exit: at these sizes the exit test's norms cost more than the
+    products they could save).  The algorithm's trace shift is the caller's:
+    the stepper passes H - mu with mu = Tr H / n, whose exponential differs
+    from exp(scale * H) by the scalar exp(-scale * mu), a global phase of x
+    that the reduced state drops, and plans on its smaller norm.
     """
     m, s = plan
     a = _as_square(a)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .bath import BathSpec
-from .blockop import blocks, flatten, qubit_sandwich
+from .blockop import blocks, flatten, offdiag_norm, qubit_sandwich
 from .linalg import ShapeError, SylvesterSingularError
 
 # An invariant-subspace result whose recomputed residual exceeds this
@@ -296,12 +296,11 @@ def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> Diagonalization:
     eye = np.eye(n)
     ux = np.block([[eye, -x.conj().T], [x, eye]])
     tb = blocks(np.linalg.solve(ux, p.r @ ux))
-    off = np.sqrt(linalg.frobenius_norm(tb[0, 1]) ** 2 + linalg.frobenius_norm(tb[1, 0]) ** 2)
     s = sol.singular_values
     return Diagonalization(
         d1=tb[0, 0],
         d2=tb[1, 1],
-        offdiag_residual=float(off),
+        offdiag_residual=offdiag_norm(tb),
         cond_ux=float(np.hypot(1.0, s[0]) / np.hypot(1.0, s[-1])),
     )
 

@@ -213,6 +213,22 @@ def test_dimension_cap():
     assert spec.env_dim == 64
 
 
+@pytest.mark.parametrize(
+    "modes, cutoff",
+    [(((1e308, 0.2),), 8), (((1e308, 0.2), (1e308, 0.2)), 1), (((1.0, 1e308),), 4)],
+)
+def test_bath_operators_past_float64_are_rejected(modes, cutoff):
+    # the largest entry, n_max sum(omega) of H_E or sqrt(n_max) |g| of V, is inf
+    with pytest.raises(ValueError, match="H_E or V overflows float64"):
+        BathSpec(tuple(BathMode(w, g) for w, g in modes), fock_cutoff=cutoff)
+
+
+def test_bath_operators_at_the_float64_edge_are_kept():
+    spec = BathSpec((BathMode(1e308, 1e307),), fock_cutoff=1)
+    assert np.isfinite(spec.he).all() and np.isfinite(spec.v).all()
+    assert spec.he[1, 1] == 1e308
+
+
 def test_fock_cutoff_validation():
     with pytest.raises(ValueError):
         BathSpec((BathMode(1.0, 0.1),), fock_cutoff=0)

@@ -2,12 +2,15 @@
 bath operators the checks assemble."""
 import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bomric import bath, checks, dynamics
+from bomric import bath, checks, dynamics, riccati
 from bomric.bath import BathMode, BathSpec
+from bomric.scenario import load_scenario
 
 from conftest import plus_fock_scenario
 
@@ -82,3 +85,38 @@ def test_six_checks_assemble_each_bath_operator_once(monkeypatch):
     for check in checks.CHECKS.values():
         assert check(s)["passed"]
     assert calls == {"bath_hamiltonian": 1, "coupling_operator": 1}
+
+
+NAN = float("nan")
+
+# each check's kernel, and a NaN put on a sample other than the first:
+# (module, name, poison(result, call index))
+NAN_KERNELS = {
+    "covariance": (checks, "covariance_residual", lambda r, k: NAN if k == 1 else r),
+    "sandwich": (checks, "sandwich_lemma_check", lambda r, k: np.append(r[:-1], NAN)),
+    "zt_riccati": (riccati, "time_dependent_residual", lambda r, k: NAN if k == 1 else r),
+    "st_diagonalization": (
+        riccati, "s_frame_transform", lambda r, k: np.full_like(r, NAN) if k == 1 else r
+    ),
+    "weyl_displacement": (
+        checks, "displaced_check", lambda r, k: replace(r, residual_minus=NAN)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_KERNELS))
+def test_a_nan_residual_fails_its_check(monkeypatch, name):
+    s = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "riccati_spinboson.json").scenario
+    check = checks.CHECKS[name]
+    assert check(s)["passed"]
+    module, attr, poison = NAN_KERNELS[name]
+    kernel, calls = getattr(module, attr), []
+
+    def poisoned(*args):
+        calls.append(None)
+        return poison(kernel(*args), len(calls) - 1)
+
+    monkeypatch.setattr(module, attr, poisoned)
+    result = check(s)
+    assert not result["passed"]
+    assert any(np.isnan(v) for v in result.values() if isinstance(v, float))

@@ -744,6 +744,62 @@ def test_verify_huge_displacement_is_one_error_line(tmp_path, omega):
     assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: 1 of 1 checks failed: ")
 
 
+def huge_mode_doc(tmp_path, omega, cutoff, checks=None):
+    """riccati_spinboson.json with its one mode at frequency omega and the given cutoff."""
+    doc = json.loads(RICCATI_SB.read_text())
+    doc["bath"]["modes"][0]["omega"] = omega
+    doc["bath"]["fock_cutoff"] = cutoff
+    if checks is not None:
+        doc["run"]["checks"] = checks
+    return write_doc(tmp_path, doc)
+
+
+def run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "bomric.cli", *map(str, argv)],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+
+
+@pytest.mark.parametrize("omega, cutoff", [(1e306, 8), (1e307, 1)])
+def test_offdiag_norm_of_huge_blocks_does_not_overflow(tmp_path, capsys, omega, cutoff):
+    # the squared block norms would pass 1e308; the stacked norm does not
+    path = huge_mode_doc(tmp_path, omega, cutoff, checks=["st_diagonalization"])
+    assert cli.main(["riccati", str(path), "--method", "subspace"]) == cli.EXIT_OK
+    assert cli.main(["verify", str(path)]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert "FAIL st_diagonalization: offdiag_residual=" in out
+    assert err.startswith("error: 1 of 1 checks failed: st_diagonalization") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["riccati", "verify", "simulate"])
+def test_bath_overflowing_float64_is_one_error_line(tmp_path, capsys, command):
+    argv = [command, str(huge_mode_doc(tmp_path, 1e308, 8))]
+    argv += ["--out", str(tmp_path / "x.csv")] if command == "simulate" else []
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: bath: H_E or V overflows float64") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["riccati"], cli.EXIT_NO_CONVERGENCE),
+        (["riccati", "--method", "newton"], cli.EXIT_NO_CONVERGENCE),
+        (["simulate", "--mode", "static_exact", "--out", "x.csv"], cli.EXIT_CHECK_FAILED),
+    ],
+    ids=["riccati", "newton", "static_exact"],
+)
+def test_float64_overflow_prints_no_numpy_warning(tmp_path, argv, code):
+    # omega = 1e308 at cutoff 1 runs into inf and NaN: the solver or the
+    # sanity caps report it on one line, with no RuntimeWarning before it
+    path = huge_mode_doc(tmp_path, 1e308, 1)
+    argv = [argv[0], path, *(tmp_path / a if a == "x.csv" else a for a in argv[1:])]
+    run = run_cli(*argv)
+    assert run.returncode == code
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+
+
 # -- any input ends in a documented exit ---------------------------------------
 
 def _leaf_paths(node, path=()):

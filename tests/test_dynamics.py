@@ -26,7 +26,7 @@ from bomric.linalg import expm, frobenius_norm
 from bomric.riccati import periodic_bom, s_frame_unitary
 from bomric.scenario import load_scenario
 
-from conftest import PAULI_1, PAULI_2, PAULI_3, random_hermitian
+from conftest import PAULI_1, PAULI_2, PAULI_3, SPINBOSON_QUBIT, random_hermitian
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -506,6 +506,64 @@ def test_rotating_frame_halving_on_action_path():
     coarse = max(rotating_frame_check(s))
     fine = max(rotating_frame_check(replace(s, steps=2 * s.steps)))
     assert 3.9 <= coarse / fine <= 4.1
+
+
+def bath64_scenario(mixed, t_max=2.5, steps=200):
+    """The 64-level bath of the benchmark (modes 2.3 and 1.7 at cutoff 7,
+    coupling 0.2, the spin-boson qubit): a pure |+>|0> start, or a full-rank
+    mixed qubit state times a thermal bath state."""
+    bath = BathSpec((BathMode(2.3, 0.2), BathMode(1.7, 0.2)), fock_cutoff=7)
+    if mixed:
+        pops = np.exp(-np.diag(bath.he).real / 1.2)
+        rho = np.kron([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]], np.diag(pops / pops.sum()))
+    else:
+        rho = product_state(PLUS, bath)
+    return Scenario(qubit=SPINBOSON_QUBIT, bath=bath, initial_state=rho, t_max=t_max, steps=steps)
+
+
+def unshifted_stepped_states(s):
+    """The stepper's midpoint steps on H(t) itself, without the trace shift of
+    reduced_dynamics: both plans chosen on the unshifted h."""
+    h = hamiltonian_static(s.qubit, s.bath)
+    p, psi = dynamics._state_factor(s.initial_state)
+    dt = s.t_max / (s.steps * s.substeps_per_step)
+    plan = linalg.action_plan(h, -1j * dt, p.size)
+    factors = dynamics._stepped_factors(
+        h, s.qubit.omega, psi, dt, s.steps, s.substeps_per_step, plan
+    )
+    return np.concatenate([dynamics._trace_env(phis, p) for phis in factors])
+
+
+@pytest.mark.parametrize(
+    "name", [p.stem for p in sorted(SCENARIO_DIR.glob("*.json"))] + ["bath64", "bath64_mixed"]
+)
+def test_trace_shift_keeps_the_stepped_states(name):
+    # exp(-i (H - mu) dt) differs from exp(-i H dt) by a phase that Tr_E drops
+    if name.startswith("bath64"):
+        s = bath64_scenario(mixed=name == "bath64_mixed")
+    else:
+        s = load_scenario(SCENARIO_DIR / f"{name}.json").scenario
+    got = reduced_dynamics(s, "rotating_stepped").states
+    assert np.max(np.abs(got - unshifted_stepped_states(s))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "mixed, kind, unshifted, shifted",
+    [(False, "action_plan", (13, 1), (11, 1)), (True, "expm1_plan", (11, 1), (11, 0))],
+)
+def test_trace_shift_takes_the_smaller_plan(monkeypatch, mixed, kind, unshifted, shifted):
+    # bath64's step 2.5 / 200 over 10 steps: ||H dt||_1 = 0.373 falls to
+    # ||(H - mu) dt||_1 = 0.198, two series terms fewer on the rank-1 action
+    # and no squaring on the dense plan
+    s = bath64_scenario(mixed, t_max=0.125, steps=10)
+    h, dt = hamiltonian_static(s.qubit, s.bath), s.t_max / s.steps
+    plan_of = getattr(linalg, kind)
+    args = (h, -1j * dt, 1) if kind == "action_plan" else (h, -1j * dt)
+    assert plan_of(*args) == unshifted
+    taken = []
+    monkeypatch.setattr(linalg, kind, lambda *a: taken.append(plan_of(*a)) or taken[-1])
+    reduced_dynamics(s, "rotating_stepped")
+    assert taken == [shifted]
 
 
 def test_substeps_refine_integration(small_bath):

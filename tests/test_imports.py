@@ -52,3 +52,14 @@ def test_default_routes_on_bundled_scenarios_load_no_scipy(tmp_path):
         "    for argv in (['verify', str(p)], ['riccati', str(p)], ['simulate', str(p), '--out', out]):\n"
         "        assert bomric.cli.main(argv) == 0, argv"
     )
+
+
+def test_plain_pytest_from_the_root_finds_the_package():
+    # pyproject's pythonpath puts src/ on the path, so no PYTHONPATH is needed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--collect-only",
+         "tests/test_imports.py"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

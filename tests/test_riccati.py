@@ -190,9 +190,7 @@ def _dense_diagonalize(p, x):
     ux = congruence_factor(x)
     transformed = np.linalg.solve(ux, p.r @ ux)
     n = p.dim
-    off = np.sqrt(
-        frobenius_norm(transformed[:n, n:]) ** 2 + frobenius_norm(transformed[n:, :n]) ** 2
-    )
+    off = np.linalg.norm(np.concatenate((transformed[:n, n:], transformed[n:, :n])))
     return transformed[:n, :n], transformed[n:, n:], float(off)
 
 

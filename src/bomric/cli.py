@@ -8,8 +8,9 @@ Exit codes: 0 success, 2 schema, state or command-line input error (including
 any argument the parser rejects, a file that cannot be opened, a grid over
 STEP_CAP, a --branch that no solver would use and a simulate mode that needs
 a drive phase omega t with no digit left, see checks.drive_phase_lost), 3
-environment dimension over the cap, 4 solver non-convergence, 5 a
-verification check failed or a trajectory left a sanity cap (TRACE_DEV_CAP,
+environment dimension over the cap, 4 solver non-convergence (or a dephasing
+M whose m12 is 0, or whose roots or their residuals float64 cannot hold), 5
+a verification check failed or a trajectory left a sanity cap (TRACE_DEV_CAP,
 HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).  A --sweep checks every
 value before it runs any, so an exit 2 or 3 writes no file.
 """
@@ -35,7 +36,8 @@ from .dynamics import (
     hamiltonian_static,
     reduced_dynamics,
 )
-from .scenario import RunConfig, ScenarioError, load_scenario, read_document, scenario_from_dict
+from .scenario import (RunConfig, ScenarioError, _build, load_scenario, read_document,
+                       scenario_from_dict)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -71,12 +73,7 @@ def _entry(node, part: str, dotted: str):
 
 def _with_steps(s: Scenario, steps: int | None) -> Scenario:
     """The scenario with its grid step count overridden by --steps."""
-    if steps is None:
-        return s
-    try:
-        return replace(s, steps=steps)
-    except ValueError as exc:
-        raise ScenarioError(f"--steps {steps}: {exc}") from None
+    return s if steps is None else _build(replace, f"--steps {steps}", s, steps=steps)
 
 
 def _parse_sweep(arg: str) -> tuple[str, list]:
@@ -201,18 +198,21 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
 
 
 def _riccati_dephasing_report(config: RunConfig) -> dict:
-    m = config.dephasing_m
+    m, bath = config.dephasing_m, config.scenario.bath
     roots = riccati.solve_dephasing_quadratic(m)
-    p = riccati.RiccatiProblem(dephasing_hamiltonian(config.scenario.bath, m))
-    eye = np.eye(config.scenario.bath.env_dim)
+    p = riccati.RiccatiProblem(dephasing_hamiltonian(bath, m))
+    res = [riccati.residual(p, x * np.eye(bath.env_dim)) for x in (roots.principal, roots.partner)]
+    if not np.all(np.isfinite(res)):
+        raise riccati.DephasingRootError("dephasing root residuals not finite in float64: "
+                                         f"principal {res[0]:.3e}, partner {res[1]:.3e}")
     return {
         "kind": "dephasing",
         "principal_root": [roots.principal.real, roots.principal.imag],
         "partner_root": [roots.partner.real, roots.partner.imag],
         "principal_abs": abs(roots.principal),
-        "residual_principal": riccati.residual(p, roots.principal * eye),
-        "residual_partner": riccati.residual(p, roots.partner * eye),
-        "coupling_norm": linalg.frobenius_norm(config.scenario.bath.v),
+        "residual_principal": res[0],
+        "residual_partner": res[1],
+        "coupling_norm": linalg.frobenius_norm(bath.v),
     }
 
 
@@ -349,6 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the failures main reports on one `error:` line: each type, matched in
+# order, with its exit code and the prefix of its message
+_FAILURES = {
+    DimensionCapError: (EXIT_DIMENSION, ""),
+    TrajectorySanityError: (EXIT_CHECK_FAILED, ""),
+    InvalidStateError: (EXIT_SCHEMA, "invalid initial state: "),
+    ScenarioError: (EXIT_SCHEMA, ""),
+    OSError: (EXIT_SCHEMA, ""),
+    riccati.RiccatiConvergenceError: (EXIT_NO_CONVERGENCE, ""),
+    riccati.NoGraphError: (EXIT_NO_CONVERGENCE, ""),
+    riccati.AmbiguousSubspaceError: (EXIT_NO_CONVERGENCE, ""),
+    riccati.DephasingRootError: (EXIT_NO_CONVERGENCE, ""),
+}
+
+
 def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "riccati": cmd_riccati, "verify": cmd_verify}
     try:
@@ -358,31 +373,13 @@ def main(argv=None) -> int:
         # RuntimeWarnings would only add lines to stderr
         with np.errstate(all="ignore"):
             return handlers[args.command](args)
-    except DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except TrajectorySanityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except InvalidStateError as exc:
-        print(f"error: invalid initial state: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (
-        riccati.RiccatiConvergenceError,
-        riccati.NoGraphError,
-        riccati.AmbiguousSubspaceError,
-    ) as exc:
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
         # Newton's last residuals go on the one error line
         trace = ", ".join(f"{r:.3e}" for r in getattr(exc, "trace", [])[-5:])
         tail = f"; residual trace (last 5): {trace}" if trace else ""
-        print(f"error: {exc}{tail}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        print(f"error: {prefix}{exc}{tail}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

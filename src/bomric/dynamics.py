@@ -188,22 +188,21 @@ def hamiltonian_rotating(q: QubitParams, bath: BathSpec, t: float) -> np.ndarray
     return _drive_at(hamiltonian_static(q, bath), q.omega, t)
 
 
-def rotation_frame_unitary(q: QubitParams, t: float) -> np.ndarray:
-    """The 2 x 2 qubit rotation diag(exp(-i w t / 2), exp(i w t / 2))."""
-    return np.diag(
-        [np.exp(-1j * q.omega * t / 2.0), np.exp(1j * q.omega * t / 2.0)]
-    ).astype(complex)
+def frame_phases(omega: float, t) -> np.ndarray:
+    """The diagonal (exp(-i w t / 2), exp(i w t / 2)) of the qubit rotation
+    R(t), exp(iKt) = R(t) (x) 1, at a time or stacked over an array of times."""
+    return np.exp(-0.5j * omega * np.multiply.outer(t, [1.0, -1.0]))
 
 
 def covariance_residual(q: QubitParams, h: np.ndarray, t: float) -> float:
     """|| H(t) - exp(iKt) H(beta) exp(-iKt) ||_F for h = H(beta) =
     hamiltonian_static(q, bath); zero up to roundoff.
 
-    With exp(iKt) = U (x) 1, U = rotation_frame_unitary(q, t), qubit_sandwich
+    With exp(iKt) = U (x) 1, U = diag(frame_phases(q.omega, t)), qubit_sandwich
     computes every entry of (U (x) 1) h (U† (x) 1), and each block is compared
     with that of H(t) as _drive_at builds it from h.
     """
-    u = rotation_frame_unitary(q, t)[None]
+    u = np.diag(frame_phases(q.omega, t))[None]
     rotated = qubit_sandwich(u, blocks(h)[None], u.conj().transpose(0, 2, 1))
     diff = blocks(_drive_at(h, q.omega, t)) - rotated[0]
     return linalg.frobenius_norm(diff.reshape(-1, diff.shape[-1]))  # the four blocks stacked
@@ -334,7 +333,7 @@ def reduced_dynamics(s: Scenario, mode: str = "rotating_stepped") -> Trajectory:
         states = _spectral_states(hamiltonian_static(q, s.bath, beta), p, psi, times)
     if mode == "factored":
         # Tr_E((R (x) 1) rho (R† (x) 1)) = R Tr_E(rho) R†, with r the diagonal of R(t)
-        r = np.exp(-0.5j * q.omega * np.outer(times, [1.0, -1.0]))
+        r = frame_phases(q.omega, times)
         states *= r[:, :, None] * r[:, None, :].conj()
     adj = states.conj().transpose(0, 2, 1)
     traj = Trajectory(

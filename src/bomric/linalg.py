@@ -17,7 +17,6 @@ import numpy as np
 
 # Tolerance constants used across the package.
 TOL_HERM_REL = 1e-10    # hermiticity: ||a - a†||_F <= TOL_HERM_REL * ||a||_F
-TOL_EIG = 1e-11         # eigen-reconstruction residual, relative
 TOL_SYLVESTER = 1e-10   # sylvester residual: <= TOL_SYLVESTER * (||p||+||q||) * ||delta||
 
 
@@ -80,8 +79,8 @@ def expm(a, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * a) by scaling-and-squaring (scipy backend), for one square
     matrix or each matrix of a (k, n, n) stack.
 
-    Its only remaining callers are the test oracles: the midpoint stepper and
-    the Weyl displacement (bath._weyl_single) take taylor_expm1 instead.
+    It stays as the tests' independent oracle for taylor_expm1 and
+    expm_action, and as a span target of the benchmark's tracer.
     """
     import scipy.linalg
 

@@ -75,6 +75,10 @@ class AmbiguousSubspaceError(RuntimeError):
     """The top-block weights tie at the N-th eigenvector; no graph branch stands out."""
 
 
+class DephasingRootError(ValueError):
+    """No dephasing root pair, or no residual of it, that float64 can hold."""
+
+
 @dataclass(frozen=True)
 class RiccatiProblem:
     """A Hermitian block operator R = [[a, b], [b†, c]]; a, b and c are views
@@ -113,7 +117,6 @@ class RiccatiSolution:
     of X (descending) and, from Newton, the residual of every iterate."""
 
     x: np.ndarray
-    method: str
     iterations: int
     residual: float
     eta: float
@@ -127,8 +130,10 @@ class RiccatiSolution:
 
 
 def riccati_map(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """F(X) = X b X + X a - c X - b† for the blocks a, b, c of R."""
-    return x @ b @ x + x @ a - c @ x - b.conj().T
+    """F(X) = X b X + X a - c X - b† for the blocks a, b, c of R, summed as
+    (X a - c X) + (X b X - b†): for a = c and X = z 1 the first pair cancels
+    exactly, so a stiff H_E adds no roundoff to zt_riccati's F(z_t 1)."""
+    return (x @ a - c @ x) + (x @ b @ x - b.conj().T)
 
 
 def residual(p: RiccatiProblem, x) -> float:
@@ -164,12 +169,12 @@ def _eta(r: float, x: np.ndarray, ac_norm: float, b_norm: float) -> float:
     return r / scale if scale > 0.0 else 0.0
 
 
-def _make_solution(p: RiccatiProblem, x: np.ndarray, method: str, iterations: int,
+def _make_solution(p: RiccatiProblem, x: np.ndarray, iterations: int,
                    trace: tuple[float, ...] = ()) -> RiccatiSolution:
     # residual and eta always recomputed from x, never taken from solver internals
     r = residual(p, x)
     return RiccatiSolution(
-        x=x, method=method, iterations=iterations, residual=r,
+        x=x, iterations=iterations, residual=r,
         eta=_eta(r, x, *_block_norms(p)),
         singular_values=np.linalg.svd(x, compute_uv=False), trace=trace,
     )
@@ -207,7 +212,7 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
         eta = _eta(r, x, ac_norm, b_norm)
         best_eta = min(best_eta, eta)
         if r <= TOL_RESIDUAL or eta <= ETA_TOL:
-            return _make_solution(p, x, "newton", it, tuple(trace))
+            return _make_solution(p, x, it, tuple(trace))
         if it == MAX_NEWTON_ITERS:
             break
         try:
@@ -261,9 +266,9 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
             f"selected graph branch has no graph representation: cond(Y1) = {cond:.3e}"
         )
     x = np.linalg.solve(y1.T, y2.T).T
-    sol = _make_solution(p, x, "invariant_subspace", 0)
+    sol = _make_solution(p, x, 0)
     cap = _SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(p.r))
-    if sol.residual > cap:
+    if not sol.residual <= cap:  # a NaN residual is no solution either
         raise NoGraphError(
             f"selected graph branch is not a solution graph: residual "
             f"{sol.residual:.3e} above {cap:.3e}, eta {sol.eta:.3e}, "
@@ -322,19 +327,17 @@ def solve_dephasing_quadratic(m) -> DephasingRoots:
     of 1 (x) H_E + M (x) V exactly, so the operator problem reduces to
     this scalar quadratic.  The two roots form a pair (x, -1/x*); the
     principal root is the one with |x| <= 1 (ties broken toward the root
-    with the larger real part, then larger imaginary part).
+    with the larger real part, then larger imaginary part).  Raises
+    DephasingRootError when m12 = 0 or a root is not finite in float64.
     """
     m = linalg.hermitian_part(m, "dephasing coupling matrix")
     if m.shape != (2, 2):
         raise ShapeError(f"dephasing coupling must be 2 x 2, got {m.shape}")
     m12 = complex(m[0, 1])
-    if m12 == 0:
-        raise ValueError(
-            "coupling matrix is diagonal; the block operator is already "
-            "block-diagonal and the quadratic degenerates"
-        )
+    if m12 == 0:  # the block operator is already block-diagonal
+        raise DephasingRootError("coupling matrix is diagonal; the quadratic degenerates")
     delta = float(m[0, 0].real - m[1, 1].real)
-    s = np.sqrt(delta * delta + 4.0 * abs(m12) ** 2)  # real and positive
+    s = np.hypot(delta, 2.0 * abs(m12))  # real and positive, with no square to overflow
     # compute the large root first (the numerator -delta -+ s with no
     # cancellation), then the small one from the root product -m12*/m12;
     # the naive -delta + s loses the small root to cancellation when
@@ -342,11 +345,11 @@ def solve_dephasing_quadratic(m) -> DephasingRoots:
     big_num = -(delta + s) if delta >= 0.0 else -delta + s
     r_big = big_num / (2.0 * m12)
     r_small = (-np.conj(m12) / m12) / r_big
-
-    def key(z: complex) -> tuple[float, float, float]:
-        return (abs(z), -z.real, -z.imag)
-
-    principal, partner = sorted((complex(r_small), complex(r_big)), key=key)
+    if not (np.isfinite(r_big) and np.isfinite(r_small)):
+        raise DephasingRootError(f"no finite root pair in float64: m11 - m22 = {delta:.3e}, "
+                                 f"|m12| = {abs(m12):.3e}")
+    principal, partner = sorted((complex(r_small), complex(r_big)),
+                                key=lambda z: (abs(z), -z.real, -z.imag))
     return DephasingRoots(principal=principal, partner=partner)
 
 

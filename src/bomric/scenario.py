@@ -78,11 +78,12 @@ def _int(obj, path: str) -> int:
     return obj
 
 
-def _build(cls, path: str, **fields):
-    """cls(**fields), with its ValueError raised as a ScenarioError prefixed by
-    path; DimensionCapError and InvalidStateError keep their own exit codes."""
+def _build(cls, path: str, *args, **fields):
+    """cls(*args, **fields) (cls may be dataclasses.replace), with its ValueError
+    raised as a ScenarioError prefixed by path; DimensionCapError and
+    InvalidStateError keep their own exit codes."""
     try:
-        return cls(**fields)
+        return cls(*args, **fields)
     except (DimensionCapError, InvalidStateError):
         raise
     except ValueError as exc:

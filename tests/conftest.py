@@ -1,8 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bomric.bath import BathMode, BathSpec
 from bomric.dynamics import QubitParams, Scenario
+
+REPO = Path(__file__).resolve().parents[1]
 
 SPINBOSON_QUBIT = QubitParams(alpha=0.3, beta=0.5, omega=1.0)
 
@@ -10,6 +15,15 @@ PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded from its file: perfbench is not a package."""
+    path = REPO / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_complex(rng, n, m=None):

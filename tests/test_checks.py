@@ -120,3 +120,13 @@ def test_a_nan_residual_fails_its_check(monkeypatch, name):
     result = check(s)
     assert not result["passed"]
     assert any(np.isnan(v) for v in result.values() if isinstance(v, float))
+
+
+@pytest.mark.parametrize("omega, cutoff", [(1e3, 8), (1e4, 8), (1e307, 1)])
+def test_zt_riccati_holds_on_a_stiff_bath(omega, cutoff):
+    # z_t 1 solves the equation exactly and X a - c X cancels exactly for
+    # a = c = H_E, so a mode frequency far above the coupling leaves the
+    # residual at roundoff
+    s = plus_fock_scenario(BathSpec((BathMode(omega, 0.2),), fock_cutoff=cutoff), steps=10)
+    result = checks.zt_riccati(s)
+    assert result["passed"] and result["residual"] <= 1e-15

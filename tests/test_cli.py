@@ -628,6 +628,53 @@ def test_riccati_dephasing_report(tmp_path, capsys):
     assert report["residual_partner"] <= 1e-10
 
 
+def dephasing_doc(tmp_path, **entries):
+    """dephasing.json with the given entries of its coupling matrix M."""
+    doc = json.loads(DEPHASING.read_text())
+    doc["dephasing"].update(entries)
+    return write_doc(tmp_path, doc)
+
+
+def finite_numbers(node) -> bool:
+    """Whether every number in a JSON document is finite."""
+    if isinstance(node, dict):
+        return all(map(finite_numbers, node.values()))
+    if isinstance(node, list):
+        return all(map(finite_numbers, node))
+    return not isinstance(node, float) or bool(np.isfinite(node))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"m12_re": 0.0, "m12_im": 0.0},
+        {"m11": 1e308, "m22": -1e308, "m12_re": 1e308},
+        {"m12_re": 1e-320, "m12_im": 0.0},
+        {"m11": 1e300, "m12_re": 1e-300, "m12_im": 0.0},
+    ],
+    ids=["m12_zero", "m11_m22_m12_1e308", "m12_1e-320", "m11_1e300_m12_1e-300"],
+)
+def test_dephasing_with_no_finite_root_pair_exits_4(tmp_path, capsys, entries):
+    # a diagonal M, m11 - m22 past 1e308, or a partner root past 1e308:
+    # one error line and no report
+    out = tmp_path / "deph.json"
+    rc = cli.main(["riccati", str(dephasing_doc(tmp_path, **entries)), "--out", str(out)])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_dephasing_with_coupling_1e200_reports_finite_roots(tmp_path):
+    # |m12| = 1e200 squared would pass 1e308; hypot(delta, 2 |m12|) does not
+    out = tmp_path / "deph.json"
+    rc = cli.main(["riccati", str(dephasing_doc(tmp_path, m12_im=1e200)), "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert finite_numbers(report)
+    assert complex(*report["principal_root"]) == 1j and complex(*report["partner_root"]) == -1j
+
+
 # the dephasing.json report, which a change to the spin-boson route must not move
 DEPHASING_REPORT = {
     "coupling_norm": 0.894427190999916,
@@ -635,7 +682,7 @@ DEPHASING_REPORT = {
     "partner_root": [0.0, 2.414213562373095],
     "principal_abs": 0.4142135623730951,
     "principal_root": [0.0, -0.4142135623730951],
-    "residual_partner": 7.570711667007543e-16,
+    "residual_partner": 4.710277376051325e-16,
     "residual_principal": 1.1775693440128312e-16,
 }
 
@@ -814,9 +861,12 @@ def _leaf_paths(node, path=()):
         yield path
 
 
-# env_dim 4, 20 steps: every run the property can reach stays tiny
+# env_dim 4, 20 steps: every run the property can reach stays tiny; the
+# second document's dephasing section sends riccati down the dephasing route
 TINY_DOC = minimal_doc(time={"t_max": 2.0, "steps": 20, "substeps_per_step": 1})
-TINY_LEAVES = list(_leaf_paths(TINY_DOC))
+TINY_DEPHASING_DOC = dict(
+    TINY_DOC, dephasing={"m11": 1.0, "m22": -1.0, "m12_re": 0.0, "m12_im": 1.0}
+)
 
 ODD_VALUES = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf")]),
@@ -831,24 +881,30 @@ ODD_VALUES = st.one_of(
 )
 
 
+def _document_with_edits(doc):
+    """The document, a mutation of one of its leaves and a sweep over one."""
+    leaves = st.sampled_from(list(_leaf_paths(doc)))
+    return st.tuples(
+        st.just(doc),
+        st.one_of(st.none(), st.tuples(leaves, ODD_VALUES)),
+        st.one_of(st.none(), st.tuples(leaves, st.lists(ODD_VALUES, min_size=1, max_size=2))),
+    )
+
+
 @settings(max_examples=100, deadline=5000, database=None, derandomize=True)
 @given(
-    mutation=st.one_of(st.none(), st.tuples(st.sampled_from(TINY_LEAVES), ODD_VALUES)),
+    case=st.sampled_from([TINY_DOC, TINY_DEPHASING_DOC]).flatmap(_document_with_edits),
     command=st.sampled_from(["simulate", "verify", "riccati"]),
     steps=st.one_of(
         st.none(), st.sampled_from([-1, 0, 1, 50]), st.sampled_from([10**15, 10**400])
     ),
     mode=st.one_of(st.none(), st.sampled_from(cli.MODES)),
-    sweep=st.one_of(
-        st.none(),
-        st.tuples(st.sampled_from(TINY_LEAVES), st.lists(ODD_VALUES, min_size=1, max_size=2)),
-    ),
     method=st.sampled_from([None, "newton", "subspace"]),
     branch=st.sampled_from([None, "lower", "upper", "graph"]),
 )
-def test_any_input_ends_in_a_documented_exit(mutation, command, steps, mode, sweep, method,
-                                             branch):
-    doc = json.loads(json.dumps(TINY_DOC))
+def test_any_input_ends_in_a_documented_exit(case, command, steps, mode, method, branch):
+    doc, mutation, sweep = case
+    doc = json.loads(json.dumps(doc))
     if mutation is not None:
         leaf, value = mutation
         node = doc
@@ -870,14 +926,44 @@ def test_any_input_ends_in_a_documented_exit(mutation, command, steps, mode, swe
                 dotted = ".".join(map(str, key))
                 argv += ["--sweep", f"{dotted}={','.join(map(json.dumps, values))}"]
         if command == "riccati":
+            argv += ["--out", str(Path(tmp) / "report.json")]
             argv += ["--method", method] if method else []
             argv += ["--branch", branch] if branch else []
         # capsys is per test function, not per example
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(argv)
+        if command == "riccati" and rc == 0:
+            assert finite_numbers(json.loads((Path(tmp) / "report.json").read_text()))
     assert rc in (0, 2, 3, 4, 5)
     if rc in (2, 3, 4):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# finite entries only: a non-number is the schema's, and the property above covers it
+DEPHASING_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-320, 1e-300, 1e200, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=100, deadline=5000, database=None, derandomize=True)
+@given(entries=st.fixed_dictionaries(
+    {}, optional={key: DEPHASING_ENTRY for key in TINY_DEPHASING_DOC["dephasing"]}
+))
+def test_any_dephasing_matrix_ends_in_a_documented_exit(entries):
+    # the general property above seldom edits the dephasing section: here
+    # every example does, and riccati takes the dephasing route
+    doc = dict(TINY_DEPHASING_DOC, dephasing={**TINY_DEPHASING_DOC["dephasing"], **entries})
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["riccati", str(write_doc(Path(tmp), doc)), "--out", str(out)])
+        if rc == 0:
+            assert finite_numbers(json.loads(out.read_text()))
+    assert rc in (0, 4)
+    if rc != 0:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 

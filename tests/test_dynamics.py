@@ -14,11 +14,11 @@ from bomric.dynamics import (
     QubitParams,
     Scenario,
     covariance_residual,
+    frame_phases,
     hamiltonian_rotating,
     hamiltonian_static,
     reduced_dynamics,
     rotating_frame_check,
-    rotation_frame_unitary,
     validate_state,
 )
 from bomric import dynamics, linalg
@@ -54,6 +54,11 @@ def closed_scenario(steps=400, t_max=5.0, qubit=None):
         t_max=t_max,
         steps=steps,
     )
+
+
+def rotation_frame_unitary(q, t):
+    """The qubit rotation R(t) = diag(exp(-i w t / 2), exp(i w t / 2)), exp(iKt) = R(t) (x) 1."""
+    return np.diag([np.exp(-1j * q.omega * t / 2.0), np.exp(1j * q.omega * t / 2.0)])
 
 
 def propagator_static(h, t):
@@ -94,6 +99,18 @@ def rabi_propagator(q, t):
     n_dot_sigma = (det * PAULI_3 + q.alpha * PAULI_1) / omega_r
     core = np.cos(omega_r * t) * np.eye(2) - 1j * np.sin(omega_r * t) * n_dot_sigma
     return rotation_frame_unitary(q, t) @ core
+
+
+def test_frame_phases_over_a_grid_are_those_at_each_time():
+    # the one frame rotation serves covariance_residual at one time and the
+    # factored dressing over the grid: both read the same bits
+    q = QubitParams(alpha=0.7, beta=0.4, omega=1.3)
+    times = np.linspace(0.0, 10.0, 7)
+    stacked = frame_phases(q.omega, times)
+    assert stacked.shape == (7, 2)
+    for t, row in zip(times, stacked):
+        assert np.array_equal(row, frame_phases(q.omega, t))
+        assert np.allclose(np.diag(row), rotation_frame_unitary(q, t), rtol=0, atol=1e-15)
 
 
 def test_rotating_hamiltonian_matches_trig_form():

@@ -7,22 +7,13 @@ own copy of the header, so a header edit would fail every simulate op.
 Neither is a package module, so both are loaded here from their files.
 """
 import importlib
-import importlib.util
 from pathlib import Path
 
 import pytest
 
 from bomric import cli
 
-REPO = Path(__file__).resolve().parents[1]
-
-
-def load_perfbench(name):
-    path = REPO / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import REPO, load_perfbench
 
 
 @pytest.mark.parametrize("module, attr", sorted(load_perfbench("spans").TARGETS))

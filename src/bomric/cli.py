@@ -6,13 +6,14 @@ from zero or the graph branch.  --branch has the one value `graph`.
 
 Exit codes: 0 success, 2 schema, state or command-line input error (including
 any argument the parser rejects, a file that cannot be opened, a grid over
-STEP_CAP, a --branch that no solver would use and a simulate mode that needs
-a drive phase omega t with no digit left, see checks.drive_phase_lost), 3
-environment dimension over the cap, 4 solver non-convergence (or a dephasing
-M whose m12 is 0, or whose roots or their residuals float64 cannot hold), 5
-a verification check failed or a trajectory left a sanity cap (TRACE_DEV_CAP,
-HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).  A --sweep checks every
-value before it runs any, so an exit 2 or 3 writes no file.
+STEP_CAP, a --branch that no solver would use, a --method on a dephasing
+scenario and a simulate mode that needs a drive phase omega t with no digit
+left, see checks.drive_phase_lost), 3 environment dimension over the cap, 4
+solver non-convergence (or a dephasing M whose m12 is 0, or whose roots or
+their residuals float64 cannot hold), 5 a verification check failed or a
+trajectory left a sanity cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR;
+no CSV is written).  A --sweep checks every value before it runs any, so an
+exit 2 or 3 writes no file.
 """
 from __future__ import annotations
 
@@ -218,10 +219,15 @@ def _riccati_dephasing_report(config: RunConfig) -> dict:
 
 def cmd_riccati(args) -> int:
     config = load_scenario(args.scenario)
-    if args.branch is not None and (args.method == "newton" or config.dephasing_m is not None):
+    if config.dephasing_m is not None and (args.branch or args.method):
         raise ScenarioError(
-            "--branch selects the invariant-subspace solver's branch, which runs neither "
-            "with --method newton nor on a scenario with a dephasing section"
+            f"--{'branch' if args.branch else 'method'} selects a spin-boson solver; a "
+            "scenario with a dephasing section is answered by its quadratic roots"
+        )
+    if args.branch is not None and args.method == "newton":
+        raise ScenarioError(
+            "--branch selects the invariant-subspace solver's branch, which does not run "
+            "with --method newton"
         )
     if config.dephasing_m is not None:
         report = _riccati_dephasing_report(config)

@@ -279,15 +279,13 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
 
 @dataclass(frozen=True)
 class Diagonalization:
-    d1: np.ndarray
-    d2: np.ndarray
     offdiag_residual: float
     cond_ux: float
 
 
 def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> Diagonalization:
     """Transform R = p.r by U_X^{-1} R U_X, with the congruence factor
-    U_X = [[1, -X†], [X, 1]], and report the off-diagonal leftover.
+    U_X = [[1, -X†], [X, 1]], and report the off-diagonal leftover and cond(U_X).
 
     For an exact solution the result is diag(a + b X, c - b† X†); the
     off-diagonal residual of a computed solution stays below
@@ -303,8 +301,6 @@ def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> Diagonalization:
     tb = blocks(np.linalg.solve(ux, p.r @ ux))
     s = sol.singular_values
     return Diagonalization(
-        d1=tb[0, 0],
-        d2=tb[1, 1],
         offdiag_residual=offdiag_norm(tb),
         cond_ux=float(np.hypot(1.0, s[0]) / np.hypot(1.0, s[-1])),
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bomric import bath, checks, dynamics, riccati
+from bomric import bath, blockop, checks, dynamics, riccati
 from bomric.bath import BathMode, BathSpec
 from bomric.scenario import load_scenario
 
@@ -16,11 +16,13 @@ from conftest import plus_fock_scenario
 
 
 def one_call_per_matrix(n, k):
-    """The sandwich samples drawn as four (N, N) blocks, A1 and A2, each re then im."""
+    """The sandwich samples drawn as four (N, N) blocks, A1 and A2, each uniform
+    on [-1, 1) with re and im interleaved per entry."""
     rng = np.random.default_rng(checks.SEED + 1)
 
     def draw(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = rng.uniform(-1.0, 1.0, (*shape, 2))
+        return x[..., 0] + 1j * x[..., 1]
 
     samples = [([draw((n, n)) for _ in range(4)], draw((2, 2)), draw((2, 2))) for _ in range(k)]
     b = np.array([np.reshape(blocks, (2, 2, n, n)) for blocks, _, _ in samples])
@@ -50,6 +52,26 @@ def test_sandwich_chunking_keeps_the_samples(monkeypatch, n):
         for got, want in zip(zip(*chunks), expected):
             assert np.array_equal(np.concatenate(got), want)
     assert abs(results[0] - results[1]) <= 1e-15
+
+
+SANDWICH_MUTANTS = {
+    # each product block shifted by one column
+    "rolled": lambda kernel, a1, b, a2: np.roll(kernel(a1, b, a2), 1, axis=-1),
+    # the factors swapped: (A2^T (x) 1) B (A1^T (x) 1)
+    "swapped": lambda kernel, a1, b, a2: kernel(a2.swapaxes(-1, -2), b, a1.swapaxes(-1, -2)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SANDWICH_MUTANTS))
+def test_sandwich_catches_a_layout_bug(monkeypatch, mutant):
+    # the real kernel passes; a kernel that misplaces entries or factors fails
+    s = plus_fock_scenario(BathSpec((BathMode(1.0, 0.2),), fock_cutoff=3), steps=10)
+    assert checks.sandwich(s)["passed"]
+    kernel, wrong = blockop.qubit_sandwich, SANDWICH_MUTANTS[mutant]
+    monkeypatch.setattr(blockop, "qubit_sandwich", lambda a1, b, a2: wrong(kernel, a1, b, a2))
+    result = checks.sandwich(s)
+    assert not result["passed"]
+    assert result["residual"] > 1e-2
 
 
 def test_sandwich_memory_at_the_dimension_cap():

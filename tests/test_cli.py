@@ -570,17 +570,24 @@ def test_riccati_subspace_cap_failure_states_its_cause(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "scenario, extra",
-    [(RICCATI_SB, ["--method", "newton"]), (DEPHASING, []), (DEPHASING, ["--method", "subspace"])],
-    ids=["newton", "dephasing", "dephasing_subspace"],
+    [
+        (RICCATI_SB, ["--branch", "graph", "--method", "newton"]),
+        (DEPHASING, ["--branch", "graph"]),
+        (DEPHASING, ["--branch", "graph", "--method", "subspace"]),
+        (DEPHASING, ["--method", "newton"]),
+        (DEPHASING, ["--method", "subspace"]),
+    ],
+    ids=["newton", "dephasing", "dephasing_subspace", "dephasing_method_newton",
+         "dephasing_method_subspace"],
 )
 def test_riccati_rejects_branch_without_subspace_solver(tmp_path, capsys, scenario, extra):
-    # no invariant-subspace solve runs here, so a --branch would be ignored
+    # no solver that the option selects runs here, so it would be ignored
     out = tmp_path / "report.json"
-    rc = cli.main(["riccati", str(scenario), "--branch", "graph", "--out", str(out)] + extra)
+    rc = cli.main(["riccati", str(scenario), "--out", str(out)] + extra)
     assert rc == cli.EXIT_SCHEMA
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --branch ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {extra[0]} ") and captured.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -61,22 +61,15 @@ def qubit_sandwich(a1, b, a2) -> np.ndarray:
     return (coef @ b.reshape(k, 4, n * n)).reshape(b.shape)
 
 
-def sandwich_lhs(a1, b, a2) -> np.ndarray:
-    """Tr_E((A1 (x) 1) B (A2 (x) 1)) over a stack of k samples, shape (k, 2, 2).
-
-    Arguments are stacked as for qubit_sandwich.  The full product is formed
-    by qubit_sandwich and only then is each of its blocks traced: tracing B
-    first would compute the right side A1 Tr_E(B) A2 of the identity the
-    sandwich check tests.
-    """
-    return np.trace(qubit_sandwich(a1, b, a2), axis1=-2, axis2=-1)
-
-
 def sandwich_lemma_check(a1, b, a2) -> np.ndarray:
     """Residuals of Tr_E((A1 (x) 1) B (A2 (x) 1)) == A1 Tr_E(B) A2 over a stack.
 
-    Arguments are stacked as for sandwich_lhs.  Returns the k Frobenius norms
-    of the difference, which are pure roundoff since the identity is exact.
+    Arguments are stacked as for qubit_sandwich.  The left side forms the full
+    product by qubit_sandwich and only then traces each of its blocks: tracing
+    B first would compute the right side, the identity's other half.  Returns
+    the k Frobenius norms of the difference, which are pure roundoff since the
+    identity is exact.
     """
+    lhs = np.trace(qubit_sandwich(a1, b, a2), axis1=-2, axis2=-1)
     rhs = a1 @ np.trace(b, axis1=-2, axis2=-1) @ a2
-    return np.linalg.norm(sandwich_lhs(a1, b, a2) - rhs, axis=(1, 2))
+    return np.linalg.norm(lhs - rhs, axis=(1, 2))

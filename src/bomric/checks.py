@@ -1,7 +1,7 @@
 """The verification checks, shared by `bomric verify` and the acceptance tests.
 
 Each check is a function of a Scenario alone and returns the dict that
-verify prints and writes: the measured residuals, the tolerance and
+verify prints and writes: the MEASURES, the tolerance that bounds them and
 "passed".  A residual that is NaN at any sample makes the worst one NaN,
 and the check fails.  Seeds, sample counts, the time grid and the tolerances are the
 module constants below, so a check measures the same thing wherever it runs.
@@ -40,6 +40,20 @@ ROTATING_FRAME_TOL = 1e-5
 PHASE_TOL = 1e-13
 WEYL_TOL = 1e-6
 
+# the measured values that a check's tolerance bounds, in any check that reports them
+MEASURES = ("residual", "offdiag_residual", "diag_deviation", "c_deviation")
+
+
+def over_tolerance(result: dict) -> list[str]:
+    """The MEASURES in result not within its tolerance; a NaN never is."""
+    return [key for key in MEASURES if key in result and not result[key] <= result["tolerance"]]
+
+
+def _judged(result: dict) -> dict:
+    """result with "passed" added last: true when no measure is over tolerance."""
+    result["passed"] = not over_tolerance(result)
+    return result
+
 
 def _worst(residuals) -> float:
     """The largest of the residuals, NaN if any is NaN, so a NaN fails the check."""
@@ -60,15 +74,13 @@ def covariance(s: Scenario) -> dict:
         h = hamiltonian_static(q, s.bath)
         scale = linalg.frobenius_norm(h)
         resid.append(covariance_residual(q, h, t) / scale)
-    worst = _worst(resid)
-    return {"residual": worst, "tolerance": IDENTITY_TOL, "passed": worst <= IDENTITY_TOL}
+    return _judged({"residual": _worst(resid), "tolerance": IDENTITY_TOL})
 
 
 def rotating_frame(s: Scenario) -> dict:
     """Stepped lab-frame dynamics against the dressed static trajectory."""
-    resid = float(np.max(rotating_frame_check(s)))
-    tol = ROTATING_FRAME_TOL
-    out = {"residual": resid, "tolerance": tol, "passed": resid <= tol, "steps": s.steps}
+    resid = _worst(rotating_frame_check(s))
+    out = _judged({"residual": resid, "tolerance": ROTATING_FRAME_TOL, "steps": s.steps})
     if out["passed"]:
         return out
     lost = drive_phase_lost(s)
@@ -79,7 +91,7 @@ def rotating_frame(s: Scenario) -> dict:
         advice = (f"the drive phase omega t carries no digit at that tolerance "
                   f"(|omega| t_max eps = {lost:.1e}), so no step count helps")
     out["message"] = (f"stepped integration at {s.steps} steps leaves residual "
-                      f"{resid:.3e} > {tol:.0e}; {advice}")
+                      f"{resid:.3e} > {ROTATING_FRAME_TOL:.0e}; {advice}")
     return out
 
 
@@ -108,8 +120,7 @@ def sandwich(s: Scenario) -> dict:
         a = draws[:, 4 * n * n :].reshape(m, 2, 2, 2)
         scale = np.linalg.norm(b.reshape(m, -1), axis=1)
         resid.append(sandwich_lemma_check(a[:, 0], b, a[:, 1]) / scale)
-    worst = _worst(np.concatenate(resid))
-    return {"residual": worst, "tolerance": IDENTITY_TOL, "passed": worst <= IDENTITY_TOL}
+    return _judged({"residual": _worst(np.concatenate(resid)), "tolerance": IDENTITY_TOL})
 
 
 def zt_riccati(s: Scenario) -> dict:
@@ -120,7 +131,7 @@ def zt_riccati(s: Scenario) -> dict:
     scale = max(linalg.frobenius_norm(w), 1e-300)
     worst = _worst([riccati.time_dependent_residual(he, w, alpha, t) / scale
                     for t in np.linspace(0.0, s.t_max, PHASE_POINTS)])
-    return {"residual": worst, "tolerance": PHASE_TOL, "passed": worst <= PHASE_TOL}
+    return _judged({"residual": worst, "tolerance": PHASE_TOL})
 
 
 def st_diagonalization(s: Scenario) -> dict:
@@ -133,29 +144,21 @@ def st_diagonalization(s: Scenario) -> dict:
         tb = blocks(riccati.s_frame_transform(h, alpha, t))
         off.append(offdiag_norm(tb))
         dev += [np.max(np.abs(tb[0, 0] - (he + w))), np.max(np.abs(tb[1, 1] - (he - w)))]
-    worst_off, worst_diag = _worst(off), _worst(dev)
-    return {
-        "offdiag_residual": worst_off,
-        "diag_deviation": worst_diag,
-        "tolerance": PHASE_TOL,
-        "passed": worst_off <= PHASE_TOL and worst_diag <= PHASE_TOL,
-    }
+    return _judged({"offdiag_residual": _worst(off), "diag_deviation": _worst(dev),
+                    "tolerance": PHASE_TOL})
 
 
 def weyl_displacement(s: Scenario) -> dict:
     """The Weyl displacement shifts the bath by the constant -sum |g|^2/omega."""
     check = displaced_check(s.bath)
-    resid = _worst([check.residual_plus, check.residual_minus])
-    c_dev = abs(check.c_fit - check.c_expected)
-    return {
-        "residual": resid,
+    return _judged({
+        "residual": _worst([check.residual_plus, check.residual_minus]),
         "c_fit": check.c_fit,
         "c_expected": check.c_expected,
-        "c_deviation": c_dev,
+        "c_deviation": abs(check.c_fit - check.c_expected),
         "levels": check.levels,
         "tolerance": WEYL_TOL,
-        "passed": resid <= WEYL_TOL and c_dev <= WEYL_TOL,
-    }
+    })
 
 
 CHECKS = {

@@ -124,21 +124,10 @@ def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:
 
     The action is kept only when its m * s products on the n x r block cost
     less than one dense step (taylor_expm1, then x + E @ x), taken as
-    m * s * r <= n // 2.  Median microseconds per step of the stepper at one
-    BLAS thread, measured at ||a dt||_1 = 0.35 (m * s = 13, and one squaring
-    on the dense plan), action / dense, with * on the path the rule takes:
-
-        n    r = 1        2            4            8            n
-        18     64 / 37*     77 / 37*     84 / 38*     93 / 38*     89 / 37*
-        26     64* / 69     77 / 68*     87 / 65*     94 / 57*    131 / 60*
-        64     61* / 494   152* / 494   153 / 441*   201 / 426*   886 / 571*
-        128   194* / 2718  373* / 2738  383* / 2734  568 / 2694* 5525 / 3021*
-
-    The rule takes the faster path at r = 1 and r = n; it keeps mid-rank
-    steps dense at n >= 64 that the action wins by 2-5x.  The stepper passes
-    the trace-free H - mu (see dynamics), which on the bundled and benchmark
-    baths has ||a dt||_1 = 0.19-0.23 (m * s = 11-12, no squaring), so its
-    steps cost a little less than the table lists.
+    m * s * r <= n // 2.  Timed per step at one BLAS thread, this takes the
+    faster path at r = 1 and r = n, the ranks every workload has, and keeps
+    some mid-rank steps at n >= 64 dense that the action wins by 2-5x;
+    CHANGES.md keeps the timings.
     """
     a = _as_square(a)
     norm1 = _norm1(a, scale)

@@ -53,7 +53,11 @@ ETA_TOL = 2.0**-53
 LINEAR_STALL_RATIO, LINEAR_STALL_TOL, LINEAR_STALL_STEPS = 0.25, 0.01, 5
 
 
-class RiccatiConvergenceError(RuntimeError):
+class SolverError(RuntimeError):
+    """The base of every solver failure in this module."""
+
+
+class RiccatiConvergenceError(SolverError):
     """Newton failed; carries the residual trace of the iterates, and its
     message names a linear stall (LINEAR_STALL_RATIO) in that trace."""
 
@@ -67,15 +71,15 @@ class RiccatiConvergenceError(RuntimeError):
         self.trace = trace
 
 
-class NoGraphError(RuntimeError):
+class NoGraphError(SolverError):
     """The graph branch's subspace has no graph representation over the top block."""
 
 
-class AmbiguousSubspaceError(RuntimeError):
+class AmbiguousSubspaceError(SolverError):
     """The top-block weights tie at the N-th eigenvector; no graph branch stands out."""
 
 
-class DephasingRootError(ValueError):
+class DephasingRootError(SolverError, ValueError):
     """No dephasing root pair, or no residual of it, that float64 can hold."""
 
 

@@ -60,6 +60,14 @@ def _require_dict(obj, path: str, allowed: set[str], required: set[str]) -> dict
     return obj
 
 
+def _fields(obj, path: str, spec: dict) -> dict:
+    """obj's keys, read in spec's order: spec maps each key to (reader, default),
+    reader(value, dotted path), and a default of None marks a required key."""
+    _require_dict(obj, path, set(spec), {k for k, (_, d) in spec.items() if d is None})
+    return {key: read(obj.get(key, default), f"{path}.{key}")
+            for key, (read, default) in spec.items()}
+
+
 def _num(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {obj!r}")
@@ -110,30 +118,15 @@ def _matrix(obj, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     return m
 
 
-def _parse_qubit(obj) -> QubitParams:
-    _require_dict(obj, "qubit", {"alpha", "beta", "omega"}, {"alpha", "beta", "omega"})
-    return QubitParams(
-        alpha=_num(obj["alpha"], "qubit.alpha"),
-        beta=_num(obj["beta"], "qubit.beta"),
-        omega=_num(obj["omega"], "qubit.omega"),
-    )
+def _bath_mode(obj, path: str) -> BathMode:
+    f = _fields(obj, path, {"omega": (_num, None), "g_re": (_num, None), "g_im": (_num, 0.0)})
+    return _build(BathMode, path, omega=f["omega"], g=f["g_re"] + 1j * f["g_im"])
 
 
-def _parse_bath(obj) -> BathSpec:
-    _require_dict(obj, "bath", {"modes", "fock_cutoff"}, {"modes", "fock_cutoff"})
-    if not isinstance(obj["modes"], list):
-        raise ScenarioError("bath.modes: expected a list")
-    modes = []
-    for k, mode in enumerate(obj["modes"]):
-        path = f"bath.modes[{k}]"
-        _require_dict(mode, path, {"omega", "g_re", "g_im"}, {"omega", "g_re"})
-        omega = _num(mode["omega"], f"{path}.omega")
-        g = _num(mode["g_re"], f"{path}.g_re") + 1j * _num(
-            mode.get("g_im", 0.0), f"{path}.g_im"
-        )
-        modes.append(_build(BathMode, path, omega=omega, g=g))
-    cutoff = _int(obj["fock_cutoff"], "bath.fock_cutoff")
-    return _build(BathSpec, "bath", modes=tuple(modes), fock_cutoff=cutoff)
+def _bath_modes(obj, path: str) -> tuple[BathMode, ...]:
+    if not isinstance(obj, list):
+        raise ScenarioError(f"{path}: expected a list")
+    return tuple(_bath_mode(mode, f"{path}[{k}]") for k, mode in enumerate(obj))
 
 
 def _parse_initial(obj, bath: BathSpec) -> np.ndarray:
@@ -174,16 +167,6 @@ def _parse_initial(obj, bath: BathSpec) -> np.ndarray:
     raise ScenarioError(f"initial.kind: expected 'product' or 'explicit', got {kind!r}")
 
 
-def _parse_time(obj) -> tuple[float, int, int]:
-    _require_dict(
-        obj, "time", {"t_max", "steps", "substeps_per_step"}, {"t_max", "steps"}
-    )
-    t_max = _num(obj["t_max"], "time.t_max")
-    steps = _int(obj["steps"], "time.steps")
-    substeps = _int(obj.get("substeps_per_step", 1), "time.substeps_per_step")
-    return t_max, steps, substeps
-
-
 def _parse_run(obj) -> tuple[str, tuple[str, ...]]:
     _require_dict(obj, "run", {"mode", "checks"}, {"mode"})
     mode = obj["mode"]
@@ -201,15 +184,10 @@ def _parse_run(obj) -> tuple[str, tuple[str, ...]]:
 
 
 def _parse_dephasing(obj) -> np.ndarray:
-    _require_dict(
-        obj, "dephasing", {"m11", "m22", "m12_re", "m12_im"}, {"m11", "m22", "m12_re"}
-    )
-    m11 = _num(obj["m11"], "dephasing.m11")
-    m22 = _num(obj["m22"], "dephasing.m22")
-    m12 = _num(obj["m12_re"], "dephasing.m12_re") + 1j * _num(
-        obj.get("m12_im", 0.0), "dephasing.m12_im"
-    )
-    return np.array([[m11, m12], [np.conj(m12), m22]], dtype=complex)
+    f = _fields(obj, "dephasing", {"m11": (_num, None), "m22": (_num, None),
+                                   "m12_re": (_num, None), "m12_im": (_num, 0.0)})
+    m12 = f["m12_re"] + 1j * f["m12_im"]
+    return np.array([[f["m11"], m12], [np.conj(m12), f["m22"]]], dtype=complex)
 
 
 def scenario_from_dict(data) -> RunConfig:
@@ -217,22 +195,16 @@ def scenario_from_dict(data) -> RunConfig:
     top_allowed = {"qubit", "bath", "initial", "time", "run", "dephasing"}
     top_required = {"qubit", "bath", "initial", "time", "run"}
     _require_dict(data, "scenario", top_allowed, top_required)
-    qubit = _parse_qubit(data["qubit"])
-    bath = _parse_bath(data["bath"])
+    qubit = QubitParams(**_fields(data["qubit"], "qubit", {
+        "alpha": (_num, None), "beta": (_num, None), "omega": (_num, None)}))
+    bath = _build(BathSpec, "bath", **_fields(data["bath"], "bath", {
+        "modes": (_bath_modes, None), "fock_cutoff": (_int, None)}))
     initial = _parse_initial(data["initial"], bath)
-    t_max, steps, substeps = _parse_time(data["time"])
+    time = _fields(data["time"], "time", {
+        "t_max": (_num, None), "steps": (_int, None), "substeps_per_step": (_int, 1)})
     mode, checks = _parse_run(data["run"])
     dephasing_m = _parse_dephasing(data["dephasing"]) if "dephasing" in data else None
-    scenario = _build(
-        Scenario,
-        "time",
-        qubit=qubit,
-        bath=bath,
-        initial_state=initial,
-        t_max=t_max,
-        steps=steps,
-        substeps_per_step=substeps,
-    )
+    scenario = _build(Scenario, "time", qubit=qubit, bath=bath, initial_state=initial, **time)
     return RunConfig(scenario=scenario, mode=mode, checks=checks, dephasing_m=dephasing_m)
 
 
@@ -242,7 +214,7 @@ def read_document(path) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from None
 
 

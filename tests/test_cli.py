@@ -315,6 +315,27 @@ def test_simulate_sweep_rejects_overlong_integer(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_sweep_value_nested_past_the_recursion_limit(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    deep = "[" * 100_000 + "1" + "]" * 100_000
+    argv = ["simulate", str(CLOSED_QUBIT), "--out", str(out), "--sweep", f"qubit.alpha={deep}"]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --sweep value ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scenario_nested_past_the_recursion_limit_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.main(["riccati", str(path)]) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not valid JSON: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "sweep, mode, code, message",
     [
@@ -692,6 +713,16 @@ DEPHASING_REPORT = {
     "residual_partner": 4.710277376051325e-16,
     "residual_principal": 1.1775693440128312e-16,
 }
+
+
+def test_every_riccati_failure_type_exits_4():
+    # main's one SolverError entry covers a failure type only if it derives from it
+    defined = [cls for cls in vars(riccati).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == riccati.__name__ and cls is not riccati.SolverError]
+    assert riccati.DephasingRootError in defined and len(defined) >= 4
+    assert [cls for cls in defined if not issubclass(cls, riccati.SolverError)] == []
+    assert cli._FAILURES[riccati.SolverError] == (cli.EXIT_NO_CONVERGENCE, "")
 
 
 @pytest.mark.parametrize("scenario", BUNDLED, ids=lambda p: p.stem)

@@ -1,9 +1,11 @@
-"""Every top-level name in src/bomric has a reader in the program.
+"""Every top-level name in src/bomric has a reader in the program, and so
+does every dataclass field and property of its classes.
 
-A function, class or constant that only tests read is code with no caller.
-The program is src/ and scripts/.  Exempt are the names perfbench/spans.py
-wraps, which the benchmark reads from outside, and dunder names such as
-__version__, which Python and packaging tools read.
+A function, class, constant, field or property that only tests read is
+code with no caller.  The program is src/ and scripts/.  Exempt from the
+top-level check are the names perfbench/spans.py wraps, which the benchmark
+reads from outside, and dunder names such as __version__, which Python and
+packaging tools read.
 """
 import ast
 
@@ -31,6 +33,41 @@ def read_names(tree):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+
+
+def decorator_name(node):
+    """The name a decorator ends in: dataclass for @dataclass,
+    @dataclass(frozen=True) and @dataclasses.dataclass alike."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def attribute_names(tree):
+    """(class, name) for each dataclass field and each @property or
+    @cached_property that a module's top-level classes define."""
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        is_dataclass = any(decorator_name(d) == "dataclass" for d in cls.decorator_list)
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and is_dataclass:
+                yield cls.name, node.target.id
+            elif isinstance(node, ast.FunctionDef) and any(
+                decorator_name(d) in ("property", "cached_property") for d in node.decorator_list
+            ):
+                yield cls.name, node.name
+
+
+def test_every_field_and_property_is_read_as_an_attribute():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    defined = [
+        (f"bomric.{path.stem}.{cls}.{name}", name)
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for cls, name in attribute_names(tree)
+    ]
+    assert len(defined) > 10  # the scan sees the package's dataclasses
+    assert [qualified for qualified, name in defined if name not in read] == []
 
 
 def test_every_top_level_name_has_a_reader():

@@ -125,9 +125,8 @@ def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:
     The action is kept only when its m * s products on the n x r block cost
     less than one dense step (taylor_expm1, then x + E @ x), taken as
     m * s * r <= n // 2.  Timed per step at one BLAS thread, this takes the
-    faster path at r = 1 and r = n, the ranks every workload has, and keeps
-    some mid-rank steps at n >= 64 dense that the action wins by 2-5x;
-    CHANGES.md keeps the timings.
+    faster path at r = 1 and r = n, and keeps some mid-rank steps at n >= 64
+    dense that the action wins by 2-5x; CHANGES.md keeps the timings.
     """
     a = _as_square(a)
     norm1 = _norm1(a, scale)

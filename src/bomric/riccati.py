@@ -79,6 +79,7 @@ class AmbiguousSubspaceError(SolverError):
     """The top-block weights tie at the N-th eigenvector; no graph branch stands out."""
 
 
+# the ValueError base is kept only for test_dephasing_rejects_degenerate_coupling
 class DephasingRootError(SolverError, ValueError):
     """No dephasing root pair, or no residual of it, that float64 can hold."""
 

@@ -26,7 +26,6 @@ from bomric.bath import BathMode, BathSpec
 from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric.linalg import frobenius_norm
 from bomric.riccati import (
-    AmbiguousSubspaceError,
     NoGraphError,
     RiccatiConvergenceError,
     RiccatiProblem,
@@ -66,7 +65,7 @@ def main() -> int:
             newton, iters, note = None, "-", f"  NO CONVERGENCE ({len(exc.trace)} residuals)"
         try:
             graph = solve_invariant_subspace(p)
-        except (NoGraphError, AmbiguousSubspaceError) as exc:
+        except NoGraphError as exc:
             print(f"{w0:>7.2f} {iters:>6} {'NO GRAPH':>9}  ({exc}){note}")
             continue
         agree = "-" if newton is None else f"{frobenius_norm(newton.x - graph.x):.3e}"

@@ -208,25 +208,15 @@ def weyl_unitarity_defect(spec: BathSpec, levels: int | None = None) -> float:
     return linalg.frobenius_norm(gram[np.ix_(idx, idx)])
 
 
-@dataclass(frozen=True)
-class DisplacedCheck:
-    """Result of comparing H± against displaced bath Hamiltonians."""
-
-    residual_plus: float
-    residual_minus: float
-    c_fit: float
-    c_expected: float
-    levels: int
-
-
-def displaced_check(spec: BathSpec) -> DisplacedCheck:
+def displaced_check(spec: BathSpec) -> dict:
     """Check H_E ± V against W^(±1) H_E W^(∓1) + c on low Fock levels.
 
     The shifted bath Hamiltonians H± = H_E ± V are unitarily displaced
     copies of H_E up to an additive constant; c_fit is the constant that
     best matches both signs on the comparison subspace and c_expected is
-    -sum_k |g_k|^2 / omega_k.  Residuals are Frobenius norms of the
-    remaining mismatch on that subspace.
+    -sum_k |g_k|^2 / omega_k.  residual_plus and residual_minus are
+    Frobenius norms of the remaining mismatch on that subspace, and levels
+    is comparison_levels(spec).
     """
     he, v = spec.he, spec.v
     w = weyl_operator(spec)
@@ -240,13 +230,13 @@ def displaced_check(spec: BathSpec) -> DisplacedCheck:
     c_fit = -float((np.trace(mis_plus) + np.trace(mis_minus)).real) / (2 * n_sub)
     eye = np.eye(n_sub)
     c_expected = -sum(abs(m.g) ** 2 / m.omega for m in spec.modes)
-    return DisplacedCheck(
-        residual_plus=linalg.frobenius_norm(mis_plus + c_fit * eye),
-        residual_minus=linalg.frobenius_norm(mis_minus + c_fit * eye),
-        c_fit=c_fit,
-        c_expected=float(c_expected),
-        levels=levels,
-    )
+    return {
+        "residual_plus": linalg.frobenius_norm(mis_plus + c_fit * eye),
+        "residual_minus": linalg.frobenius_norm(mis_minus + c_fit * eye),
+        "c_fit": c_fit,
+        "c_expected": float(c_expected),
+        "levels": levels,
+    }
 
 
 def dephasing_hamiltonian(spec: BathSpec, m) -> np.ndarray:

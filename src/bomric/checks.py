@@ -152,11 +152,11 @@ def weyl_displacement(s: Scenario) -> dict:
     """The Weyl displacement shifts the bath by the constant -sum |g|^2/omega."""
     check = displaced_check(s.bath)
     return _judged({
-        "residual": _worst([check.residual_plus, check.residual_minus]),
-        "c_fit": check.c_fit,
-        "c_expected": check.c_expected,
-        "c_deviation": abs(check.c_fit - check.c_expected),
-        "levels": check.levels,
+        "residual": _worst([check["residual_plus"], check["residual_minus"]]),
+        "c_fit": check["c_fit"],
+        "c_expected": check["c_expected"],
+        "c_deviation": abs(check["c_fit"] - check["c_expected"]),
+        "levels": check["levels"],
         "tolerance": WEYL_TOL,
     })
 

@@ -6,10 +6,11 @@ from zero or the graph branch.  --branch has the one value `graph`.
 
 Exit codes: 0 success, 2 schema, state or command-line input error (including
 any argument the parser rejects, a file that cannot be opened, a grid over
-STEP_CAP, a --branch that no solver would use, a --method on a dephasing
-scenario and a simulate mode that needs a drive phase omega t with no digit
-left, see checks.drive_phase_lost), 3 environment dimension over the cap, 4
-solver non-convergence (or a dephasing M whose m12 is 0, or whose roots or
+STEP_CAP, a --sweep of the key --steps or --mode sets or of its section, a
+--branch that no solver would use, a --method on a dephasing scenario and a
+simulate mode that needs a drive phase omega t with no digit left, see
+checks.drive_phase_lost), 3 environment dimension over the cap, 4 solver
+non-convergence (or a dephasing M whose m12 is 0, or whose roots or
 their residuals float64 cannot hold), 5 a verification check failed or a
 trajectory left a sanity cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR;
 no CSV is written).  A --sweep checks every value before it runs any, so an
@@ -127,6 +128,10 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     if sweeps:
         key, values = sweeps[0]
+        # a flag would override the key it sets in every swept value
+        for dotted, flag in (("time.steps", "steps"), ("run.mode", "mode")):
+            if f"{dotted}.".startswith(f"{key}.") and getattr(args, flag) is not None:
+                raise ScenarioError(f"--sweep {key} and --{flag} both set {dotted}; give one")
         for value in values:
             doc = json.loads(json.dumps(raw))
             _apply_override(doc, key, value)
@@ -165,6 +170,10 @@ def cmd_simulate(args) -> int:
 
 
 def _write_report(path: Path, report: dict) -> None:
+    # JSON (RFC 8259) has no NaN or Infinity: a non-finite float is written as
+    # the string stdout prints for it
+    texts = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+    report = json.loads(json.dumps(report), parse_constant=texts.get)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
 
@@ -206,25 +215,22 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
             "x_norm": linalg.frobenius_norm(sol.x),
             "trace": sol.trace,
         }
-    diag = riccati.diagonalize(p, sol)
-    report["offdiag_residual"] = diag.offdiag_residual
-    report["cond_ux"] = diag.cond_ux
-    return report
+    return report | riccati.diagonalize(p, sol)
 
 
 def _riccati_dephasing_report(config: RunConfig) -> dict:
     m, bath = config.dephasing_m, config.scenario.bath
-    roots = riccati.solve_dephasing_quadratic(m)
+    principal, partner = riccati.solve_dephasing_quadratic(m)
     p = riccati.RiccatiProblem(dephasing_hamiltonian(bath, m))
-    res = [riccati.residual(p, x * np.eye(bath.env_dim)) for x in (roots.principal, roots.partner)]
+    res = [riccati.residual(p, x * np.eye(bath.env_dim)) for x in (principal, partner)]
     if not np.all(np.isfinite(res)):
         raise riccati.DephasingRootError("dephasing root residuals not finite in float64: "
                                          f"principal {res[0]:.3e}, partner {res[1]:.3e}")
     return {
         "kind": "dephasing",
-        "principal_root": [roots.principal.real, roots.principal.imag],
-        "partner_root": [roots.partner.real, roots.partner.imag],
-        "principal_abs": abs(roots.principal),
+        "principal_root": [principal.real, principal.imag],
+        "partner_root": [partner.real, partner.imag],
+        "principal_abs": abs(principal),
         "residual_principal": res[0],
         "residual_partner": res[1],
         "coupling_norm": linalg.frobenius_norm(bath.v),
@@ -273,6 +279,8 @@ def cmd_verify(args) -> int:
     raw = read_document(args.scenario)
     config = scenario_from_dict(raw)
     s = _with_steps(config.scenario, args.steps)
+    if args.steps is not None:  # the report's scenario is the one that ran
+        raw["time"]["steps"] = args.steps
 
     results = []
     for name in config.checks:

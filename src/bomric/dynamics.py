@@ -36,9 +36,11 @@ rotating_frame check that compares it with "factored" is an independent
 cross-check.  The Hamiltonians of a chunk of steps are written into one
 stack.  On the dense plan one linalg.taylor_expm1 call gives
 E = exp(-i H(t_m) dt) - I for the whole stack, and each step advances the
-factor as x + E @ x; a thin factor, such as a pure state's single column,
-takes a truncated Taylor series (linalg.expm_action) per step instead.  The
-steps exponentiate H(t) - mu 1 with mu = Tr H / 2N (the trace shift of
+factor as x + E @ x.  The thin plan (linalg.action_plan) applies s steps of
+the degree-m Taylor series to the 2N x r factor (linalg.expm_action) when
+its m * s * r <= N, below the cost of one dense step; at one BLAS thread
+the rule picks the faster path at r = 1 and r = 2N (CHANGES.md has timings).
+The steps exponentiate H(t) - mu 1 with mu = Tr H / 2N (the trace shift of
 Al-Mohy & Higham 2011, Algorithm 3.2): exp(-i (H - mu) dt) is exp(-i H dt)
 times the scalar phase exp(i mu dt), which multiplies every column of x
 alike and cancels in Tr_E(x diag(p) x†), while ||(H - mu) dt||_1 is smaller,
@@ -229,11 +231,9 @@ def _stepped_factors(
     t_m = (k + 1/2) dt.
 
     The chunk's H(t_m) fill one (chunk, 2N, 2N) buffer: h is written once,
-    the _drive_offdiag blocks over it per chunk.  With plan None one
-    linalg.taylor_expm1 call on the dense plan gives E_m =
-    exp(-i H(t_m) dt) - I for the whole chunk, and each step is x + E_m @ x;
-    the chunk is sized so that the kernel's work arrays fit CHUNK_ENTRIES.
-    Otherwise each step is linalg.expm_action with that one Taylor plan.
+    the _drive_offdiag blocks over it per chunk.  plan is the thin plan, or
+    None for the dense one (see the module docstring); on the dense plan the
+    chunk is sized so that taylor_expm1's work arrays fit CHUNK_ENTRIES.
     """
     total = steps * substeps
     dense = linalg.expm1_plan(h, -1j * dt) if plan is None else None

@@ -120,14 +120,9 @@ def taylor_plan(norm1: float) -> tuple[int, int]:
 
 
 def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:
-    """Taylor plan for exp(scale * a) @ x with r columns in x, or None for dense.
-
-    The action is kept only when its m * s products on the n x r block cost
-    less than one dense step (taylor_expm1, then x + E @ x), taken as
-    m * s * r <= n // 2.  Timed per step at one BLAS thread, this takes the
-    faster path at r = 1 and r = n, and keeps some mid-rank steps at n >= 64
-    dense that the action wins by 2-5x; CHANGES.md keeps the timings.
-    """
+    """Taylor plan (m, s) for exp(scale * a) @ x with r columns in x when
+    m * s * r <= n // 2, else None for the dense step; bomric.dynamics's
+    docstring gives the reason."""
     a = _as_square(a)
     norm1 = _norm1(a, scale)
     # every table entry has m / theta_m > 5, so m * s > 5 * norm1: a norm above
@@ -144,10 +139,8 @@ def expm_action(a, scale: complex, x, plan: tuple[int, int]) -> np.ndarray:
     The plan (m, s) takes s steps of the degree-m Taylor series of
     exp(scale * a / s) (Al-Mohy & Higham 2011, Algorithm 3.2 without the
     early exit: at these sizes the exit test's norms cost more than the
-    products they could save).  The algorithm's trace shift is the caller's:
-    the stepper passes H - mu with mu = Tr H / n, whose exponential differs
-    from exp(scale * H) by the scalar exp(-scale * mu), a global phase of x
-    that the reduced state drops, and plans on its smaller norm.
+    products they could save).  The algorithm's trace shift is the caller's,
+    as bomric.dynamics's docstring states.
     """
     m, s = plan
     a = _as_square(a)

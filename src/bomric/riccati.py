@@ -72,15 +72,11 @@ class RiccatiConvergenceError(SolverError):
 
 
 class NoGraphError(SolverError):
-    """The graph branch's subspace has no graph representation over the top block."""
+    """No graph branch: the top-block weights tie at the N-th eigenvector, or
+    the branch's subspace has no graph representation over the top block."""
 
 
-class AmbiguousSubspaceError(SolverError):
-    """The top-block weights tie at the N-th eigenvector; no graph branch stands out."""
-
-
-# the ValueError base is kept only for test_dephasing_rejects_degenerate_coupling
-class DephasingRootError(SolverError, ValueError):
+class DephasingRootError(SolverError):
     """No dephasing root pair, or no residual of it, that float64 can hold."""
 
 
@@ -244,7 +240,7 @@ def _select_branch(p: RiccatiProblem, vec: np.ndarray) -> np.ndarray:
     w = np.sum(np.abs(vec[:n, :]) ** 2, axis=0)
     order = np.argsort(w)[::-1]
     if w[order[n - 1]] - w[order[n]] <= 1e-8:
-        raise AmbiguousSubspaceError("top-block weights do not separate a graph branch")
+        raise NoGraphError("top-block weights do not separate a graph branch")
     return np.sort(order[:n])
 
 
@@ -256,9 +252,9 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
     contraction only under spectral separation conditions (Kostrykin,
     Makarov & Motovilov 2003); on the bundled weyl.json ||X||_2 = 1.315.
 
-    Raises NoGraphError when Y1 is numerically singular (condition number
-    above 1e12) or the recomputed residual shows the subspace is not a
-    solution graph; AmbiguousSubspaceError when the top-block weights tie.
+    Raises NoGraphError when the top-block weights tie, Y1 is numerically
+    singular (condition number above 1e12) or the recomputed residual shows
+    the subspace is not a solution graph.
     """
     _, vec = linalg.hermitian_eig(p.r)
     sel = _select_branch(p, vec)
@@ -282,15 +278,10 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
     return sol
 
 
-@dataclass(frozen=True)
-class Diagonalization:
-    offdiag_residual: float
-    cond_ux: float
-
-
-def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> Diagonalization:
+def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> dict[str, float]:
     """Transform R = p.r by U_X^{-1} R U_X, with the congruence factor
-    U_X = [[1, -X†], [X, 1]], and report the off-diagonal leftover and cond(U_X).
+    U_X = [[1, -X†], [X, 1]], and return {"offdiag_residual", "cond_ux"}:
+    the off-diagonal leftover and cond(U_X).
 
     For an exact solution the result is diag(a + b X, c - b† X†); the
     off-diagonal residual of a computed solution stays below
@@ -305,24 +296,15 @@ def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> Diagonalization:
     ux = np.block([[eye, -x.conj().T], [x, eye]])
     tb = blocks(np.linalg.solve(ux, p.r @ ux))
     s = sol.singular_values
-    return Diagonalization(
-        offdiag_residual=offdiag_norm(tb),
-        cond_ux=float(np.hypot(1.0, s[0]) / np.hypot(1.0, s[-1])),
-    )
+    return {"offdiag_residual": offdiag_norm(tb),
+            "cond_ux": float(np.hypot(1.0, s[0]) / np.hypot(1.0, s[-1]))}
 
 
 # -- pure dephasing ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class DephasingRoots:
-    """Scalar Riccati roots for a dephasing block operator 1 (x) H_E + M (x) V."""
-
-    principal: complex
-    partner: complex
-
-
-def solve_dephasing_quadratic(m) -> DephasingRoots:
-    """Roots of m12 x^2 + (m11 - m22) x - m12* = 0 for Hermitian 2 x 2 M.
+def solve_dephasing_quadratic(m) -> tuple[complex, complex]:
+    """(principal, partner), the roots of m12 x^2 + (m11 - m22) x - m12* = 0
+    for Hermitian 2 x 2 M.
 
     Multiples of the identity X = x 1 solve the operator Riccati equation
     of 1 (x) H_E + M (x) V exactly, so the operator problem reduces to
@@ -349,9 +331,8 @@ def solve_dephasing_quadratic(m) -> DephasingRoots:
     if not (np.isfinite(r_big) and np.isfinite(r_small)):
         raise DephasingRootError(f"no finite root pair in float64: m11 - m22 = {delta:.3e}, "
                                  f"|m12| = {abs(m12):.3e}")
-    principal, partner = sorted((complex(r_small), complex(r_big)),
-                                key=lambda z: (abs(z), -z.real, -z.imag))
-    return DephasingRoots(principal=principal, partner=partner)
+    return tuple(sorted((complex(r_small), complex(r_big)),
+                        key=lambda z: (abs(z), -z.real, -z.imag)))
 
 
 # -- periodically driven block operator (resonant drive) --------------------

@@ -98,7 +98,7 @@ def _build(cls, path: str, *args, **fields):
         raise ScenarioError(f"{path}: {exc}") from None
 
 
-def _matrix(obj, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+def _matrix(obj, path: str, shape: tuple[int, int]) -> np.ndarray:
     _require_dict(obj, path, {"re", "im"}, {"re"})
     try:
         re = np.array(obj["re"], dtype=float)
@@ -113,7 +113,7 @@ def _matrix(obj, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise ScenarioError(f"{path}: entries must be finite numbers")
     m = re + 1j * im
-    if shape is not None and m.shape != shape:
+    if m.shape != shape:
         raise ScenarioError(f"{path}: expected shape {shape}, got {m.shape}")
     return m
 

@@ -99,7 +99,7 @@ def test_riccati_cross_solver_agreement(capsys):
     newton = solve_newton(p)
     subspace = solve_invariant_subspace(p)
     agreement = frobenius_norm(newton.x - subspace.x)
-    offdiag = diagonalize(p, newton).offdiag_residual
+    offdiag = diagonalize(p, newton)["offdiag_residual"]
 
     q0 = QubitParams(alpha=0.0, beta=0.5, omega=1.0)
     decoupled = solve_newton(RiccatiProblem(hamiltonian_static(q0, bath)))
@@ -171,12 +171,12 @@ def test_dephasing_scalar_reduction(capsys):
         if abs(m12) < 0.2:
             m12 *= 0.2 / abs(m12)
         m = np.array([[m11, m12], [np.conj(m12), m22]])
-        roots = solve_dephasing_quadratic(m)
+        principal, partner = solve_dephasing_quadratic(m)
         p = RiccatiProblem(dephasing_hamiltonian(bath, m))
-        for x in (roots.principal, roots.partner):
+        for x in (principal, partner):
             worst_resid = max(worst_resid, residual(p, x * eye) / v_norm)
         worst_pair = max(
-            worst_pair, abs(roots.partner + 1.0 / np.conj(roots.principal))
+            worst_pair, abs(partner + 1.0 / np.conj(principal))
         )
     elapsed = time.perf_counter() - start
     ok = worst_resid <= 1e-12 and worst_pair <= 1e-12 and elapsed < 5.0

@@ -154,10 +154,10 @@ def test_displaced_check_recovers_shift():
     spec = BathSpec((BathMode(2.0, 0.3), BathMode(1.0, 0.1j)), fock_cutoff=7)
     chk = displaced_check(spec)
     expected = -(0.09 / 2.0 + 0.01 / 1.0)
-    assert abs(chk.c_expected - expected) <= 1e-15
-    assert abs(chk.c_fit - chk.c_expected) <= 1e-6
-    assert chk.residual_plus <= 1e-6
-    assert chk.residual_minus <= 1e-6
+    assert abs(chk["c_expected"] - expected) <= 1e-15
+    assert abs(chk["c_fit"] - chk["c_expected"]) <= 1e-6
+    assert chk["residual_plus"] <= 1e-6
+    assert chk["residual_minus"] <= 1e-6
 
 
 def test_displaced_shift_against_ground_eigenvalue():

@@ -2,7 +2,6 @@
 bath operators the checks assemble."""
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +120,7 @@ NAN_KERNELS = {
         riccati, "s_frame_transform", lambda r, k: np.full_like(r, NAN) if k == 1 else r
     ),
     "weyl_displacement": (
-        checks, "displaced_check", lambda r, k: replace(r, residual_minus=NAN)
+        checks, "displaced_check", lambda r, k: r | {"residual_minus": NAN}
     ),
 }
 

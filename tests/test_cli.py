@@ -358,6 +358,27 @@ def test_simulate_sweep_checks_every_value_before_writing(tmp_path, capsys, swee
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag, sweep",
+    [
+        (["--steps", "10"], "time.steps=100,200"),
+        (["--mode", "factored"], 'run.mode="static_exact","rotating_stepped"'),
+        (["--mode", "factored"], 'run={"mode":"static_exact"}'),
+    ],
+    ids=["steps", "mode", "run_section"],
+)
+def test_simulate_flag_and_sweep_of_one_key_conflict(tmp_path, capsys, flag, sweep):
+    # the flag would override every swept value, so each file would hold the
+    # flag's run under the name of a value it never ran
+    argv = ["simulate", str(CLOSED_QUBIT), "--out", str(tmp_path / "o.csv"), "--sweep", sweep]
+    assert cli.main(argv + flag) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"--sweep {sweep.partition('=')[0]}" in captured.err and flag[0] in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_out_into_missing_directory(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     rc = cli.main(["simulate", str(CLOSED_QUBIT), "--out", str(out), "--steps", "4"])
@@ -720,7 +741,7 @@ def test_every_riccati_failure_type_exits_4():
     defined = [cls for cls in vars(riccati).values()
                if isinstance(cls, type) and issubclass(cls, BaseException)
                and cls.__module__ == riccati.__name__ and cls is not riccati.SolverError]
-    assert riccati.DephasingRootError in defined and len(defined) >= 4
+    assert riccati.DephasingRootError in defined and len(defined) >= 3
     assert [cls for cls in defined if not issubclass(cls, riccati.SolverError)] == []
     assert cli._FAILURES[riccati.SolverError] == (cli.EXIT_NO_CONVERGENCE, "")
 
@@ -793,6 +814,33 @@ def test_verify_unresolvable_drive_phase_gives_no_step_advice(tmp_path, capsys):
     assert "FAIL rotating_frame:" in out
     assert "second order" not in out
     assert "carries no digit" in out and "no step count helps" in out
+
+
+def test_verify_out_records_the_steps_that_ran(tmp_path):
+    out = tmp_path / "v.json"
+    rc = cli.main(["verify", str(CLOSED_QUBIT), "--steps", "50", "--out", str(out)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    report = json.loads(out.read_text())
+    ran = next(r for r in report["results"] if r["check"] == "rotating_frame")
+    assert report["scenario"]["time"]["steps"] == ran["steps"] == 50
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def test_reports_write_non_finite_numbers_as_strings(tmp_path, capsys):
+    # at omega 1e-20 the Weyl factor is NaN, and the check reports NaN measures
+    doc = json.loads(WEYL.read_text())
+    doc["bath"]["modes"][0]["omega"] = 1e-20
+    doc["run"]["checks"] = ["weyl_displacement"]
+    out = tmp_path / "v.json"
+    rc = cli.main(["verify", str(write_doc(tmp_path, doc)), "--out", str(out)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert "residual=nan, c_fit=nan" in capsys.readouterr().out
+    (result,) = json.loads(out.read_text(), parse_constant=reject_constant)["results"]
+    assert result["residual"] == result["c_fit"] == result["c_deviation"] == "nan"
+    assert result["passed"] is False
 
 
 def test_verify_runs_scenario_check_subset(capsys):

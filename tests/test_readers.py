@@ -1,13 +1,15 @@
 """Every top-level name in src/bomric has a reader in the program, and so
-does every dataclass field and property of its classes.
+does every dataclass field and property of its classes; every exception
+class is raised.
 
 A function, class, constant, field or property that only tests read is
-code with no caller.  The program is src/ and scripts/.  Exempt from the
-top-level check are the names perfbench/spans.py wraps, which the benchmark
-reads from outside, and dunder names such as __version__, which Python and
-packaging tools read.
+code with no caller, and so is a failure type that nothing raises.  The
+program is src/ and scripts/.  Exempt from the top-level check are the
+names perfbench/spans.py wraps, which the benchmark reads from outside, and
+dunder names such as __version__, which Python and packaging tools read.
 """
 import ast
+import importlib
 
 from conftest import REPO, load_perfbench
 
@@ -82,3 +84,27 @@ def test_every_top_level_name_has_a_reader():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unread == []
+
+
+def raised_names(tree):
+    """The names a module's raise statements name, as in `raise E(...)`,
+    `raise mod.E(...)` or `raise E`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+
+def test_every_exception_class_is_raised():
+    # a class passes when it, or a class that derives from it, is raised by name
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
+    raised = {name for tree in trees.values() for name in raised_names(tree)}
+    modules = [f"bomric.{path.stem}" for path in trees if path.parent == PACKAGE]
+    defined = [cls for name in modules
+               for cls in vars(importlib.import_module(name)).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == name]
+    assert len(defined) > 5  # the scan sees the package's failure types
+    unraised = [f"{cls.__module__}.{cls.__name__}" for cls in defined
+                if not any(sub.__name__ in raised for sub in defined if issubclass(sub, cls))]
+    assert unraised == []

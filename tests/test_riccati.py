@@ -11,7 +11,7 @@ from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric import riccati
 from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm, hermitian_eig
 from bomric.riccati import (
-    AmbiguousSubspaceError,
+    DephasingRootError,
     NoGraphError,
     RiccatiConvergenceError,
     RiccatiProblem,
@@ -108,7 +108,7 @@ def test_riccati_field_follows_the_coupling(g, field):
     assert frobenius_norm(sub.x - newton.x) <= 1e-8
     assert sub.x_norm2 == np.linalg.norm(sub.x, 2)
     diag = diagonalize(p, newton)
-    assert diag.offdiag_residual <= 10.0 * max(newton.residual, 1e-15) * diag.cond_ux
+    assert diag["offdiag_residual"] <= 10.0 * max(newton.residual, 1e-15) * diag["cond_ux"]
 
 
 def test_upper_half_graph_for_separated_spectra(rng):
@@ -127,7 +127,7 @@ def test_upper_half_graph_for_separated_spectra(rng):
 def test_ambiguous_graph_weights_raise():
     # a = c = 0, b = 1: both eigenvectors carry weight 1/2 on the top block
     p = problem([[0.0]], [[1.0]], [[0.0]])
-    with pytest.raises(AmbiguousSubspaceError):
+    with pytest.raises(NoGraphError, match="top-block weights"):
         solve_invariant_subspace(p)
 
 
@@ -179,9 +179,9 @@ def test_diagonalize_splits_spectrum(riccati_bath):
     p = RiccatiProblem(h)
     sol = solve_newton(p)
     diag = diagonalize(p, sol)
-    assert diag.offdiag_residual <= 10.0 * max(sol.residual, 1e-15) * diag.cond_ux
+    assert diag["offdiag_residual"] <= 10.0 * max(sol.residual, 1e-15) * diag["cond_ux"]
     d1, d2, off = _dense_diagonalize(p, sol.x)
-    assert diag.offdiag_residual == off
+    assert diag["offdiag_residual"] == off
     assert frobenius_norm(d1 - (p.a + p.b @ sol.x)) <= 1e-10
     # similarity preserves the full spectrum; the blocks split it exactly
     got = np.sort_complex(np.concatenate([np.linalg.eigvals(d1), np.linalg.eigvals(d2)]))
@@ -209,8 +209,8 @@ def test_diagonalize_condition_from_singular_values_of_x(rng, x_norm2):
                                   singular_values=np.linalg.svd(x, compute_uv=False))
     diag = diagonalize(p, sol)
     expected = np.linalg.cond(congruence_factor(x))
-    assert abs(diag.cond_ux - expected) <= 1e-12 * expected
-    assert diag.offdiag_residual == _dense_diagonalize(p, x)[2]
+    assert abs(diag["cond_ux"] - expected) <= 1e-12 * expected
+    assert diag["offdiag_residual"] == _dense_diagonalize(p, x)[2]
 
 
 def test_newton_iteration_budget_exhausted(riccati_bath, monkeypatch):
@@ -343,16 +343,16 @@ def test_initial_guess_is_used(riccati_bath):
 # -- dephasing quadratic -----------------------------------------------------
 
 def test_dephasing_symmetric_coupling():
-    roots = solve_dephasing_quadratic(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert roots.principal == 1.0
-    assert roots.partner == -1.0
+    principal, partner = solve_dephasing_quadratic(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert principal == 1.0
+    assert partner == -1.0
 
 
 def test_dephasing_frozen_example():
     m = np.array([[1.0, 1.0j], [-1.0j, -1.0]])
-    roots = solve_dephasing_quadratic(m)
-    assert abs(roots.principal - 1j * (1.0 - math.sqrt(2.0))) <= 1e-15
-    assert abs(roots.partner - 1j * (1.0 + math.sqrt(2.0))) <= 1e-15
+    principal, partner = solve_dephasing_quadratic(m)
+    assert abs(principal - 1j * (1.0 - math.sqrt(2.0))) <= 1e-15
+    assert abs(partner - 1j * (1.0 + math.sqrt(2.0))) <= 1e-15
 
 
 @given(
@@ -367,28 +367,28 @@ def test_dephasing_root_pair_structure(m11, m22, re12, im12):
     if abs(m12) < 1e-6:
         return
     m = np.array([[m11, m12], [np.conj(m12), m22]])
-    roots = solve_dephasing_quadratic(m)
-    for x in (roots.principal, roots.partner):
+    principal, partner = solve_dephasing_quadratic(m)
+    for x in (principal, partner):
         scale = max(1.0, abs(m12) * abs(x) ** 2 + abs(m11 - m22) * abs(x))
         assert abs(m12 * x * x + (m11 - m22) * x - np.conj(m12)) <= 1e-12 * scale
-    assert abs(roots.partner - (-1.0 / np.conj(roots.principal))) <= 1e-12 * max(
-        1.0, abs(roots.partner)
+    assert abs(partner - (-1.0 / np.conj(principal))) <= 1e-12 * max(
+        1.0, abs(partner)
     )
-    assert abs(roots.principal) <= 1.0 + 1e-12
+    assert abs(principal) <= 1.0 + 1e-12
 
 
 def test_dephasing_scalar_root_solves_operator_equation(small_bath):
     m = np.array([[1.0, 1.0j], [-1.0j, -1.0]])
-    roots = solve_dephasing_quadratic(m)
+    principal, partner = solve_dephasing_quadratic(m)
     p = RiccatiProblem(dephasing_hamiltonian(small_bath, m))
     vnorm = frobenius_norm(coupling_operator(small_bath))
     eye = np.eye(small_bath.env_dim)
-    for x in (roots.principal, roots.partner):
+    for x in (principal, partner):
         assert residual(p, x * eye) <= 1e-12 * max(1.0, abs(x) ** 2) * vnorm
 
 
 def test_dephasing_rejects_degenerate_coupling():
-    with pytest.raises(ValueError):
+    with pytest.raises(DephasingRootError):
         solve_dephasing_quadratic(np.diag([1.0, -1.0]))
     with pytest.raises(NotHermitianError):
         solve_dephasing_quadratic(np.array([[0.0, 1.0], [2.0, 0.0]]))

@@ -39,7 +39,9 @@ E = exp(-i H(t_m) dt) - I for the whole stack, and each step advances the
 factor as x + E @ x.  The thin plan (linalg.action_plan) applies s steps of
 the degree-m Taylor series to the 2N x r factor (linalg.expm_action) when
 its m * s * r <= N, below the cost of one dense step; at one BLAS thread
-the rule picks the faster path at r = 1 and r = 2N (CHANGES.md has timings).
+the rule picks the faster path at r = 1 and r = 2N (CHANGES.md has timings),
+but it keeps some mid-rank steps at 2N >= 64 dense that the action wins by
+2-5x.
 The steps exponentiate H(t) - mu 1 with mu = Tr H / 2N (the trace shift of
 Al-Mohy & Higham 2011, Algorithm 3.2): exp(-i (H - mu) dt) is exp(-i H dt)
 times the scalar phase exp(i mu dt), which multiplies every column of x

@@ -685,11 +685,17 @@ def dephasing_doc(tmp_path, **entries):
 
 
 def finite_numbers(node) -> bool:
-    """Whether every number in a JSON document is finite."""
+    """Whether every number in a JSON document is finite.
+
+    Reports write a non-finite number as the string "nan", "inf" or "-inf",
+    so those strings count as non-finite too.
+    """
     if isinstance(node, dict):
         return all(map(finite_numbers, node.values()))
     if isinstance(node, list):
         return all(map(finite_numbers, node))
+    if isinstance(node, str):
+        return node not in ("nan", "inf", "-inf")
     return not isinstance(node, float) or bool(np.isfinite(node))
 
 
@@ -841,6 +847,7 @@ def test_reports_write_non_finite_numbers_as_strings(tmp_path, capsys):
     (result,) = json.loads(out.read_text(), parse_constant=reject_constant)["results"]
     assert result["residual"] == result["c_fit"] == result["c_deviation"] == "nan"
     assert result["passed"] is False
+    assert not finite_numbers(result)
 
 
 def test_verify_runs_scenario_check_subset(capsys):

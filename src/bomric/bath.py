@@ -138,11 +138,6 @@ def coupling_operator(spec: BathSpec) -> np.ndarray:
     return v
 
 
-def displacement_parameters(spec: BathSpec) -> tuple[complex, ...]:
-    """Per-mode displacement g_k / omega_k used by the Weyl operator."""
-    return tuple(m.g / m.omega for m in spec.modes)
-
-
 def _weyl_single(lam: complex, local_dim: int) -> np.ndarray:
     """Single-mode Weyl factor exp(lam* a - lam a†), cut to local_dim.
 
@@ -170,10 +165,7 @@ def weyl_operator(spec: BathSpec) -> np.ndarray:
     Unitary only up to truncation; see weyl_unitarity_defect for the
     reported defect.
     """
-    factors = [
-        _weyl_single(lam, spec.local_dim) for lam in displacement_parameters(spec)
-    ]
-    return reduce(np.kron, factors)
+    return reduce(np.kron, [_weyl_single(m.g / m.omega, spec.local_dim) for m in spec.modes])
 
 
 def comparison_levels(spec: BathSpec) -> int:

@@ -7,14 +7,14 @@ from zero or the graph branch.  --branch has the one value `graph`.
 Exit codes: 0 success, 2 schema, state or command-line input error (including
 any argument the parser rejects, a file that cannot be opened, a grid over
 STEP_CAP, a --sweep of the key --steps or --mode sets or of its section, a
---branch that no solver would use, a --method on a dephasing scenario and a
-simulate mode that needs a drive phase omega t with no digit left, see
-checks.drive_phase_lost), 3 environment dimension over the cap, 4 solver
-non-convergence (or a dephasing M whose m12 is 0, or whose roots or
-their residuals float64 cannot hold), 5 a verification check failed or a
-trajectory left a sanity cap (TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR;
-no CSV is written).  A --sweep checks every value before it runs any, so an
-exit 2 or 3 writes no file.
+--branch that no solver would use, a --method on a dephasing scenario, a
+verify of a scenario that lists no checks and a simulate mode that needs a
+drive phase omega t with no digit left, see checks.drive_phase_lost), 3
+environment dimension over the cap, 4 solver non-convergence (or a dephasing
+M whose m12 is 0, or whose roots or their residuals float64 cannot hold), 5
+a verification check failed or a trajectory left a sanity cap (TRACE_DEV_CAP,
+HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).  A --sweep checks every
+value before it runs any, so an exit 2 or 3 writes no file.
 """
 from __future__ import annotations
 
@@ -87,7 +87,8 @@ def _parse_sweep(arg: str) -> tuple[str, list]:
         try:
             values.append(json.loads(piece))
         except (ValueError, RecursionError):  # bad JSON, an overlong integer, deep nesting
-            raise ScenarioError(f"--sweep value {piece!r} is not a number") from None
+            raise ScenarioError(f"--sweep value {piece!r} does not parse as JSON; a "
+                                'string value needs its double quotes, as in "text"') from None
     if not values:
         raise ScenarioError(f"--sweep {key!r} has no values")
     return key, values
@@ -278,6 +279,8 @@ def cmd_riccati(args) -> int:
 def cmd_verify(args) -> int:
     raw = read_document(args.scenario)
     config = scenario_from_dict(raw)
+    if not config.checks:  # riccati reads such a file; verify would pass with nothing run
+        raise ScenarioError("run.checks: no check listed; verify needs at least one")
     s = _with_steps(config.scenario, args.steps)
     if args.steps is not None:  # the report's scenario is the one that ran
         raw["time"]["steps"] = args.steps

@@ -18,7 +18,9 @@ of its blocks.  Two independent solvers are provided: a spectral
 invariant-subspace construction and a Newton iteration on the residual.
 Newton started from zero checks the subspace solution; started from it,
 Newton refines it.  An R with no imaginary part is stored and solved in
-float64, any other in complex128.
+float64, any other in complex128.  For the resonant drive, periodic_blocks
+and s_frame_blocks reduce the driven operator, on its (2, 2, N, N) blocks,
+to the static diag(H_E + W, H_E - W).
 """
 from __future__ import annotations
 
@@ -28,8 +30,7 @@ from itertools import groupby
 import numpy as np
 
 from . import linalg
-from .bath import BathSpec
-from .blockop import blocks, flatten, offdiag_norm, qubit_sandwich
+from .blockop import blocks, offdiag_norm, qubit_sandwich
 from .linalg import ShapeError, SylvesterSingularError
 
 # An invariant-subspace result whose recomputed residual exceeds this
@@ -337,43 +338,17 @@ def solve_dephasing_quadratic(m) -> tuple[complex, complex]:
 
 # -- periodically driven block operator (resonant drive) --------------------
 
-def periodic_phase(alpha: float, t: float) -> complex:
-    """The drive phase z_t = exp(-2 i alpha t)."""
-    return complex(np.exp(-2j * alpha * t))
+def periodic_blocks(he: np.ndarray, w: np.ndarray, z: complex) -> np.ndarray:
+    """The (2, 2, N, N) blocks [[H_E, z* W], [z W, H_E]] of the driven operator
+    at the drive phase z = z_t = exp(-2 i alpha t), W = V + beta.  X_t = z_t 1
+    solves its Riccati equation, of blocks a = c = H_E, b = z* W, for every t."""
+    return np.array([[he, np.conj(z) * w], [z * w, he]])
 
 
-def periodic_bom(spec: BathSpec, beta: float, alpha: float, t: float) -> np.ndarray:
-    """Block operator [[H_E, z_t* W], [z_t W, H_E]], W = V + beta."""
-    z = periodic_phase(alpha, t)
-    w = spec.v + beta * np.eye(spec.env_dim)
-    return flatten(np.array([[spec.he, np.conj(z) * w], [z * w, spec.he]]))
-
-
-def time_dependent_residual(he: np.ndarray, w: np.ndarray, alpha: float, t: float) -> float:
-    """||F(z_t 1)||_F for the blocks a = c = H_E, b = z_t* W of periodic_bom.
-
-    The phase X_t = z_t 1 solves the equation identically for every t, so
-    the returned norm is pure roundoff.
-    """
-    z = periodic_phase(alpha, t)
-    return linalg.frobenius_norm(riccati_map(z * np.eye(len(he)), he, np.conj(z) * w, he))
-
-
-def s_frame_unitary(alpha: float, t: float) -> np.ndarray:
-    """S = [[1, -z_t*], [z_t, 1]] / sqrt(2), the qubit factor of the unitary
-    congruence S_t = S (x) 1 = U_{z_t} / sqrt(2) built from X_t = z_t 1."""
-    z = periodic_phase(alpha, t)
-    return np.array([[1.0, -np.conj(z)], [z, 1.0]]) / np.sqrt(2.0)
-
-
-def s_frame_transform(h: np.ndarray, alpha: float, t: float) -> np.ndarray:
-    """S_t† h S_t for h = periodic_bom(spec, beta, alpha, t); equals
-    diag(H_E + V + beta, H_E - V - beta) exactly.
-
-    With S = s_frame_unitary(alpha, t), qubit_sandwich computes every entry
-    of all four blocks of (S† (x) 1) h (S (x) 1); no block is assumed to
-    vanish.  The time dependence cancels: the transformed operator is the
-    same block-diagonal matrix at every t.
-    """
-    s = s_frame_unitary(alpha, t)[None]
-    return flatten(qubit_sandwich(s.conj().transpose(0, 2, 1), blocks(h)[None], s)[0])
+def s_frame_blocks(b: np.ndarray, z: complex) -> np.ndarray:
+    """The blocks of S_t† H S_t for the blocks b = periodic_blocks(he, w, z) of H:
+    diag(H_E + W, H_E - W) exactly, at every t.  S_t = S (x) 1 with
+    S = [[1, -z*], [z, 1]] / sqrt(2) is the unitary congruence built from
+    X_t = z_t 1; qubit_sandwich computes every entry of all four blocks."""
+    s = np.array([[[1.0, -np.conj(z)], [z, 1.0]]]) / np.sqrt(2.0)
+    return qubit_sandwich(s.conj().transpose(0, 2, 1), b[None], s)[0]

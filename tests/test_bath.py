@@ -16,7 +16,6 @@ from bomric.bath import (
     coupling_operator,
     dephasing_hamiltonian,
     displaced_check,
-    displacement_parameters,
     weyl_operator,
     weyl_unitarity_defect,
 )
@@ -86,8 +85,11 @@ def test_coupling_operator_matrix_elements():
 
 
 def test_displacement_parameters():
+    # W = D(-lam_1) (x) D(-lam_2) with lam_k = g_k / omega_k, and
+    # <1|D(-lam)|0> / <0|D(-lam)|0> = -lam for each mode's factor
     spec = BathSpec((BathMode(2.0, 0.5), BathMode(4.0, 1.0 + 1.0j)), fock_cutoff=2)
-    lam = displacement_parameters(spec)
+    w, d = weyl_operator(spec), spec.local_dim
+    lam = -w[[d, 1], 0] / w[0, 0]
     assert np.allclose(lam, [0.25, 0.25 + 0.25j])
 
 

@@ -115,9 +115,9 @@ NAN = float("nan")
 NAN_KERNELS = {
     "covariance": (checks, "covariance_residual", lambda r, k: NAN if k == 1 else r),
     "sandwich": (checks, "sandwich_lemma_check", lambda r, k: np.append(r[:-1], NAN)),
-    "zt_riccati": (riccati, "time_dependent_residual", lambda r, k: NAN if k == 1 else r),
+    "zt_riccati": (riccati, "riccati_map", lambda r, k: np.full_like(r, NAN) if k == 1 else r),
     "st_diagonalization": (
-        riccati, "s_frame_transform", lambda r, k: np.full_like(r, NAN) if k == 1 else r
+        riccati, "s_frame_blocks", lambda r, k: np.full_like(r, NAN) if k == 1 else r
     ),
     "weyl_displacement": (
         checks, "displaced_check", lambda r, k: r | {"residual_minus": NAN}

@@ -217,6 +217,21 @@ def test_simulate_sweep_rejects_non_numbers(tmp_path):
     assert rc == cli.EXIT_SCHEMA
 
 
+
+def test_simulate_sweep_string_value_needs_its_quotes(tmp_path, capsys):
+    # sweep values are JSON: a bare word does not parse, a quoted one is a string
+    out = tmp_path / "x.csv"
+    argv = ["simulate", str(CLOSED_QUBIT), "--out", str(out), "--steps", "4", "--sweep"]
+    assert cli.main(argv + ["run.mode=factored,static_exact"]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sweep value 'factored' does not parse as JSON; ")
+    assert err.count("\n") == 1
+    assert "double quotes" in err and "not a number" not in err
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(argv + ['run.mode="factored","static_exact"']) == cli.EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "x_run_mode_factored.csv", "x_run_mode_static_exact.csv"]
+
 def test_simulate_missing_file(tmp_path, capsys):
     rc = cli.main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")])
     assert rc == cli.EXIT_SCHEMA
@@ -830,6 +845,39 @@ def test_verify_out_records_the_steps_that_ran(tmp_path):
     ran = next(r for r in report["results"] if r["check"] == "rotating_frame")
     assert report["scenario"]["time"]["steps"] == ran["steps"] == 50
 
+
+
+def test_verify_with_no_checks_is_one_error_line(tmp_path, capsys):
+    # a scenario that lists no checks has nothing to verify; riccati still reads it
+    path = write_doc(tmp_path, minimal_doc())
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: run.checks: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+    assert cli.main(["riccati", str(path)]) == cli.EXIT_OK
+
+
+def test_verify_sanity_cap_breach_fails_rotating_frame_and_runs_on(tmp_path, capsys, monkeypatch):
+    # any roundoff in a state's trace breaches a cap of 0: the rotating_frame
+    # check fails with the cap's text, and the checks after it still run
+    monkeypatch.setattr(dynamics, "TRACE_DEV_CAP", 0.0)
+    out = tmp_path / "v.json"
+    rc = cli.main(["verify", str(SPINBOSON), "--steps", "5", "--out", str(out)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "FAIL rotating_frame: residual=nan" in captured.out
+    assert "     trajectory trace_dev reached " in captured.out
+    assert captured.err == ("error: 1 of 5 checks failed: rotating_frame "
+                            "(residual nan > 1e-05)\n")
+    report = json.loads(out.read_text())
+    assert [r["check"] for r in report["results"]] == json.loads(SPINBOSON.read_text())["run"]["checks"]
+    (ran,) = [r for r in report["results"] if r["check"] == "rotating_frame"]
+    assert ran["residual"] == "nan" and ran["passed"] is False
+    assert ran["message"].startswith("trajectory trace_dev reached ")
+    assert "beyond TRACE_DEV_CAP = 0" in ran["message"]
+    assert report["all_pass"] is False
 
 def reject_constant(token):
     raise ValueError(f"{token} is not JSON (RFC 8259)")

@@ -23,7 +23,8 @@ from bomric.dynamics import (
 )
 from bomric import dynamics, linalg
 from bomric.linalg import expm, frobenius_norm
-from bomric.riccati import periodic_bom, s_frame_unitary
+from bomric.blockop import flatten
+from bomric.riccati import periodic_blocks
 from bomric.scenario import load_scenario
 
 from conftest import PAULI_1, PAULI_2, PAULI_3, SPINBOSON_QUBIT, random_hermitian
@@ -216,9 +217,9 @@ def test_step_evolve_on_periodic_drive(small_bath):
         + np.kron(PAULI_1, w)
     )
 
-    # periodic_bom(t) puts exp(2 i alpha t) on its upper off-diagonal block:
-    # the drive at omega = -2 alpha of its t = 0 blocks
-    h = periodic_bom(small_bath, beta, alpha, 0.0)
+    # the driven operator at z_t = exp(-2 i alpha t) puts exp(2 i alpha t) on
+    # its upper off-diagonal block: the drive at omega = -2 alpha of its t = 0 blocks
+    h = flatten(periodic_blocks(he, w, 1.0))
 
     def closed_form(t):
         j = np.kron(np.diag([np.exp(1j * alpha * t), np.exp(-1j * alpha * t)]), np.eye(n))
@@ -240,10 +241,11 @@ def test_frozen_drive_propagator_diagonalizes(small_bath):
     # congruence frame of the frozen operator
     beta, alpha, tau, t = 0.5, 0.3, 1.3, 0.9
     n = small_bath.env_dim
-    h_frozen = periodic_bom(small_bath, beta, alpha, tau)
-    s = np.kron(s_frame_unitary(alpha, tau), np.eye(n))
     he = bath_hamiltonian(small_bath)
     w = coupling_operator(small_bath) + beta * np.eye(n)
+    z = np.exp(-2j * alpha * tau)
+    h_frozen = flatten(periodic_blocks(he, w, z))
+    s = np.kron(np.array([[1.0, -np.conj(z)], [z, 1.0]]) / np.sqrt(2.0), np.eye(n))
     diag = np.block(
         [[he + w, np.zeros((n, n))], [np.zeros((n, n)), he - w]]
     )

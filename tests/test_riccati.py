@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator, dephasing_hamiltonian
-from bomric.blockop import blocks
+from bomric.blockop import blocks, flatten
 from bomric.dynamics import QubitParams, hamiltonian_static
-from bomric import riccati
+from bomric import checks, riccati
 from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm, hermitian_eig
 from bomric.riccati import (
     DephasingRootError,
@@ -16,18 +16,16 @@ from bomric.riccati import (
     RiccatiConvergenceError,
     RiccatiProblem,
     diagonalize,
-    periodic_bom,
-    periodic_phase,
+    periodic_blocks,
     residual,
-    s_frame_transform,
-    s_frame_unitary,
+    riccati_map,
+    s_frame_blocks,
     solve_dephasing_quadratic,
     solve_invariant_subspace,
     solve_newton,
-    time_dependent_residual,
 )
 
-from conftest import random_complex, random_hermitian
+from conftest import plus_fock_scenario, random_complex, random_hermitian
 
 QUBIT = QubitParams(alpha=0.3, beta=0.5, omega=1.0)
 
@@ -396,12 +394,42 @@ def test_dephasing_rejects_degenerate_coupling():
 
 # -- periodically driven block operator --------------------------------------
 
-def test_periodic_phase_winding():
-    assert periodic_phase(0.3, 0.0) == 1.0
-    t = 1.7
-    z = periodic_phase(0.3, t)
-    assert abs(abs(z) - 1.0) <= 1e-15
-    assert abs(z - np.exp(-2j * 0.3 * t)) == 0.0
+def phase(alpha, t):
+    return complex(np.exp(-2j * alpha * t))
+
+
+def periodic_bom(bath, beta, alpha, t):
+    # the 2N x 2N driven operator [[H_E, z_t* W], [z_t W, H_E]], W = V + beta
+    w = bath.v + beta * np.eye(bath.env_dim)
+    return flatten(periodic_blocks(bath.he, w, phase(alpha, t)))
+
+
+def s_frame_unitary(alpha, t, n):
+    # S_t = S (x) 1 with S = [[1, -z_t*], [z_t, 1]] / sqrt(2), a dense 2N x 2N matrix
+    z = phase(alpha, t)
+    return np.kron(np.array([[1.0, -np.conj(z)], [z, 1.0]]) / np.sqrt(2.0), np.eye(n))
+
+
+def s_frame_transform(h, alpha, t):
+    return flatten(s_frame_blocks(blocks(h), phase(alpha, t)))
+
+
+def blockwise_residual(he, w, z):
+    # zt_riccati's F(z_t 1) on the N x N blocks a = c = H_E, b = z_t* W
+    return frobenius_norm(riccati_map(z * np.eye(len(he)), he, np.conj(z) * w, he))
+
+
+def test_periodic_phase_winding(small_bath):
+    # the phases that zt_riccati and st_diagonalization sample on [0, t_max]
+    s = plus_fock_scenario(small_bath, steps=10, t_max=1.7)
+    he, w, phases = checks.resonant_drive(s)
+    assert he is small_bath.he
+    assert np.array_equal(w, small_bath.v + 0.5 * np.eye(small_bath.env_dim))
+    assert len(phases) == checks.PHASE_POINTS
+    assert phases[0] == 1.0
+    for t, z in zip(np.linspace(0.0, 1.7, checks.PHASE_POINTS), phases):
+        assert abs(abs(z) - 1.0) <= 1e-15
+        assert abs(z - np.exp(-2j * 0.3 * t)) == 0.0
 
 
 def test_phase_solves_driven_riccati(small_bath):
@@ -410,9 +438,9 @@ def test_phase_solves_driven_riccati(small_bath):
     scale = max(1.0, frobenius_norm(w))
     for t in np.linspace(0.0, 12.0, 13):
         h = periodic_bom(small_bath, beta=0.5, alpha=0.3, t=float(t))
-        z = periodic_phase(0.3, float(t))
+        z = phase(0.3, float(t))
         assert residual(RiccatiProblem(h), z * eye) <= 1e-13 * scale
-        assert time_dependent_residual(small_bath.he, w, 0.3, float(t)) <= 1e-13 * scale
+        assert blockwise_residual(small_bath.he, w, z) <= 1e-13 * scale
         # and the blocks are what they should be
         assert frobenius_norm(blocks(h)[0, 0] - bath_hamiltonian(small_bath)) == 0.0
         assert frobenius_norm(blocks(h)[1, 0] - z * w) <= 1e-15
@@ -420,27 +448,31 @@ def test_phase_solves_driven_riccati(small_bath):
 
 def test_block_level_phase_residual_is_that_of_periodic_bom(small_bath):
     # zt_riccati takes F(z_t 1) on the N x N blocks (H_E, z_t* W) of
-    # periodic_bom; the generic residual on the 2N x 2N operator agrees
+    # periodic_blocks; the generic residual on the 2N x 2N operator agrees
     eye = np.eye(small_bath.env_dim)
     w = small_bath.v + 0.5 * eye
     for t in (0.0, 0.4, 1.7, 3.3, 7.9):
-        z = periodic_phase(0.3, t)
+        z = phase(0.3, t)
         full = residual(RiccatiProblem(periodic_bom(small_bath, 0.5, 0.3, t)), z * eye)
-        blockwise = time_dependent_residual(small_bath.he, w, 0.3, t)
+        blockwise = blockwise_residual(small_bath.he, w, z)
         assert blockwise == pytest.approx(full, rel=0.0, abs=1e-15 * frobenius_norm(w))
 
 
 def test_drive_frame_unitary(small_bath):
-    s = np.kron(s_frame_unitary(alpha=0.3, t=2.1), np.eye(small_bath.env_dim))
     n = 2 * small_bath.env_dim
+    s = s_frame_unitary(alpha=0.3, t=2.1, n=small_bath.env_dim)
     assert frobenius_norm(s.conj().T @ s - np.eye(n)) <= 1e-13
+    # s_frame_blocks is the same unitary congruence: it leaves 1 in place
+    ident = s_frame_blocks(blocks(np.eye(n, dtype=complex)), phase(0.3, 2.1))
+    assert frobenius_norm(flatten(ident) - np.eye(n)) <= 1e-13
 
 
 def test_drive_frame_diagonalizes_at_all_times(small_bath):
     he = bath_hamiltonian(small_bath)
     w = coupling_operator(small_bath) + 0.5 * np.eye(small_bath.env_dim)
     for t in (0.0, 0.4, 3.3, 7.9):
-        d = blocks(s_frame_transform(periodic_bom(small_bath, 0.5, 0.3, t), alpha=0.3, t=t))
+        z = phase(0.3, t)
+        d = s_frame_blocks(periodic_blocks(small_bath.he, w, z), z)
         assert frobenius_norm(d[0, 1]) <= 1e-13
         assert frobenius_norm(d[1, 0]) <= 1e-13
         assert frobenius_norm(d[0, 0] - (he + w)) <= 1e-13
@@ -449,10 +481,9 @@ def test_drive_frame_diagonalizes_at_all_times(small_bath):
 
 def test_drive_frame_transform_against_dense_product(small_bath):
     # S_t† H S_t with S_t = S (x) 1 as full 2N x 2N matrices, entry by entry
-    eye = np.eye(small_bath.env_dim)
     for t in (0.0, 0.4, 3.3, 7.9):
         h = periodic_bom(small_bath, 0.5, 0.3, t)
-        s = np.kron(s_frame_unitary(alpha=0.3, t=t), eye)
+        s = s_frame_unitary(alpha=0.3, t=t, n=small_bath.env_dim)
         dense = s.conj().T @ h @ s
         got = s_frame_transform(h, alpha=0.3, t=t)
         assert np.max(np.abs(got - dense)) <= 1e-13 * frobenius_norm(h)

@@ -1,4 +1,4 @@
-"""Finite bosonic environments: truncated Fock modes, displacements, dephasing.
+"""Finite bosonic environments: truncated Fock modes and displacements.
 
 A bath is a list of harmonic modes, each truncated at a shared Fock cutoff
 n_max (local dimension n_max + 1).  Multi-mode operators are Kronecker
@@ -16,8 +16,6 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import linalg
-from .blockop import flatten
-from .linalg import ShapeError
 
 ENV_DIM_CAP = 64
 
@@ -230,11 +228,3 @@ def displaced_check(spec: BathSpec) -> dict:
         "levels": levels,
     }
 
-
-def dephasing_hamiltonian(spec: BathSpec, m) -> np.ndarray:
-    """Block operator 1 (x) H_E + M (x) V for a Hermitian 2 x 2 M."""
-    m = linalg.hermitian_part(m, "dephasing coupling matrix")
-    if m.shape != (2, 2):
-        raise ShapeError(f"dephasing coupling must be 2 x 2, got {m.shape}")
-    he, v = spec.he, spec.v
-    return flatten(np.array([[he + m[0, 0] * v, m[0, 1] * v], [m[1, 0] * v, he + m[1, 1] * v]]))

@@ -3,6 +3,7 @@
 `riccati` solves a spin-boson scenario by the invariant subspace's graph
 branch and refines that X by Newton; --method runs one solver alone, Newton
 from zero or the graph branch.  --branch has the one value `graph`.
+`simulate` and `verify` write --steps and --mode into the document they parse.
 
 Exit codes: 0 success, 2 schema, state or command-line input error (including
 any argument the parser rejects, a file that cannot be opened, a grid over
@@ -19,27 +20,25 @@ value before it runs any, so an exit 2 or 3 writes no file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, linalg, riccati
-from .bath import DimensionCapError, dephasing_hamiltonian
+from .bath import DimensionCapError
 from .dynamics import (
     MODES,
     InvalidStateError,
-    Scenario,
     TrajectorySanityError,
     chunk_size,
     hamiltonian_static,
     reduced_dynamics,
 )
-from .scenario import (RunConfig, ScenarioError, _build, load_scenario, read_document,
-                       scenario_from_dict)
+from .scenario import RunConfig, ScenarioError, load_scenario, read_document, scenario_from_dict
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -73,22 +72,28 @@ def _entry(node, part: str, dotted: str):
     raise ScenarioError(f"sweep key {dotted!r}: no entry {part!r} in scenario")
 
 
-def _with_steps(s: Scenario, steps: int | None) -> Scenario:
-    """The scenario with its grid step count overridden by --steps."""
-    return s if steps is None else _build(replace, f"--steps {steps}", s, steps=steps)
+_FLAG_KEYS = {"steps": "time.steps", "mode": "run.mode"}
+
+
+def _apply_flags(doc, args) -> None:
+    """Write each given flag of _FLAG_KEYS into doc, after any --sweep value.  An
+    edit whose section or key doc lacks is skipped: the keys are required, so
+    the parse then names the fault."""
+    for flag, dotted in _FLAG_KEYS.items():
+        if (value := getattr(args, flag, None)) is not None:
+            with contextlib.suppress(ScenarioError):
+                _apply_override(doc, dotted, value)
 
 
 def _parse_sweep(arg: str) -> tuple[str, list]:
     if "=" not in arg:
         raise ScenarioError(f"--sweep expects KEY=V1,V2,..., got {arg!r}")
     key, _, tail = arg.partition("=")
-    values = []
-    for piece in tail.split(","):
-        try:
-            values.append(json.loads(piece))
-        except (ValueError, RecursionError):  # bad JSON, an overlong integer, deep nesting
-            raise ScenarioError(f"--sweep value {piece!r} does not parse as JSON; a "
-                                'string value needs its double quotes, as in "text"') from None
+    try:  # the tail is read as one JSON array, so list and object values keep their commas
+        values = json.loads(f"[{tail}]")
+    except (ValueError, RecursionError):  # bad JSON, an overlong integer, deep nesting
+        raise ScenarioError(f"--sweep value {tail!r} does not parse as JSON; a "
+                            'string value needs its double quotes, as in "text"') from None
     if not values:
         raise ScenarioError(f"--sweep {key!r} has no values")
     return key, values
@@ -130,7 +135,7 @@ def cmd_simulate(args) -> int:
     if sweeps:
         key, values = sweeps[0]
         # a flag would override the key it sets in every swept value
-        for dotted, flag in (("time.steps", "steps"), ("run.mode", "mode")):
+        for flag, dotted in _FLAG_KEYS.items():
             if f"{dotted}.".startswith(f"{key}.") and getattr(args, flag) is not None:
                 raise ScenarioError(f"--sweep {key} and --{flag} both set {dotted}; give one")
         for value in values:
@@ -139,7 +144,9 @@ def cmd_simulate(args) -> int:
             name = f"{out.stem}_{key.replace('.', '_')}_{value}{out.suffix or '.csv'}"
             try:
                 target = out.with_name(name)
-            except ValueError:  # a value holding a path separator
+                if len(name.encode()) > 255:  # the longest name common filesystems take
+                    raise ValueError(name)
+            except ValueError:  # a path separator, a lone surrogate or an overlong name
                 raise ScenarioError(f"--sweep {key}: value {value!r} gives no file name") from None
             if any(t == target for _, t in jobs):
                 raise ScenarioError(f"--sweep {key}: two values both write {target}")
@@ -151,17 +158,16 @@ def cmd_simulate(args) -> int:
     # error on any of them writes no file
     runs = []
     for doc, target in jobs:
+        _apply_flags(doc, args)
         config = scenario_from_dict(doc)
-        s = _with_steps(config.scenario, args.steps)
-        mode = args.mode or config.mode
-        lost = None if mode == "static_exact" else checks.drive_phase_lost(s)
+        lost = None if config.mode == "static_exact" else checks.drive_phase_lost(config.scenario)
         if lost is not None:
             raise ScenarioError(
-                f"{mode} mode: the drive phase omega t keeps no digit at the rotating_frame "
+                f"{config.mode} mode: the drive phase omega t keeps no digit at the rotating_frame "
                 f"tolerance {checks.ROTATING_FRAME_TOL:.0e} (|omega| t_max eps = {lost:.1e}); "
                 "static_exact does not use omega"
             )
-        runs.append((s, mode, target))
+        runs.append((config.scenario, config.mode, target))
 
     for s, mode, target in runs:
         traj = reduced_dynamics(s, mode)
@@ -222,8 +228,10 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
 def _riccati_dephasing_report(config: RunConfig) -> dict:
     m, bath = config.dephasing_m, config.scenario.bath
     principal, partner = riccati.solve_dephasing_quadratic(m)
-    p = riccati.RiccatiProblem(dephasing_hamiltonian(bath, m))
-    res = [riccati.residual(p, x * np.eye(bath.env_dim)) for x in (principal, partner)]
+    # F(x 1) on the blocks a = H_E + m11 V, b = m12 V, c = H_E + m22 V of 1 (x) H_E + M (x) V
+    he, v, eye = bath.he, bath.v, np.eye(bath.env_dim)
+    abc = (he + m[0, 0] * v, m[0, 1] * v, he + m[1, 1] * v)
+    res = [linalg.frobenius_norm(riccati.riccati_map(x * eye, *abc)) for x in (principal, partner)]
     if not np.all(np.isfinite(res)):
         raise riccati.DephasingRootError("dephasing root residuals not finite in float64: "
                                          f"principal {res[0]:.3e}, partner {res[1]:.3e}")
@@ -278,17 +286,15 @@ def cmd_riccati(args) -> int:
 
 def cmd_verify(args) -> int:
     raw = read_document(args.scenario)
+    _apply_flags(raw, args)  # the report's scenario is then the one that runs
     config = scenario_from_dict(raw)
     if not config.checks:  # riccati reads such a file; verify would pass with nothing run
         raise ScenarioError("run.checks: no check listed; verify needs at least one")
-    s = _with_steps(config.scenario, args.steps)
-    if args.steps is not None:  # the report's scenario is the one that ran
-        raw["time"]["steps"] = args.steps
 
     results = []
     for name in config.checks:
         start = time.perf_counter()
-        result = checks.CHECKS[name](s)
+        result = checks.CHECKS[name](config.scenario)
         result["check"] = name
         result["seconds"] = time.perf_counter() - start
         results.append(result)

@@ -86,12 +86,11 @@ def _int(obj, path: str) -> int:
     return obj
 
 
-def _build(cls, path: str, *args, **fields):
-    """cls(*args, **fields) (cls may be dataclasses.replace), with its ValueError
-    raised as a ScenarioError prefixed by path; DimensionCapError and
-    InvalidStateError keep their own exit codes."""
+def _build(cls, path: str, **fields):
+    """cls(**fields), with its ValueError raised as a ScenarioError prefixed by
+    path; DimensionCapError and InvalidStateError keep their own exit codes."""
     try:
-        return cls(*args, **fields)
+        return cls(**fields)
     except (DimensionCapError, InvalidStateError):
         raise
     except ValueError as exc:
@@ -105,17 +104,12 @@ def _matrix(obj, path: str, shape: tuple[int, int]) -> np.ndarray:
         im = np.array(obj.get("im", np.zeros_like(re)), dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{path}: entries must be numeric: {exc}") from None
-    if re.ndim != 2 or re.shape != im.shape:
-        raise ScenarioError(
-            f"{path}: 're' and 'im' must be equal-shape 2-d arrays, "
-            f"got {re.shape} and {im.shape}"
-        )
+    if re.shape != shape or im.shape != shape:
+        raise ScenarioError(f"{path}: 're' and 'im' must have shape {shape}, "
+                            f"got {re.shape} and {im.shape}")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise ScenarioError(f"{path}: entries must be finite numbers")
-    m = re + 1j * im
-    if m.shape != shape:
-        raise ScenarioError(f"{path}: expected shape {shape}, got {m.shape}")
-    return m
+    return re + 1j * im
 
 
 def _bath_mode(obj, path: str) -> BathMode:
@@ -131,7 +125,7 @@ def _bath_modes(obj, path: str) -> tuple[BathMode, ...]:
 
 def _parse_initial(obj, bath: BathSpec) -> np.ndarray:
     _require_dict(obj, "initial", {"kind", "qubit_state", "env_state", "matrix"}, {"kind"})
-    kind = obj["kind"]
+    kind, n = obj["kind"], bath.env_dim
     if kind == "product":
         _require_dict(
             obj, "initial", {"kind", "qubit_state", "env_state"},
@@ -148,7 +142,6 @@ def _parse_initial(obj, bath: BathSpec) -> np.ndarray:
         else:
             rho_q = _matrix(qs, "initial.qubit_state", (2, 2))
         es = obj["env_state"]
-        n = bath.env_dim
         if isinstance(es, dict) and set(es) == {"fock"}:
             level = _int(es["fock"], "initial.env_state.fock")
             if not 0 <= level < n:
@@ -162,7 +155,6 @@ def _parse_initial(obj, bath: BathSpec) -> np.ndarray:
         return np.kron(rho_q, rho_e)
     if kind == "explicit":
         _require_dict(obj, "initial", {"kind", "matrix"}, {"kind", "matrix"})
-        n = bath.env_dim
         return _matrix(obj["matrix"], "initial.matrix", (2 * n, 2 * n))
     raise ScenarioError(f"initial.kind: expected 'product' or 'explicit', got {kind!r}")
 

@@ -42,6 +42,13 @@ def random_density(rng, n):
     return rho / np.trace(rho)
 
 
+def dephasing_operator(bath, m):
+    """1 (x) H_E + M (x) V as a dense 2N x 2N matrix, built by Kronecker
+    products: the block operator whose Riccati equation the dephasing
+    quadratic reduces to a scalar one."""
+    return np.kron(ID2, bath.he) + np.kron(m, bath.v)
+
+
 def plus_fock_scenario(bath, steps, qubit=SPINBOSON_QUBIT, t_max=10.0):
     n = bath.env_dim
     env = np.zeros((n, n), dtype=complex)

@@ -26,7 +26,8 @@ from bomric.riccati import (
 )
 from bomric.scenario import load_scenario
 
-from conftest import SPINBOSON_QUBIT, plus_fock_scenario, random_complex, random_hermitian
+from conftest import (SPINBOSON_QUBIT, dephasing_operator, plus_fock_scenario, random_complex,
+                      random_hermitian)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -159,8 +160,6 @@ def test_dephasing_scalar_reduction(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(23)
     bath = BathSpec((BathMode(1.0, 0.2),), fock_cutoff=4)
-    from bomric.bath import dephasing_hamiltonian
-
     v_norm = frobenius_norm(coupling_operator(bath))
     eye = np.eye(bath.env_dim)
     worst_resid = 0.0
@@ -172,7 +171,7 @@ def test_dephasing_scalar_reduction(capsys):
             m12 *= 0.2 / abs(m12)
         m = np.array([[m11, m12], [np.conj(m12), m22]])
         principal, partner = solve_dephasing_quadratic(m)
-        p = RiccatiProblem(dephasing_hamiltonian(bath, m))
+        p = RiccatiProblem(dephasing_operator(bath, m))
         for x in (principal, partner):
             worst_resid = max(worst_resid, residual(p, x * eye) / v_norm)
         worst_pair = max(

@@ -14,15 +14,13 @@ from bomric.bath import (
     bath_hamiltonian,
     comparison_levels,
     coupling_operator,
-    dephasing_hamiltonian,
     displaced_check,
     weyl_operator,
     weyl_unitarity_defect,
 )
-from bomric.blockop import blocks
-from bomric.linalg import frobenius_norm, hermitian_eig, hermitian_part
+from bomric.linalg import frobenius_norm, hermitian_eig
 
-from conftest import random_hermitian
+from conftest import dephasing_operator, random_hermitian
 
 
 def test_annihilation_matrix_elements():
@@ -171,31 +169,13 @@ def test_displaced_shift_against_ground_eigenvalue():
     assert abs(w[0] - (-0.09 / 2.0)) <= 1e-10
 
 
-def test_dephasing_hamiltonian_blocks(small_bath):
-    m = np.array([[1.0, 1.0j], [-1.0j, -1.0]])
-    h = dephasing_hamiltonian(small_bath, m)
-    he = bath_hamiltonian(small_bath)
-    v = coupling_operator(small_bath)
-    hb = blocks(h)
-    assert frobenius_norm(hb[0, 0] - (he + v)) <= 1e-15
-    assert frobenius_norm(hb[1, 1] - (he - v)) <= 1e-15
-    assert frobenius_norm(hb[0, 1] - 1.0j * v) <= 1e-15
-    assert frobenius_norm(hb[1, 0] + 1.0j * v) <= 1e-15
-    hermitian_part(h)  # raises NotHermitianError outside the tolerance
-
-
 def test_dephasing_commutes_for_diagonal_m(small_bath):
     # with M diagonal both blocks share the eigenbasis of H_E + c V
     m = np.diag([0.7, -0.2]).astype(complex)
-    h = dephasing_hamiltonian(small_bath, m)
+    h = dephasing_operator(small_bath, m)
     n = small_bath.env_dim
     hq = np.kron(np.diag([1.0, -1.0]), np.eye(n))
     assert frobenius_norm(h @ hq - hq @ h) <= 1e-13
-
-
-def test_dephasing_rejects_nonhermitian_m(small_bath):
-    with pytest.raises(ValueError):
-        dephasing_hamiltonian(small_bath, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_bath_mode_validation():

@@ -18,7 +18,7 @@ from bomric import cli, dynamics, linalg, riccati
 from bomric.bath import STEP_CAP
 from bomric.scenario import load_scenario
 
-from conftest import PAULI_1, PAULI_2, PAULI_3, random_density
+from conftest import PAULI_1, PAULI_2, PAULI_3, dephasing_operator, random_density
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 CLOSED_QUBIT = SCENARIO_DIR / "closed_qubit.json"
@@ -224,13 +224,81 @@ def test_simulate_sweep_string_value_needs_its_quotes(tmp_path, capsys):
     argv = ["simulate", str(CLOSED_QUBIT), "--out", str(out), "--steps", "4", "--sweep"]
     assert cli.main(argv + ["run.mode=factored,static_exact"]) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
-    assert err.startswith("error: --sweep value 'factored' does not parse as JSON; ")
+    assert err.startswith("error: --sweep value 'factored,static_exact' does not parse as JSON; ")
     assert err.count("\n") == 1
     assert "double quotes" in err and "not a number" not in err
     assert list(tmp_path.iterdir()) == []
     assert cli.main(argv + ['run.mode="factored","static_exact"']) == cli.EXIT_OK
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "x_run_mode_factored.csv", "x_run_mode_static_exact.csv"]
+
+
+def test_simulate_sweep_object_values_keep_their_commas(tmp_path, capsys):
+    # the tail is one JSON array: an object value is not split at its commas
+    out = tmp_path / "x.csv"
+    modes = [{"omega": 2.0, "g_re": 0.1}, {"omega": 1.5, "g_re": 0.2, "g_im": -0.1}]
+    sweep = "bath.modes.0=" + ",".join(json.dumps(m) for m in modes)
+    argv = ["simulate", str(SPINBOSON), "--out", str(out), "--steps", "4", "--sweep", sweep]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("wrote") == 2
+    files = [tmp_path / f"x_bath_modes_0_{m}.csv" for m in modes]
+    assert sorted(tmp_path.iterdir()) == sorted(files)
+    # each file is the run of the document with that value written in
+    doc = json.loads(SPINBOSON.read_text())
+    doc["bath"]["modes"][0] = modes[1]
+    one = tmp_path / "one" / "y.csv"
+    one.parent.mkdir()
+    assert cli.main(["simulate", str(write_doc(one.parent, doc)), "--out", str(one),
+                     "--steps", "4"]) == cli.EXIT_OK
+    assert one.read_bytes() == files[1].read_bytes() != files[0].read_bytes()
+
+
+def test_simulate_sweep_with_no_values(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["simulate", str(CLOSED_QUBIT), "--out", str(out), "--sweep", "qubit.alpha="]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: --sweep 'qubit.alpha' has no values\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_sweep_value_with_an_overlong_file_name(tmp_path, capsys):
+    # a 3-mode cutoff-1 bath: the second value, an 8 x 8 env_state matrix,
+    # names a file past 255 bytes; exit 2 before the first value's run
+    env = np.zeros((8, 8))
+    env[0, 0] = 1.0
+    doc = minimal_doc(bath={"modes": [{"omega": 1.0, "g_re": 0.1}] * 3, "fock_cutoff": 1})
+    sweep = 'initial.env_state={"fock":0},' + json.dumps({"re": env.tolist()})
+    argv = ["simulate", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "x.csv"),
+            "--steps", "4", "--sweep", sweep]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --sweep initial.env_state: value {'re': ")
+    assert captured.err.endswith(" gives no file name\n") and captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, flag, message",
+    [
+        ("verify", {k: v for k, v in minimal_doc().items() if k != "time"}, ["--steps", "5"],
+         "scenario: missing required keys ['time']"),
+        ("simulate", minimal_doc(run=[1]), ["--mode", "factored"],
+         "run: expected an object, got list"),
+    ],
+    ids=["verify_no_time", "simulate_run_list"],
+)
+def test_flag_on_malformed_document_keeps_the_parse_message(tmp_path, capsys, command, doc,
+                                                            flag, message):
+    # the flag's edit has no section to go into, so the parse names the fault
+    out = tmp_path / "x.out"
+    argv = [command, str(write_doc(tmp_path, doc)), "--out", str(out)] + flag
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
 
 def test_simulate_missing_file(tmp_path, capsys):
     rc = cli.main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")])
@@ -287,7 +355,8 @@ def test_zero_steps_override_rejected(tmp_path, capsys, command):
     if command == "simulate":
         argv += ["--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == cli.EXIT_SCHEMA
-    assert "error: --steps 0:" in capsys.readouterr().err
+    # --steps edits the document, so the error is the parse's time: line
+    assert capsys.readouterr().err == "error: time: steps and substeps_per_step must be >= 1\n"
 
 
 @pytest.mark.parametrize(
@@ -316,8 +385,7 @@ def test_steps_override_over_step_cap(tmp_path, capsys, command):
         argv += ["--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --steps {10**15}: ") and err.count("\n") == 1
-    assert f"exceeds STEP_CAP = {STEP_CAP}" in err
+    assert err == f"error: time: steps * substeps_per_step exceeds STEP_CAP = {STEP_CAP}\n"
 
 
 def test_simulate_sweep_rejects_overlong_integer(tmp_path, capsys):
@@ -755,6 +823,31 @@ DEPHASING_REPORT = {
     "residual_partner": 4.710277376051325e-16,
     "residual_principal": 1.1775693440128312e-16,
 }
+
+
+@pytest.mark.parametrize("g_im, m12_im", [(0.0, 0.0), (0.0, 1.0), (-0.3, 0.0), (-0.3, 1.0)],
+                         ids=["real_v_real_m", "real_v_complex_m", "complex_v_real_m",
+                              "complex_v_complex_m"])
+def test_dephasing_residuals_are_those_of_the_dense_operator(tmp_path, capsys, rng, g_im, m12_im):
+    # the report takes F(x 1) on the N x N blocks of 1 (x) H_E + M (x) V; the
+    # generic residual of the dense 2N x 2N operator gives the same bits
+    doc = json.loads(DEPHASING.read_text())
+    doc["bath"] = {"modes": [{"omega": 1.0, "g_re": 0.2, "g_im": g_im},
+                             {"omega": 2.5, "g_re": -0.4, "g_im": g_im}], "fock_cutoff": 3}
+    out = tmp_path / "deph.json"
+    for _ in range(8):
+        m11, m22, m12_re, m12_scale = rng.uniform(-2.0, 2.0, size=4)
+        doc["dephasing"] = {"m11": m11, "m22": m22, "m12_re": m12_re, "m12_im": m12_im * m12_scale}
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["riccati", str(path), "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        config = load_scenario(path)
+        p = riccati.RiccatiProblem(dephasing_operator(config.scenario.bath, config.dephasing_m))
+        eye = np.eye(config.scenario.bath.env_dim)
+        roots = riccati.solve_dephasing_quadratic(config.dephasing_m)
+        assert [report["residual_principal"], report["residual_partner"]] == [
+            riccati.residual(p, x * eye) for x in roots]
+    capsys.readouterr()
 
 
 def test_every_riccati_failure_type_exits_4():

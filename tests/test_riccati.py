@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator, dephasing_hamiltonian
+from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator
 from bomric.blockop import blocks, flatten
 from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric import checks, riccati
@@ -25,7 +25,7 @@ from bomric.riccati import (
     solve_newton,
 )
 
-from conftest import plus_fock_scenario, random_complex, random_hermitian
+from conftest import dephasing_operator, plus_fock_scenario, random_complex, random_hermitian
 
 QUBIT = QubitParams(alpha=0.3, beta=0.5, omega=1.0)
 
@@ -325,7 +325,7 @@ def test_block_operator_builders_are_exactly_hermitian():
     m = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]])
     for r in (
         hamiltonian_static(QUBIT, bath),
-        dephasing_hamiltonian(bath, m),
+        dephasing_operator(bath, m),
         periodic_bom(bath, 0.5, 0.3, 1.7),
     ):
         assert np.array_equal(r, r.conj().T)
@@ -378,7 +378,7 @@ def test_dephasing_root_pair_structure(m11, m22, re12, im12):
 def test_dephasing_scalar_root_solves_operator_equation(small_bath):
     m = np.array([[1.0, 1.0j], [-1.0j, -1.0]])
     principal, partner = solve_dephasing_quadratic(m)
-    p = RiccatiProblem(dephasing_hamiltonian(small_bath, m))
+    p = RiccatiProblem(dephasing_operator(small_bath, m))
     vnorm = frobenius_norm(coupling_operator(small_bath))
     eye = np.eye(small_bath.env_dim)
     for x in (principal, partner):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -99,29 +100,54 @@ def _parse_sweep(arg: str) -> tuple[str, list]:
     return key, values
 
 
+# orjson writes a float's shortest round-trip digits, as repr does, in its own
+# layout; these passes rewrite it into repr's.  Each pattern starts with a
+# literal, which re scans for, rather than trying a match at every byte.
+_EXP_SIGN = re.compile(rb"e(\d)")  # 1e16 -> 1e+16
+_EXP_ONE_DIGIT = re.compile(rb"e-(\d)(?=[,\]])")  # 1e-7 -> 1e-07
+# [1e-5, 1e-4), which orjson writes as 0.0000ddd: 0.000015 -> 1.5e-05
+_FIXED_E05 = re.compile(rb"0\.0000(?<=[,\[-]0\.0000)(\d)(\d*)")
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a C-contiguous 2-d float block, each cell the float's repr
+    and each row ended by CRLF, as csv.writer writes them.  A NaN or an infinity
+    would come out as `null`."""
+    import orjson  # imported on first use, so importing the CLI does not pay for it
+
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = _EXP_SIGN.sub(rb"e+\1", text)
+    text = _EXP_ONE_DIGIT.sub(rb"e-0\1", text)
+    text = _FIXED_E05.sub(lambda m: m[1] + (b"." + m[2] if m[2] else b"") + b"e-05", text)
+    return text[2:-2].replace(b"],[", b"\r\n") + b"\r\n"
+
+
 def _write_csv(path: Path, traj) -> None:
+    """Write the trajectory's CSV table.  Its cells are finite: reduced_dynamics'
+    sanity caps reject any trajectory with a non-finite state, which _csv_rows
+    would write as `null`."""
     rho = traj.states
     r00, r01, r10, r11 = rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1]
     # bloch_i = Tr(rho sigma_i) and purity = Tr(rho^2), in forms whose bits
-    # equal the per-row 2 x 2 products
+    # equal the per-row 2 x 2 products.  Purity comes first: on an AVX-512
+    # CPU, after OpenBLAS's complex product orjson and re ran 3-4 times slower
+    # until a numpy SIMD loop, such as the complex sums below, had run.
+    purity = np.trace(rho @ rho, axis1=1, axis2=2).real
     table = np.column_stack(
         [
             traj.times,
             r00.real, r00.imag, r01.real, r01.imag,
             r10.real, r10.imag, r11.real, r11.imag,
             (r01 + r10).real, (r10 - r01).imag, (r00 - r11).real,
-            np.trace(rho @ rho, axis1=1, axis2=2).real,
-            traj.trace_dev, traj.positivity_floor,
+            purity, traj.trace_dev, traj.positivity_floor,
         ]
     )
-    # the bytes csv.writer would write, as a float's repr never needs quoting;
-    # a block of rows at a time is converted to Python floats and written
+    # a block of rows at a time, so the text buffers stay within CHUNK_ENTRIES
     rows = chunk_size(len(CSV_COLUMNS))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_COLUMNS).encode() + b"\r\n")
         for lo in range(0, len(table), rows):
-            block = table[lo : lo + rows].tolist()
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
+            fh.write(_csv_rows(table[lo : lo + rows]))
 
 
 def cmd_simulate(args) -> int:
@@ -190,7 +216,7 @@ _SECTION_LINES = {
     "subspace": "invariant subspace ({branch}): residual {residual:.3e}, eta {eta:.3e}, "
                 "||X||_F = {x_norm:.6f}, ||X||_2 = {x_norm2:.6f}",
     "newton": "newton: from {start}, iterations {iterations}, residual {residual:.3e}, "
-              "eta {eta:.3e}, ||X||_F = {x_norm:.6f}",
+              "eta {eta:.3e}, ||X||_F = {x_norm:.6f}, ||X||_2 = {x_norm2:.6f}",
 }
 
 
@@ -220,6 +246,7 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
             "residual": sol.residual,
             "eta": sol.eta,
             "x_norm": linalg.frobenius_norm(sol.x),
+            "x_norm2": sol.x_norm2,
             "trace": sol.trace,
         }
     return report | riccati.diagonalize(p, sol)

@@ -145,6 +145,61 @@ def test_simulate_csv_mixed_states_inside_ball(tmp_path, rng):
         assert np.all(data[:, 12] <= 1.0 + 1e-9)
 
 
+def repr_rows(block: np.ndarray) -> bytes:
+    """The CSV rows as csv.writer writes a table of Python floats."""
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()).encode()
+
+
+# where orjson's layout and repr's part: exponent signs, one-digit exponents,
+# the [1e-5, 1e-4) band and the switches to exponent form
+CSV_EDGE_VALUES = (
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-09, 1e-08, 1e-07, 1e-06, 9.9e-06, 1e-05,
+    1.5e-05, 9.99e-05, 0.0001, 10.00001, 9999999999999998.0, 1e16, 1.5e16,
+    1.7976931348623157e308,
+)
+
+
+def test_csv_rows_are_repr_at_the_layout_edges():
+    values = np.array([v for x in CSV_EDGE_VALUES for v in (x, -x)])
+    for block in (values[None, :], values[:, None], values.reshape(2, -1)):
+        assert cli._csv_rows(block) == repr_rows(block)
+    assert cli._csv_rows(values[None, :]).startswith(b"0.0,-0.0,5e-324,-5e-324,")
+
+
+# decimal magnitudes reach the layout edges more often than raw doubles do
+_DECIMAL_FLOATS = st.builds(
+    lambda m, k: m * 10.0**k, st.floats(-10.0, 10.0), st.integers(-12, 20)
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.tuples(st.integers(1, 12), st.integers(1, 15)).flatmap(
+        lambda shape: st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), _DECIMAL_FLOATS),
+            min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+        ).map(lambda cells: np.array(cells, dtype=float).reshape(shape))
+    )
+)
+def test_csv_rows_are_the_repr_of_each_float(block):
+    # 1-row and 1-column tables included; a change of orjson's layout fails here
+    assert cli._csv_rows(block) == repr_rows(block)
+
+
+def test_simulate_writes_no_file_for_non_finite_states(tmp_path, capsys, monkeypatch):
+    # _csv_rows would write NaN as `null`; the sanity caps stop such a state first
+    def nan_states(h, p, psi, times):
+        return np.full((len(times), 2, 2), np.nan, dtype=complex)
+
+    monkeypatch.setattr(dynamics, "_spectral_states", nan_states)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", str(SPINBOSON), "--out", str(out), "--mode", "static_exact"])
+    assert rc == cli.EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory trace_dev reached nan") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = cli.main(
@@ -632,9 +687,9 @@ def test_riccati_weyl_solves_on_graph_branch(tmp_path, capsys):
     assert "||X||_2 = " in capsys.readouterr().out
 
 
-def test_riccati_noncontractive_case_keeps_graph_branch(tmp_path):
+def test_riccati_noncontractive_case_keeps_graph_branch(tmp_path, capsys):
     # two modes (2.3, 1.7) at cutoff 7: Newton from zero lands on another
-    # branch than the graph one the default route returns
+    # branch than the graph one the default route returns; ||X||_2 tells them apart
     doc = minimal_doc()
     doc["bath"] = {"modes": [{"omega": 2.3, "g_re": 0.2}, {"omega": 1.7, "g_re": 0.2}],
                    "fock_cutoff": 7}
@@ -648,9 +703,12 @@ def test_riccati_noncontractive_case_keeps_graph_branch(tmp_path):
     assert default["subspace"]["branch"] == "graph"
     assert default["newton"]["iterations"] == 0
     assert abs(default["newton"]["x_norm"] - 3.371) < 1e-3
+    assert abs(default["subspace"]["x_norm2"] - 1.121) < 1e-3
     assert newton["newton"]["start"] == "zero" and newton["newton"]["iterations"] == 8
     assert len(newton["newton"]["trace"]) == 9
     assert abs(newton["newton"]["x_norm"] - 4.352) < 1e-3
+    assert abs(newton["newton"]["x_norm2"] - 2.121) < 1e-3
+    assert "||X||_F = 4.352148, ||X||_2 = 2.121020\n" in capsys.readouterr().out
 
 
 def test_riccati_accepts_graph_solution_at_roundoff_floor(tmp_path, capsys):
@@ -877,6 +935,7 @@ def test_riccati_report_fields_on_bundled_scenarios(tmp_path, scenario):
     # step, and its trace holds the one residual it measured
     assert newton["start"] == "subspace" and newton["iterations"] == 0
     assert newton["trace"] == [newton["residual"]] == [report["subspace"]["residual"]]
+    assert newton["x_norm2"] == report["subspace"]["x_norm2"]
     assert report["offdiag_residual"] <= 10.0 * max(newton["residual"], 1e-15) * report["cond_ux"]
 
 

@@ -1,8 +1,10 @@
-"""Importing the CLI, and every default route on the bundled scenarios, loads no scipy.
+"""Importing the CLI, and every default route on the bundled scenarios, loads no scipy;
+importing the CLI and parsing a scenario loads no orjson.
 
 scipy.linalg takes most of a CLI call's start-up time; only Newton's
 Sylvester step (and linalg.expm, kept for the test oracles) imports it.
-Each case runs in a fresh interpreter, since this one has scipy loaded.
+orjson, the CSV cell formatter, is imported when simulate writes its first
+rows.  Each case runs in a fresh interpreter, since this one has both loaded.
 """
 import os
 import subprocess
@@ -20,31 +22,38 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def assert_no_scipy(code: str) -> None:
-    run = run_fresh(code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def assert_not_loaded(code: str, module: str = "scipy") -> None:
+    run = run_fresh(code + f"\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))")
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]", run.stdout
 
 
+CLI_IMPORT_AND_PARSE = (
+    "import bomric.cli\n"
+    "from pathlib import Path\n"
+    "from bomric.scenario import load_scenario\n"
+    "for p in sorted(Path('scenarios').glob('*.json')):\n"
+    "    load_scenario(p)"
+)
+
+
 def test_cli_import_and_scenario_parse_load_no_scipy():
-    assert_no_scipy(
-        "import bomric.cli\n"
-        "from pathlib import Path\n"
-        "from bomric.scenario import load_scenario\n"
-        "for p in sorted(Path('scenarios').glob('*.json')):\n"
-        "    load_scenario(p)"
-    )
+    assert_not_loaded(CLI_IMPORT_AND_PARSE)
+
+
+def test_cli_import_and_scenario_parse_load_no_orjson():
+    assert_not_loaded(CLI_IMPORT_AND_PARSE, "orjson")
 
 
 def test_verify_weyl_loads_no_scipy():
-    assert_no_scipy(
+    assert_not_loaded(
         "import bomric.cli\n"
         "assert bomric.cli.main(['verify', 'scenarios/weyl.json']) == 0"
     )
 
 
 def test_default_routes_on_bundled_scenarios_load_no_scipy(tmp_path):
-    assert_no_scipy(
+    assert_not_loaded(
         "import bomric.cli\n"
         "from pathlib import Path\n"
         "for p in sorted(Path('scenarios').glob('*.json')):\n"

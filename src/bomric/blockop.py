@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ShapeError, frobenius_norm
+from .linalg import frobenius_norm
 
 
 def blocks(m) -> np.ndarray:
     """The (..., 2, 2, N, N) view of a 2N x 2N block operator or a stack of
-    them, block (i, j) at [..., i, j]; a write through it changes m."""
+    them, block (i, j) at [..., i, j]; a write through it changes m.  The
+    parser and the Scenario constructor check shapes once, so m is taken as
+    well formed; a misshapen m fails in the reshape."""
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
-        raise ShapeError(f"expected square even-dimension matrices, got shape {m.shape}")
     n = m.shape[-1] // 2
     return m.reshape(*m.shape[:-2], 2, n, 2, n).swapaxes(-3, -2)
 

@@ -2,8 +2,10 @@
 
 Every matrix in this package is a plain ndarray: float64 input stays float64,
 so a real problem runs real LAPACK, and any other is cast to complex128.  The
-wrappers here add the shape and symmetry checks the rest of the code relies
-on and pin the tolerances in one place.
+wrappers here add the symmetry checks the rest of the code relies on and pin
+the tolerances in one place.  They take well-formed operands: the scenario
+parser and the Scenario constructor check every shape once, and a misshapen
+operand from library code fails in numpy's own reshape, broadcast or matmul.
 
 scipy is imported inside the two functions that call it, expm and
 solve_sylvester, so importing the package (and every CLI route that never
@@ -20,10 +22,6 @@ TOL_HERM_REL = 1e-10    # hermiticity: ||a - a†||_F <= TOL_HERM_REL * ||a||_F
 TOL_SYLVESTER = 1e-10   # sylvester residual: <= TOL_SYLVESTER * (||p||+||q||) * ||delta||
 
 
-class ShapeError(ValueError):
-    """Operands have incompatible or non-square shapes."""
-
-
 class NotHermitianError(ValueError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
@@ -34,17 +32,7 @@ class SylvesterSingularError(np.linalg.LinAlgError):
 
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a)
-    a = a if a.dtype == np.float64 else a.astype(complex, copy=False)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-d array, got shape {a.shape}")
-    return a
-
-
-def _as_square(a) -> np.ndarray:
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return a if a.dtype == np.float64 else a.astype(complex, copy=False)
 
 
 def frobenius_norm(a) -> float:
@@ -64,7 +52,7 @@ def hermitian_part(a, name: str = "matrix") -> np.ndarray:
     """(a + a†) / 2, Hermitian to the bit and equal to a if a is (but for
     subnormal entries); raises NotHermitianError, naming ||a - a†||_F, when
     that exceeds TOL_HERM_REL * max(||a||_F, 1).  Both read one copy of a†."""
-    a = _as_square(a)
+    a = _as_matrix(a)
     ah = np.conjugate(a.T, order="C")
     with np.errstate(over="ignore"):
         dev = frobenius_norm(a - ah)
@@ -84,10 +72,7 @@ def expm(a, scale: complex = 1.0) -> np.ndarray:
     """
     import scipy.linalg
 
-    a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    return scipy.linalg.expm(scale * a)
+    return scipy.linalg.expm(scale * np.asarray(a, dtype=complex))
 
 
 # theta_m for unit roundoff 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
@@ -123,7 +108,6 @@ def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:
     """Taylor plan (m, s) for exp(scale * a) @ x with r columns in x when
     m * s * r <= n // 2, else None for the dense step; bomric.dynamics's
     docstring gives the reason."""
-    a = _as_square(a)
     norm1 = _norm1(a, scale)
     # every table entry has m / theta_m > 5, so m * s > 5 * norm1: a norm above
     # n (or an overflowed one) is never thin, and the dense step reports it
@@ -143,7 +127,6 @@ def expm_action(a, scale: complex, x, plan: tuple[int, int]) -> np.ndarray:
     as bomric.dynamics's docstring states.
     """
     m, s = plan
-    a = _as_square(a)
     f = b = np.asarray(x, dtype=complex)
     for _ in range(s):
         for j in range(1, m + 1):
@@ -170,7 +153,7 @@ def expm1_plan(a, scale: complex) -> tuple[int, int] | None:
     squaring doubles the error carried, so the result would hold no correct
     digit, and taylor_expm1 returns NaN.
     """
-    norm1 = _norm1(_as_square(a), scale)
+    norm1 = _norm1(a, scale)
     if not norm1 < np.inf:
         return None
 
@@ -206,8 +189,7 @@ def taylor_expm1(a, scale: complex, plan: tuple[int, int] | None) -> np.ndarray:
     entry is NaN.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
-        raise ShapeError(f"expected a (k, n, n) stack, got shape {a.shape}")
+    _, n, _ = a.shape  # a single matrix fails here
     if plan is None:
         return np.full(a.shape, np.nan, dtype=complex)
     m, k = plan
@@ -229,7 +211,7 @@ def taylor_expm1(a, scale: complex, plan: tuple[int, int] | None) -> np.ndarray:
         c = coef[i * q + 1 : (m if i == top else i * q + q - 1) + 1]
         np.dot(c, flat[: len(c)], out=e.reshape(-1))
         if i:
-            e.reshape(len(e), -1)[:, :: a.shape[-1] + 1] += coef[i * q]
+            e.reshape(-1, n * n)[:, :: n + 1] += coef[i * q]
         if i < top:
             e += work
     for _ in range(k):
@@ -255,15 +237,11 @@ def solve_sylvester(p, q, r) -> np.ndarray:
     """
     import scipy.linalg
 
-    p, q, r = _as_square(p), _as_square(q), _as_matrix(r)
+    p, q, r = _as_matrix(p), _as_matrix(q), _as_matrix(r)
     # one field for all three: scipy's real Schur forms of real p and q would
     # meet a complex r in the complex trsyl, which takes them as triangular
     field = np.result_type(p, q, r)
     p, q, r = (m.astype(field, copy=False) for m in (p, q, r))
-    if r.shape != (q.shape[0], p.shape[0]):
-        raise ShapeError(
-            f"rhs shape {r.shape} does not match ({q.shape[0]}, {p.shape[0]})"
-        )
     lam_p = np.linalg.eigvals(p)
     lam_q = np.linalg.eigvals(q)
     scale = float(np.linalg.norm(p, 2) + np.linalg.norm(q, 2))

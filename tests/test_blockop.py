@@ -10,7 +10,7 @@ from bomric.blockop import (
     qubit_sandwich,
     sandwich_lemma_check,
 )
-from bomric.linalg import ShapeError, frobenius_norm
+from bomric.linalg import frobenius_norm
 
 from conftest import ID2, PAULI_1, PAULI_2, PAULI_3, random_complex
 
@@ -193,12 +193,12 @@ def test_pauli_algebra():
 
 
 def test_blocks_rejects_odd_dimension():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError):
         blocks(np.zeros((3, 3), dtype=complex))
 
 
 def test_blockop_shape_validation(rng):
     # a block operator is a square matrix of even dimension, or a stack of them
     for shape in ((4, 6), (4,), (2, 5, 5)):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             blocks(np.zeros(shape, dtype=complex))

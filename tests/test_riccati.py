@@ -9,7 +9,7 @@ from bomric.bath import BathMode, BathSpec, bath_hamiltonian, coupling_operator
 from bomric.blockop import blocks, flatten
 from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric import checks, riccati
-from bomric.linalg import NotHermitianError, ShapeError, frobenius_norm, hermitian_eig
+from bomric.linalg import NotHermitianError, frobenius_norm, hermitian_eig
 from bomric.riccati import (
     DephasingRootError,
     NoGraphError,
@@ -274,9 +274,9 @@ def test_problem_validation(rng):
     h = random_hermitian(rng, 3)
     with pytest.raises(NotHermitianError):
         problem(random_complex(rng, 3), h, h)
-    with pytest.raises(ShapeError):
-        RiccatiProblem(random_hermitian(rng, 5))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError):  # an odd dimension has no blocks
+        RiccatiProblem(random_hermitian(rng, 5)).a
+    with pytest.raises(ValueError):
         RiccatiProblem(random_complex(rng, 2, 4))
     eye, zero = np.eye(3), np.zeros((3, 3))
     with pytest.raises(NotHermitianError):
@@ -390,6 +390,8 @@ def test_dephasing_rejects_degenerate_coupling():
         solve_dephasing_quadratic(np.diag([1.0, -1.0]))
     with pytest.raises(NotHermitianError):
         solve_dephasing_quadratic(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError):
+        solve_dephasing_quadratic(np.eye(3))
 
 
 # -- periodically driven block operator --------------------------------------

@@ -4,7 +4,9 @@
 For each frequency the script solves the static block operator by the
 graph branch of the invariant subspace and by Newton iteration from zero,
 and reports how many Newton steps were needed, the graph solution's norms
-and residual, and the distance between the two solutions.  At the
+and residual, the distance between the two solutions, and the normalized
+residual eta, in units of u = 2^-53, of the graph X and of Newton's last
+iterate; Newton accepts an iterate at eta <= ETA_TOL = 4u.  At the
 resonance, where the mode frequency equals twice the splitting, the
 spectra of the diagonal blocks coincide up to truncation, and whether
 Newton breaks down there depends on the Fock cutoff.  With the default
@@ -26,12 +28,16 @@ from bomric.bath import BathMode, BathSpec
 from bomric.dynamics import QubitParams, hamiltonian_static
 from bomric.linalg import frobenius_norm
 from bomric.riccati import (
+    ETA_TOL,
     NoGraphError,
     RiccatiConvergenceError,
     RiccatiProblem,
     solve_invariant_subspace,
     solve_newton,
 )
+
+
+U = 2.0**-53  # unit roundoff, the unit of the eta columns
 
 
 def main() -> int:
@@ -53,7 +59,8 @@ def main() -> int:
     )
     print(
         f"{'omega0':>7} {'iters':>6} {'||X||_F':>9} {'agreement':>11} "
-        f"{'residual':>10} {'||X||_2':>9}   (X, residual: graph branch; iters: Newton from 0)"
+        f"{'residual':>10} {'||X||_2':>9} {'eta/u':>8} {'newton':>8}   (X, residual, eta/u: "
+        f"graph branch; iters, newton: Newton from 0, which stops at eta/u <= {ETA_TOL / U:g})"
     )
     for w0 in args.omega0:
         bath = BathSpec((BathMode(float(w0), args.g),), fock_cutoff=args.n_max)
@@ -69,9 +76,11 @@ def main() -> int:
             print(f"{w0:>7.2f} {iters:>6} {'NO GRAPH':>9}  ({exc}){note}")
             continue
         agree = "-" if newton is None else f"{frobenius_norm(newton.x - graph.x):.3e}"
+        newton_eta = "-" if newton is None else f"{newton.eta / U:.3f}"
         print(
             f"{w0:>7.2f} {iters:>6} {frobenius_norm(graph.x):>9.5f} {agree:>11} "
-            f"{graph.residual:>10.3e} {graph.x_norm2:>9.5f}{note}"
+            f"{graph.residual:>10.3e} {graph.x_norm2:>9.5f} {graph.eta / U:>8.3f} "
+            f"{newton_eta:>8}{note}"
         )
     return 0
 

@@ -148,15 +148,17 @@ def zt_riccati(s: Scenario) -> dict:
 
 
 def st_diagonalization(s: Scenario) -> dict:
-    """The frame S_t makes H(t) static and block-diagonal: blocks H_E +- W."""
+    """The frame S_t makes H(t) static and block-diagonal: blocks H_E +- W, to
+    within roundoff of ||H(t)||_F = sqrt(2) ||[H_E; W]||_F, the same at every t."""
     he, w, phases = resonant_drive(s)
+    scale = max(2**0.5 * linalg.frobenius_norm(np.concatenate((he, w))), 1e-300)
     off, dev = [], []
     for z in phases:
         tb = riccati.s_frame_blocks(riccati.periodic_blocks(he, w, z), z)
         off.append(offdiag_norm(tb))
         dev += [np.max(np.abs(tb[0, 0] - (he + w))), np.max(np.abs(tb[1, 1] - (he - w)))]
-    return _judged({"offdiag_residual": _worst(off), "diag_deviation": _worst(dev),
-                    "tolerance": PHASE_TOL})
+    return _judged({"offdiag_residual": _worst(off) / scale,
+                    "diag_deviation": _worst(dev) / scale, "tolerance": PHASE_TOL})
 
 
 def weyl_displacement(s: Scenario) -> dict:

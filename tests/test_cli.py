@@ -713,8 +713,8 @@ def test_riccati_noncontractive_case_keeps_graph_branch(tmp_path, capsys):
 
 def test_riccati_accepts_graph_solution_at_roundoff_floor(tmp_path, capsys):
     # three modes at cutoff 2: the graph X has ||X||_2 = 4.4e3, so its
-    # absolute residual (1.6e-9) stays above Newton's TOL_RESIDUAL however
-    # long Newton refines it, but its eta is below one unit roundoff
+    # absolute residual (7.1e-10) stays above 1e-12 however long Newton
+    # refines it, but its eta is below ETA_TOL, and Newton accepts it as it is
     doc = minimal_doc()
     doc["bath"] = {"modes": [{"omega": w, "g_re": 0.2} for w in (1.0, 1.266667, 1.533333)],
                    "fock_cutoff": 2}
@@ -726,12 +726,44 @@ def test_riccati_accepts_graph_solution_at_roundoff_floor(tmp_path, capsys):
     assert report["env_dim"] == 27
     newton = report["newton"]
     assert newton["iterations"] == 0
-    assert newton["eta"] <= 2.0**-53
+    assert newton["eta"] <= riccati.ETA_TOL
     assert newton["eta"] == report["subspace"]["eta"]
     s = load_scenario(tmp_path / "scenario.json").scenario
     h = dynamics.hamiltonian_static(s.qubit, s.bath)
     r_norm = np.linalg.norm(riccati.RiccatiProblem(h).r)
     assert 1e-12 < newton["residual"] <= 1e-9 * max(1.0, r_norm)
+
+
+def riccati_sb_doc(tmp_path, section, key, value, checks=None):
+    """riccati_spinboson.json with doc[section][key] (a qubit or mode entry) set to value."""
+    doc = json.loads(RICCATI_SB.read_text())
+    (doc["bath"]["modes"][0] if section == "mode" else doc[section])[key] = value
+    if checks is not None:
+        doc["run"]["checks"] = checks
+    return write_doc(tmp_path, doc)
+
+
+def test_riccati_refines_a_graph_solution_far_above_the_eta_floor(tmp_path):
+    # at alpha 1e-12 the graph X has residual 3.2e-15 but eta 1.75e11 u (a
+    # relative error of 7.3e-5); one Newton step brings it to the floor
+    out = tmp_path / "report.json"
+    path = riccati_sb_doc(tmp_path, "qubit", "alpha", 1e-12)
+    assert cli.main(["riccati", str(path), "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["subspace"]["eta"] > 1e6 * riccati.ETA_TOL
+    assert report["newton"]["iterations"] == 1
+    assert report["newton"]["eta"] <= riccati.ETA_TOL
+
+
+def test_riccati_newton_from_zero_stops_on_eta_alone(tmp_path):
+    # at beta 1e6 the first iterate from zero has a residual under 1e-12 at
+    # eta 51 u; Newton takes another step before it accepts X
+    out = tmp_path / "report.json"
+    path = riccati_sb_doc(tmp_path, "qubit", "beta", 1e6)
+    assert cli.main(["riccati", str(path), "--method", "newton", "--out", str(out)]) == cli.EXIT_OK
+    newton = json.loads(out.read_text())["newton"]
+    assert newton["start"] == "zero" and newton["iterations"] == 2
+    assert newton["eta"] <= riccati.ETA_TOL
 
 
 def test_riccati_subspace_cap_failure_states_its_cause(capsys, monkeypatch):
@@ -934,6 +966,7 @@ def test_riccati_report_fields_on_bundled_scenarios(tmp_path, scenario):
     # the graph X is already at the roundoff floor: the refinement takes no
     # step, and its trace holds the one residual it measured
     assert newton["start"] == "subspace" and newton["iterations"] == 0
+    assert newton["eta"] == report["subspace"]["eta"] <= riccati.ETA_TOL
     assert newton["trace"] == [newton["residual"]] == [report["subspace"]["residual"]]
     assert newton["x_norm2"] == report["subspace"]["x_norm2"]
     assert report["offdiag_residual"] <= 10.0 * max(newton["residual"], 1e-15) * report["cond_ux"]
@@ -1101,15 +1134,31 @@ def run_cli(*argv):
     )
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("qubit", "beta", 1e3), ("qubit", "beta", -1e6), ("mode", "omega", 1e3), ("mode", "omega", 1e4),
+])
+def test_st_diagonalization_is_relative_to_the_block_norm(tmp_path, section, key, value):
+    # the frame's absolute leftover grows with ||H_E|| and |beta| (up to 7e-10
+    # at beta -1e6); relative to the periodic blocks it stays near roundoff
+    path = riccati_sb_doc(tmp_path, section, key, value, checks=["st_diagonalization"])
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", str(path), "--out", str(out)]) == cli.EXIT_OK
+    [frame] = json.loads(out.read_text())["results"]
+    assert frame["offdiag_residual"] <= 1e-15 and frame["diag_deviation"] <= 1e-15
+
+
 @pytest.mark.parametrize("omega, cutoff", [(1e306, 8), (1e307, 1)])
 def test_offdiag_norm_of_huge_blocks_does_not_overflow(tmp_path, capsys, omega, cutoff):
-    # the squared block norms would pass 1e308; the stacked norm does not
+    # the squared block norms would pass 1e308; the stacked norm does not, and
+    # relative to the norm of the periodic blocks the frame still diagonalizes
     path = huge_mode_doc(tmp_path, omega, cutoff, checks=["st_diagonalization"])
+    out_path = tmp_path / "verify.json"
     assert cli.main(["riccati", str(path), "--method", "subspace"]) == cli.EXIT_OK
-    assert cli.main(["verify", str(path)]) == cli.EXIT_CHECK_FAILED
+    assert cli.main(["verify", str(path), "--out", str(out_path)]) == cli.EXIT_OK
     out, err = capsys.readouterr()
-    assert "FAIL st_diagonalization: offdiag_residual=" in out
-    assert err.startswith("error: 1 of 1 checks failed: st_diagonalization") and err.count("\n") == 1
+    assert "PASS st_diagonalization: offdiag_residual=" in out and err == ""
+    [frame] = json.loads(out_path.read_text())["results"]
+    assert frame["offdiag_residual"] <= 1e-15 and frame["diag_deviation"] <= 1e-15
 
 
 @pytest.mark.parametrize("command", ["riccati", "verify", "simulate"])

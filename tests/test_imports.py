@@ -1,11 +1,13 @@
-"""Importing the CLI, and every default route on the bundled scenarios, loads no scipy;
-importing the CLI and parsing a scenario loads no orjson.
+"""Importing the CLI, and every default route on the bundled scenarios and on a
+two-mode bath of the benchmark's shape, loads no scipy; importing the CLI and
+parsing a scenario loads no orjson.
 
 scipy.linalg takes most of a CLI call's start-up time; only Newton's
 Sylvester step (and linalg.expm, kept for the test oracles) imports it.
 orjson, the CSV cell formatter, is imported when simulate writes its first
 rows.  Each case runs in a fresh interpreter, since this one has both loaded.
 """
+import json
 import os
 import subprocess
 import sys
@@ -60,6 +62,20 @@ def test_default_routes_on_bundled_scenarios_load_no_scipy(tmp_path):
         f"    out = str(Path({str(tmp_path)!r}) / (p.stem + '.csv'))\n"
         "    for argv in (['verify', str(p)], ['riccati', str(p)], ['simulate', str(p), '--out', out]):\n"
         "        assert bomric.cli.main(argv) == 0, argv"
+    )
+
+
+def test_default_riccati_on_a_two_mode_bath_loads_no_scipy(tmp_path):
+    # modes 1.0 and 1.4 at cutoff 5 (env_dim 36): the graph X has eta 2.18 u,
+    # under Newton's ETA_TOL, so the refinement takes no Sylvester step
+    doc = json.loads((REPO / "scenarios" / "riccati_spinboson.json").read_text())
+    doc["bath"] = {"modes": [{"omega": 1.0, "g_re": 0.2}, {"omega": 1.4, "g_re": 0.2}],
+                   "fock_cutoff": 5}
+    path = tmp_path / "two_modes.json"
+    path.write_text(json.dumps(doc))
+    assert_not_loaded(
+        "import bomric.cli\n"
+        f"assert bomric.cli.main(['riccati', {str(path)!r}]) == 0"
     )
 
 

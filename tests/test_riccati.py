@@ -213,7 +213,6 @@ def test_diagonalize_condition_from_singular_values_of_x(rng, x_norm2):
 
 def test_newton_iteration_budget_exhausted(riccati_bath, monkeypatch):
     monkeypatch.setattr(riccati, "MAX_NEWTON_ITERS", 1)
-    monkeypatch.setattr(riccati, "TOL_RESIDUAL", 1e-15)
     p = spinboson_problem(riccati_bath)
     with pytest.raises(RiccatiConvergenceError) as exc:
         solve_newton(p)
@@ -257,9 +256,8 @@ def test_newton_never_accepts_overflowing_eta_denominator(monkeypatch):
     assert "best eta inf" in str(exc.value)
 
 
-def test_newton_accepts_eta_floor_above_absolute_tolerance(riccati_bath, monkeypatch):
-    # with TOL_RESIDUAL out of reach, the solve returns on eta alone
-    monkeypatch.setattr(riccati, "TOL_RESIDUAL", 0.0)
+def test_newton_accepts_eta_floor_above_absolute_tolerance(riccati_bath):
+    # the solve returns on eta alone, with a residual that is not zero
     p = spinboson_problem(riccati_bath)
     sol = solve_newton(p)
     assert sol.residual > 0.0

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bomric import linalg
+from bomric import linalg, riccati
 from bomric.dynamics import hamiltonian_static
 from bomric.scenario import load_scenario
 
@@ -63,3 +63,4 @@ def test_riccati_branch_scan_script(tmp_path):
     assert resonant[0] == "1.00" and "NO CONVERGENCE" in lines[2]
     assert off[0] == "2.00" and int(off[1]) <= 10
     assert float(off[3]) <= 1e-8 and float(off[4]) <= 1e-10
+    assert float(off[7]) <= riccati.ETA_TOL / 2.0**-53  # Newton's last eta, in u

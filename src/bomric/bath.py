@@ -145,7 +145,7 @@ def _weyl_single(lam: complex, local_dim: int) -> np.ndarray:
     truncation measure instead of an artifact of exponentiating a cut
     generator, which would be exactly unitary at any cutoff.
 
-    The exponential is the stepper's kernel, I + linalg.taylor_expm1.  A
+    The exponential is linalg.expm, the stepper's Taylor kernel.  A
     displacement too large for any correct digit (or an infinite lam) gives
     an all-NaN factor without a warning, and the check that uses it fails.
     """
@@ -153,7 +153,7 @@ def _weyl_single(lam: complex, local_dim: int) -> np.ndarray:
     a = _ladder(dim)
     with np.errstate(invalid="ignore", over="ignore"):
         g = np.conj(lam) * a - lam * a.conj().T
-        w = np.eye(dim) + linalg.taylor_expm1(g[None], 1.0, linalg.expm1_plan(g, 1.0))[0]
+        w = linalg.expm(g)
     return w[:local_dim, :local_dim]
 
 

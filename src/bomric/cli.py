@@ -11,16 +11,18 @@ STEP_CAP, a --sweep of the key --steps or --mode sets or of its section, a
 --branch that no solver would use, a --method on a dephasing scenario, a
 verify of a scenario that lists no checks and a simulate mode that needs a
 drive phase omega t with no digit left, see checks.drive_phase_lost), 3
-environment dimension over the cap, 4 solver non-convergence (or a dephasing
-M whose m12 is 0, or whose roots or their residuals float64 cannot hold), 5
-a verification check failed or a trajectory left a sanity cap (TRACE_DEV_CAP,
-HERM_DEV_CAP, POSITIVITY_FLOOR; no CSV is written).  A --sweep checks every
-value before it runs any, so an exit 2 or 3 writes no file.
+environment dimension over the cap, 4 solver non-convergence (or a --method
+subspace X with eta over riccati.ETA_TOL, or a dephasing M whose m12 is 0, or
+whose roots or their residuals float64 cannot hold), 5 a verification check
+failed or a trajectory left a sanity cap (TRACE_DEV_CAP, HERM_DEV_CAP,
+POSITIVITY_FLOOR; no CSV is written).  A --sweep checks every value before it
+runs any, so an exit 2 or 3 writes no file.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -237,6 +239,10 @@ def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
             "x_norm": linalg.frobenius_norm(subspace_sol.x),
             "x_norm2": subspace_sol.x_norm2,
         }
+        if method == "subspace" and not subspace_sol.eta <= riccati.ETA_TOL:
+            raise riccati.SolverError(
+                f"graph X has eta {subspace_sol.eta:.3e} above ETA_TOL = {riccati.ETA_TOL:.3e}; "
+                "the default route refines the graph X")
     sol = subspace_sol
     if method in (None, "newton"):
         sol = riccati.solve_newton(p, None if subspace_sol is None else subspace_sol.x)
@@ -357,6 +363,7 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(f"{self.prog}: {message}")
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bomric",

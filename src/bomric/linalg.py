@@ -6,10 +6,6 @@ wrappers here add the symmetry checks the rest of the code relies on and pin
 the tolerances in one place.  They take well-formed operands: the scenario
 parser and the Scenario constructor check every shape once, and a misshapen
 operand from library code fails in numpy's own reshape, broadcast or matmul.
-
-scipy is imported inside the two functions that call it, expm and
-solve_sylvester, so importing the package (and every CLI route that never
-reaches Newton's Sylvester step) does not pay its import time.
 """
 from __future__ import annotations
 
@@ -61,18 +57,6 @@ def hermitian_part(a, name: str = "matrix") -> np.ndarray:
     ah *= 0.5  # halved before the sum, which then cannot overflow
     ah += 0.5 * a
     return ah
-
-
-def expm(a, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * a) by scaling-and-squaring (scipy backend), for one square
-    matrix or each matrix of a (k, n, n) stack.
-
-    It stays as the tests' independent oracle for taylor_expm1 and
-    expm_action, and as a span target of the benchmark's tracer.
-    """
-    import scipy.linalg
-
-    return scipy.linalg.expm(scale * np.asarray(a, dtype=complex))
 
 
 # theta_m for unit roundoff 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
@@ -221,6 +205,11 @@ def taylor_expm1(a, scale: complex, plan: tuple[int, int] | None) -> np.ndarray:
     return e
 
 
+def expm(a, scale: complex = 1.0) -> np.ndarray:
+    """exp(scale * a) of one square matrix a, as I + taylor_expm1 (NaN without a plan)."""
+    return np.eye(len(a)) + taylor_expm1([a], scale, expm1_plan(a, scale))[0]
+
+
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """(w, v), w ascending and v unitary, with a @ v == v @ diag(w) for the
     hermitian_part of a, which rejects a matrix outside its tolerance."""
@@ -233,7 +222,8 @@ def solve_sylvester(p, q, r) -> np.ndarray:
     p is n x n, q is m x m, r and delta are m x n.  Raises
     SylvesterSingularError when an eigenvalue of -q coincides with one of p
     (the operator is singular there) or when the computed residual exceeds
-    TOL_SYLVESTER * (||p|| + ||q||) * ||delta||.
+    TOL_SYLVESTER * (||p|| + ||q||) * ||delta||.  scipy is imported here
+    alone, so only a route that reaches Newton's Sylvester step pays for it.
     """
     import scipy.linalg
 

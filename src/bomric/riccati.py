@@ -46,7 +46,7 @@ _Y1_COND_CAP = 1e12
 MAX_NEWTON_ITERS = 40
 ETA_TOL = 2.0**-51
 # In a critical case Newton's residual falls only by 1/4 a step (Guo &
-# Lancaster, Math. Comp. 67, 1998): one mode at 2 beta, cutoff 7, gives 23
+# Lancaster, Math. Comp. 67, 1998): one mode at 2 beta, cutoff 7, gives 25
 # such ratios in a row, and no case that converges more than 1.
 LINEAR_STALL_RATIO, LINEAR_STALL_TOL, LINEAR_STALL_STEPS = 0.25, 0.01, 5
 

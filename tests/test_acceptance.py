@@ -1,8 +1,8 @@
 """End-to-end acceptance checks.
 
-Each test prints one PASS/FAIL line with the measured numbers so a full
-run reads as a report; the asserts behind the line carry the same
-tolerances.  Runtime budgets are asserted too: these checks are meant to
+Each test prints one PASS/FAIL line with the measured numbers (the kernel
+oracles one per kernel) so a full run reads as a report; the asserts behind
+the line carry the same tolerances.  Runtime budgets are asserted too: these checks are meant to
 stay cheap enough to run on every change.
 """
 import time
@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bomric import checks
+from bomric import checks, dynamics, linalg
 from bomric.bath import BathMode, BathSpec, coupling_operator
 from bomric.blockop import partial_trace_env
 from bomric.dynamics import QubitParams, hamiltonian_static, reduced_dynamics
-from bomric.linalg import expm, frobenius_norm, solve_sylvester
+from bomric.linalg import frobenius_norm, solve_sylvester
 from bomric.riccati import (
     RiccatiProblem,
     diagonalize,
@@ -258,20 +259,65 @@ def test_trajectory_state_sanity(capsys):
     assert elapsed < 60.0
 
 
-def test_kernel_oracles(capsys):
-    # the three numerical kernels against independent routes: spectral
-    # exponential, Kronecker-vectorized Sylvester solve, index-sum trace
-    start = time.perf_counter()
-    rng = np.random.default_rng(31)
+def index_sum_trace(b: np.ndarray) -> np.ndarray:
+    """Tr_E of a 2N x 2N operator b, qubit index slow, entry by entry."""
+    n = len(b) // 2
+    oracle = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(n):
+                oracle[i, j] += b[i * n + k, j * n + k]
+    return oracle
 
-    worst_expm = 0.0
+
+def expm_error(rng) -> float:
+    # the stepper's and the Weyl factor's exponential against the spectral one
+    worst = 0.0
     for _ in range(10):
         h = random_hermitian(rng, 8)
         w, v = np.linalg.eigh(h)
         oracle = (v * np.exp(-1j * w)) @ v.conj().T
-        worst_expm = max(worst_expm, frobenius_norm(expm(h, -1j) - oracle))
+        worst = max(worst, frobenius_norm(linalg.expm(h, -1j) - oracle))
+    return worst
 
-    worst_syl = 0.0
+
+def expm_action_error(rng) -> float:
+    # a pure state's Taylor step on its plan, relative to scipy's Pade expm applied to x
+    worst = 0.0
+    for _ in range(10):
+        h = random_hermitian(rng, 32)
+        dt = 0.2 / np.abs(h).sum(axis=0).max()
+        x = random_complex(rng, 32, 1)
+        plan = linalg.action_plan(h, -1j * dt, 1)
+        assert plan is not None
+        want = scipy.linalg.expm(-1j * dt * h) @ x
+        got = linalg.expm_action(h, -1j * dt, x, plan)
+        worst = max(worst, frobenius_norm(got - want) / frobenius_norm(want))
+    return worst
+
+
+def trace_env_error(rng) -> float:
+    # the factor-form trace of the trajectory kernels, Tr_E(phi diag(p) phi†)
+    # for a stack of 2N x r factors, against the index sum of the dense operator
+    phis = random_complex(rng, 4 * 12, 3).reshape(4, 12, 3)
+    p = rng.random(3)
+    got = dynamics._trace_env(phis, p)
+    return max(
+        frobenius_norm(got[j] - index_sum_trace(phi @ np.diag(p) @ phi.conj().T))
+        for j, phi in enumerate(phis)
+    )
+
+
+def partial_trace_error(rng) -> float:
+    return max(
+        frobenius_norm(partial_trace_env(b) - index_sum_trace(b))
+        for b in (random_complex(rng, 12) for _ in range(20))
+    )
+
+
+def sylvester_error(rng) -> float:
+    # Newton's linearization against its Kronecker-vectorized linear system
+    worst = 0.0
     for n, m in ((3, 3), (5, 2), (8, 8)):
         p = random_complex(rng, n)
         q = random_complex(rng, m)
@@ -279,28 +325,34 @@ def test_kernel_oracles(capsys):
         d = solve_sylvester(p, q, r)
         big = np.kron(np.eye(m), p.T) + np.kron(q, np.eye(n))
         oracle = np.linalg.solve(big, r.reshape(-1)).reshape(m, n)
-        worst_syl = max(worst_syl, frobenius_norm(d - oracle))
+        worst = max(worst, frobenius_norm(d - oracle))
+    return worst
 
-    worst_pt = 0.0
-    for _ in range(20):
-        n = 6
-        b = random_complex(rng, 2 * n)
-        oracle = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(n):
-                    oracle[i, j] += b[i * n + k, j * n + k]
-        worst_pt = max(worst_pt, frobenius_norm(partial_trace_env(b) - oracle))
 
-    elapsed = time.perf_counter() - start
-    ok = worst_expm <= 1e-11 and worst_syl <= 1e-10 and worst_pt <= 1e-14 and elapsed < 10.0
-    report(
-        capsys, ok, "kernel oracles",
-        f"exponential {worst_expm:.3e}, sylvester {worst_syl:.3e}, "
-        f"partial trace {worst_pt:.3e}",
-        elapsed,
-    )
-    assert worst_expm <= 1e-11
-    assert worst_syl <= 1e-10
-    assert worst_pt <= 1e-14
-    assert elapsed < 10.0
+# kernel, its oracle, the error measure and its bound
+KERNEL_ORACLES = (
+    ("linalg.expm", "spectral exponential", expm_error, 1e-11),
+    ("linalg.expm_action", "scipy's Pade expm times x, relative", expm_action_error, 1e-13),
+    ("dynamics._trace_env", "index-sum trace", trace_env_error, 1e-13),
+    ("blockop.partial_trace_env", "index-sum trace", partial_trace_error, 1e-14),
+    ("linalg.solve_sylvester", "Kronecker-vectorized solve", sylvester_error, 1e-10),
+)
+
+
+def test_kernel_oracles(capsys):
+    # each numerical kernel the program runs, against an independent route;
+    # one line per kernel, and one runtime budget for the five
+    rng = np.random.default_rng(31)
+    errors, total = {}, 0.0
+    for kernel, oracle, measure, bound in KERNEL_ORACLES:
+        start = time.perf_counter()
+        errors[kernel] = measure(rng)
+        elapsed = time.perf_counter() - start
+        total += elapsed
+        report(
+            capsys, errors[kernel] <= bound, f"kernel oracle {kernel}",
+            f"error {errors[kernel]:.3e} against {oracle} (bound {bound:.0e})", elapsed,
+        )
+    for kernel, _, _, bound in KERNEL_ORACLES:
+        assert errors[kernel] <= bound, kernel
+    assert total < 10.0

@@ -784,6 +784,39 @@ def test_riccati_subspace_cap_failure_states_its_cause(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "section, key, value, default_rc",
+    [
+        ("qubit", "alpha", 1e-12, 0),
+        ("qubit", "beta", 1e12, 0),
+        ("qubit", "beta", 1e300, 0),
+        ("qubit", "beta", -1e300, 0),
+        ("mode", "omega", 1e300, 4),
+        ("mode", "g_re", 1e150, 4),
+        ("mode", "g_re", 1e300, 4),
+    ],
+    ids=["alpha_1e-12", "beta_1e12", "beta_1e300", "beta_-1e300", "omega_1e300",
+         "g_re_1e150", "g_re_1e300"],
+)
+def test_riccati_subspace_alone_refuses_eta_above_floor(tmp_path, capsys, section, key,
+                                                        value, default_rc):
+    # on these edits the graph X passes the absolute cap at eta 1.9e-5 to 1;
+    # --method subspace returns X unrefined, so it must stand at ETA_TOL itself
+    path = riccati_sb_doc(tmp_path, section, key, value)
+    out = tmp_path / "report.json"
+    rc = cli.main(["riccati", str(path), "--method", "subspace", "--out", str(out)])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph X has eta ") and err.count("\n") == 1
+    assert f"above ETA_TOL = {riccati.ETA_TOL:.3e}" in err
+    assert err.endswith("; the default route refines the graph X\n")
+    assert not out.exists()
+    # the default route refines the same X, or fails in Newton as before
+    assert cli.main(["riccati", str(path), "--out", str(out)]) == default_rc
+    if default_rc == 0:
+        assert json.loads(out.read_text())["newton"]["eta"] <= riccati.ETA_TOL
+
+
+@pytest.mark.parametrize(
     "scenario, extra",
     [
         (RICCATI_SB, ["--branch", "graph", "--method", "newton"]),
@@ -1150,10 +1183,20 @@ def test_st_diagonalization_is_relative_to_the_block_norm(tmp_path, section, key
 @pytest.mark.parametrize("omega, cutoff", [(1e306, 8), (1e307, 1)])
 def test_offdiag_norm_of_huge_blocks_does_not_overflow(tmp_path, capsys, omega, cutoff):
     # the squared block norms would pass 1e308; the stacked norm does not, and
-    # relative to the norm of the periodic blocks the frame still diagonalizes
+    # relative to the norm of the periodic blocks the frame still diagonalizes.
+    # The graph X solves the equation to no digit (eta 0.12 and 0.5), so
+    # --method subspace refuses it on one line; its block-diagonalization
+    # leftover is taken in-process
     path = huge_mode_doc(tmp_path, omega, cutoff, checks=["st_diagonalization"])
     out_path = tmp_path / "verify.json"
-    assert cli.main(["riccati", str(path), "--method", "subspace"]) == cli.EXIT_OK
+    assert cli.main(["riccati", str(path), "--method", "subspace"]) == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph X has eta ") and err.count("\n") == 1
+    s = load_scenario(path).scenario
+    p = riccati.RiccatiProblem(dynamics.hamiltonian_static(s.qubit, s.bath))
+    with np.errstate(all="ignore"):  # as main runs it
+        leftover = riccati.diagonalize(p, riccati.solve_invariant_subspace(p))["offdiag_residual"]
+    assert np.isfinite(leftover)
     assert cli.main(["verify", str(path), "--out", str(out_path)]) == cli.EXIT_OK
     out, err = capsys.readouterr()
     assert "PASS st_diagonalization: offdiag_residual=" in out and err == ""
@@ -1336,6 +1379,17 @@ def test_help_still_exits_0(capsys):
         cli.main(["riccati", "-h"])
     assert exc.value.code == 0
     assert "--branch {graph}" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    # main parses every call with one parser; each parse starts a fresh --sweep list
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    argv = ["simulate", "a.json", "--out", "a.csv"]
+    swept = parser.parse_args(argv + ["--sweep", "qubit.alpha=1", "--sweep", "qubit.beta=2"])
+    assert swept.sweep == ["qubit.alpha=1", "qubit.beta=2"]
+    assert parser.parse_args(argv).sweep is None
+    assert parser.parse_args(argv + ["--sweep", "qubit.alpha=3"]).sweep == ["qubit.alpha=3"]
 
 
 # -- the README's CLI examples ---------------------------------------------------

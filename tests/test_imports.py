@@ -3,7 +3,7 @@ two-mode bath of the benchmark's shape, loads no scipy; importing the CLI and
 parsing a scenario loads no orjson.
 
 scipy.linalg takes most of a CLI call's start-up time; only Newton's
-Sylvester step (and linalg.expm, kept for the test oracles) imports it.
+Sylvester step imports it.
 orjson, the CSV cell formatter, is imported when simulate writes its first
 rows.  Each case runs in a fresh interpreter, since this one has both loaded.
 """

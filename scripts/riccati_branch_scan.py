@@ -78,7 +78,7 @@ def main() -> int:
         agree = "-" if newton is None else f"{frobenius_norm(newton.x - graph.x):.3e}"
         newton_eta = "-" if newton is None else f"{newton.eta / U:.3f}"
         print(
-            f"{w0:>7.2f} {iters:>6} {frobenius_norm(graph.x):>9.5f} {agree:>11} "
+            f"{w0:>7.2f} {iters:>6} {graph.x_norm:>9.5f} {agree:>11} "
             f"{graph.residual:>10.3e} {graph.x_norm2:>9.5f} {graph.eta / U:>8.3f} "
             f"{newton_eta:>8}{note}"
         )

@@ -22,12 +22,14 @@ from . import linalg, riccati
 from .bath import displaced_check
 from .blockop import offdiag_norm, sandwich_lemma_check
 from .dynamics import (
+    PHASE_LOSS_CAP,
     QubitParams,
     Scenario,
     TrajectorySanityError,
     chunk_size,
     covariance_residual,
     hamiltonian_static,
+    phase_lost,
     rotating_frame_check,
 )
 
@@ -37,7 +39,7 @@ SANDWICH_SAMPLES = 1000
 PHASE_POINTS = 100          # grid on [0, t_max] of zt_riccati and st_diagonalization
 
 IDENTITY_TOL = 1e-12        # covariance and sandwich, relative to ||H||_F or ||B||_F
-ROTATING_FRAME_TOL = 1e-5
+ROTATING_FRAME_TOL = PHASE_LOSS_CAP  # a phase error past it keeps no digit the check reads
 PHASE_TOL = 1e-13
 WEYL_TOL = 1e-6
 
@@ -82,32 +84,24 @@ def rotating_frame(s: Scenario) -> dict:
     """Stepped lab-frame dynamics against the dressed static trajectory; a
     trajectory that leaves a sanity cap fails the check with a NaN residual."""
     try:
-        resid = _worst(rotating_frame_check(s))
+        resid, message = _worst(rotating_frame_check(s)), None
     except TrajectorySanityError as exc:
-        return _judged({"residual": float("nan"), "tolerance": ROTATING_FRAME_TOL,
-                        "steps": s.steps}) | {"message": str(exc)}
+        resid, message = float("nan"), str(exc)
     out = _judged({"residual": resid, "tolerance": ROTATING_FRAME_TOL, "steps": s.steps})
     if out["passed"]:
         return out
-    lost = drive_phase_lost(s)
-    if lost is None:
-        advice = ("the midpoint integrator converges at second order, so doubling the "
-                  "step count divides the residual by about four")
-    else:
-        advice = (f"the drive phase omega t carries no digit at that tolerance "
-                  f"(|omega| t_max eps = {lost:.1e}), so no step count helps")
-    out["message"] = (f"stepped integration at {s.steps} steps leaves residual "
-                      f"{resid:.3e} > {ROTATING_FRAME_TOL:.0e}; {advice}")
+    lost = phase_lost(s.qubit.omega, s.t_max)
+    if message is None:
+        message = (f"stepped integration at {s.steps} steps leaves residual "
+                   f"{resid:.3e} > {ROTATING_FRAME_TOL:.0e}")
+        if lost is None:
+            message += ("; the midpoint integrator converges at second order, so doubling "
+                        "the step count divides the residual by about four")
+    if lost is not None:
+        message += (f"; the drive phase omega t carries no digit at that tolerance "
+                    f"(|omega| t_max eps = {lost:.1e}), so no step count helps")
+    out["message"] = message
     return out
-
-
-def drive_phase_lost(s: Scenario) -> float | None:
-    """|omega| t_max eps, the rounding error of the drive phase omega t on s's
-    grid, when it exceeds ROTATING_FRAME_TOL, else None.  Past that tolerance
-    the phase keeps no digit, so no step count resolves the modes that use
-    omega (rotating_stepped and factored)."""
-    lost = abs(s.qubit.omega) * s.t_max * np.finfo(float).eps
-    return lost if lost > ROTATING_FRAME_TOL else None
 
 
 def sandwich(s: Scenario) -> dict:

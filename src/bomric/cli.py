@@ -1,8 +1,9 @@
 """Command line front end: simulate, riccati, verify.
 
-`riccati` solves a spin-boson scenario by the invariant subspace's graph
-branch and refines that X by Newton; --method runs one solver alone, Newton
-from zero or the graph branch.  --branch has the one value `graph`.
+`riccati` prints and writes the solutions of riccati.solve's route, which
+decides whether an X counts as a solution: by default the invariant
+subspace's graph branch refined by Newton; --method runs one solver alone,
+Newton from zero or the graph branch.  --branch has the one value `graph`.
 `simulate` and `verify` write --steps and --mode into the document they parse.
 
 Exit codes: 0 success, 2 schema, state or command-line input error (including
@@ -10,13 +11,14 @@ any argument the parser rejects, a file that cannot be opened, a grid over
 STEP_CAP, a --sweep of the key --steps or --mode sets or of its section, a
 --branch that no solver would use, a --method on a dephasing scenario, a
 verify of a scenario that lists no checks and a simulate mode that needs a
-drive phase omega t with no digit left, see checks.drive_phase_lost), 3
+drive phase omega t with no digit left, see dynamics.phase_lost), 3
 environment dimension over the cap, 4 solver non-convergence (or a --method
-subspace X with eta over riccati.ETA_TOL, or a dephasing M whose m12 is 0, or
-whose roots or their residuals float64 cannot hold), 5 a verification check
+subspace X with eta over ETA_TOL, or a dephasing M whose m12 is 0, or whose
+roots or their residuals float64 cannot hold), 5 a verification check
 failed or a trajectory left a sanity cap (TRACE_DEV_CAP, HERM_DEV_CAP,
-POSITIVITY_FLOOR; no CSV is written).  A --sweep checks every value before it
-runs any, so an exit 2 or 3 writes no file.
+POSITIVITY_FLOOR, or PHASE_LOSS_CAP on a static eigenphase w t; no CSV is
+written).  A --sweep checks every value before it runs any, so an exit 2 or
+3 writes no file.
 """
 from __future__ import annotations
 
@@ -39,9 +41,10 @@ from .dynamics import (
     TrajectorySanityError,
     chunk_size,
     hamiltonian_static,
+    phase_lost,
     reduced_dynamics,
 )
-from .scenario import RunConfig, ScenarioError, load_scenario, read_document, scenario_from_dict
+from .scenario import ScenarioError, load_scenario, read_document, scenario_from_dict
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -188,14 +191,15 @@ def cmd_simulate(args) -> int:
     for doc, target in jobs:
         _apply_flags(doc, args)
         config = scenario_from_dict(doc)
-        lost = None if config.mode == "static_exact" else checks.drive_phase_lost(config.scenario)
+        s = config.scenario
+        lost = None if config.mode == "static_exact" else phase_lost(s.qubit.omega, s.t_max)
         if lost is not None:
             raise ScenarioError(
                 f"{config.mode} mode: the drive phase omega t keeps no digit at the rotating_frame "
                 f"tolerance {checks.ROTATING_FRAME_TOL:.0e} (|omega| t_max eps = {lost:.1e}); "
                 "static_exact does not use omega"
             )
-        runs.append((config.scenario, config.mode, target))
+        runs.append((s, config.mode, target))
 
     for s, mode, target in runs:
         traj = reduced_dynamics(s, mode)
@@ -222,63 +226,6 @@ _SECTION_LINES = {
 }
 
 
-def _riccati_spinboson_report(config: RunConfig, method: str | None) -> dict:
-    s = config.scenario
-    p = riccati.RiccatiProblem(hamiltonian_static(s.qubit, s.bath))
-    report: dict = {"kind": "spinboson", "env_dim": s.bath.env_dim}
-
-    # by default the subspace X is the start that Newton refines;
-    # --method newton alone starts from zero
-    subspace_sol = None
-    if method in (None, "subspace"):
-        subspace_sol = riccati.solve_invariant_subspace(p)
-        report["subspace"] = {
-            "branch": "graph",
-            "residual": subspace_sol.residual,
-            "eta": subspace_sol.eta,
-            "x_norm": linalg.frobenius_norm(subspace_sol.x),
-            "x_norm2": subspace_sol.x_norm2,
-        }
-        if method == "subspace" and not subspace_sol.eta <= riccati.ETA_TOL:
-            raise riccati.SolverError(
-                f"graph X has eta {subspace_sol.eta:.3e} above ETA_TOL = {riccati.ETA_TOL:.3e}; "
-                "the default route refines the graph X")
-    sol = subspace_sol
-    if method in (None, "newton"):
-        sol = riccati.solve_newton(p, None if subspace_sol is None else subspace_sol.x)
-        report["newton"] = {
-            "start": "zero" if subspace_sol is None else "subspace",
-            "iterations": sol.iterations,
-            "residual": sol.residual,
-            "eta": sol.eta,
-            "x_norm": linalg.frobenius_norm(sol.x),
-            "x_norm2": sol.x_norm2,
-            "trace": sol.trace,
-        }
-    return report | riccati.diagonalize(p, sol)
-
-
-def _riccati_dephasing_report(config: RunConfig) -> dict:
-    m, bath = config.dephasing_m, config.scenario.bath
-    principal, partner = riccati.solve_dephasing_quadratic(m)
-    # F(x 1) on the blocks a = H_E + m11 V, b = m12 V, c = H_E + m22 V of 1 (x) H_E + M (x) V
-    he, v, eye = bath.he, bath.v, np.eye(bath.env_dim)
-    abc = (he + m[0, 0] * v, m[0, 1] * v, he + m[1, 1] * v)
-    res = [linalg.frobenius_norm(riccati.riccati_map(x * eye, *abc)) for x in (principal, partner)]
-    if not np.all(np.isfinite(res)):
-        raise riccati.DephasingRootError("dephasing root residuals not finite in float64: "
-                                         f"principal {res[0]:.3e}, partner {res[1]:.3e}")
-    return {
-        "kind": "dephasing",
-        "principal_root": [principal.real, principal.imag],
-        "partner_root": [partner.real, partner.imag],
-        "principal_abs": abs(principal),
-        "residual_principal": res[0],
-        "residual_partner": res[1],
-        "coupling_norm": linalg.frobenius_norm(bath.v),
-    }
-
-
 def cmd_riccati(args) -> int:
     config = load_scenario(args.scenario)
     if config.dephasing_m is not None and (args.branch or args.method):
@@ -291,23 +238,38 @@ def cmd_riccati(args) -> int:
             "--branch selects the invariant-subspace solver's branch, which does not run "
             "with --method newton"
         )
-    if config.dephasing_m is not None:
-        report = _riccati_dephasing_report(config)
-        print(
-            "dephasing quadratic: principal root "
-            f"{complex(*report['principal_root']):.12g} (|x| = {report['principal_abs']:.6f}), "
-            f"partner {complex(*report['partner_root']):.12g}"
-        )
-        print(
-            f"operator residuals: principal {report['residual_principal']:.3e}, "
-            f"partner {report['residual_partner']:.3e} "
-            f"(coupling norm {report['coupling_norm']:.3e})"
-        )
+    m, s = config.dephasing_m, config.scenario
+    if m is not None:
+        roots = riccati.solve_dephasing_quadratic(m)
+        res = riccati.dephasing_residuals(m, s.bath.he, s.bath.v, roots)
+        report = {
+            "kind": "dephasing",
+            "principal_root": [roots[0].real, roots[0].imag],
+            "partner_root": [roots[1].real, roots[1].imag],
+            "principal_abs": abs(roots[0]),
+            "residual_principal": res[0],
+            "residual_partner": res[1],
+            "coupling_norm": linalg.frobenius_norm(s.bath.v),
+        }
+        print(f"dephasing quadratic: principal root {roots[0]:.12g} (|x| = {abs(roots[0]):.6f}), "
+              f"partner {roots[1]:.12g}")
+        print(f"operator residuals: principal {res[0]:.3e}, partner {res[1]:.3e} "
+              f"(coupling norm {report['coupling_norm']:.3e})")
     else:
-        report = _riccati_spinboson_report(config, args.method)
-        for section, line in _SECTION_LINES.items():
-            if section in report:
-                print(line.format(**report[section]))
+        p = riccati.RiccatiProblem(hamiltonian_static(s.qubit, s.bath))
+        sols = riccati.solve(p, args.method)
+        report = {"kind": "spinboson", "env_dim": s.bath.env_dim}
+        for name, sol in sols.items():
+            report[name] = {"residual": sol.residual, "eta": sol.eta, "x_norm": sol.x_norm,
+                            "x_norm2": sol.x_norm2}
+            if name == "subspace":
+                report[name]["branch"] = "graph"
+            else:  # by default Newton refines the graph X; --method newton starts at zero
+                report[name] |= {"start": "subspace" if "subspace" in sols else "zero",
+                                 "iterations": sol.iterations, "trace": sol.trace}
+        report |= riccati.diagonalize(p, sol)  # the route's X, solve's last solution
+        for name in sols:
+            print(_SECTION_LINES[name].format(**report[name]))
         print(
             f"block-diagonalization off-diagonal residual {report['offdiag_residual']:.3e} "
             f"(cond U_X = {report['cond_ux']:.3e})"

@@ -71,6 +71,11 @@ MODES = ("rotating_stepped", "static_exact", "factored")
 TRACE_DEV_CAP = 1e-10
 HERM_DEV_CAP = 1e-11
 POSITIVITY_FLOOR = -1e-9
+# A phase rate t on [0, t_max] carries the rounding error |rate| t_max eps
+# (phase_lost); past this cap the phase keeps no digit that a reduced state
+# could be checked at.  A static eigenphase past it raises
+# TrajectorySanityError, and simulate refuses a drive phase past it.
+PHASE_LOSS_CAP = 1e-5
 
 STATE_TOL = 1e-10      # initial state: |Tr - 1| and -(lowest eigenvalue) at most this
 
@@ -179,17 +184,13 @@ def _drive_offdiag(h: np.ndarray, omega: float, t) -> tuple[np.ndarray, np.ndarr
     return phase * hb[0, 1], phase.conj() * hb[1, 0]
 
 
-def _drive_at(h: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """H(t) from the static blocks of h; its diagonal blocks are h's."""
+def hamiltonian_rotating(h: np.ndarray, omega: float, t: float) -> np.ndarray:
+    """Lab-frame H(t), with the circularly rotating drive at time t, from the
+    static h = hamiltonian_static(q, bath); its diagonal blocks are h's."""
     ht = h.copy()
     hb = blocks(ht)
     hb[0, 1], hb[1, 0] = _drive_offdiag(h, omega, t)
     return ht
-
-
-def hamiltonian_rotating(q: QubitParams, bath: BathSpec, t: float) -> np.ndarray:
-    """Lab-frame H(t) with the circularly rotating drive at time t."""
-    return _drive_at(hamiltonian_static(q, bath), q.omega, t)
 
 
 def frame_phases(omega: float, t) -> np.ndarray:
@@ -204,12 +205,19 @@ def covariance_residual(q: QubitParams, h: np.ndarray, t: float) -> float:
 
     With exp(iKt) = U (x) 1, U = diag(frame_phases(q.omega, t)), qubit_sandwich
     computes every entry of (U (x) 1) h (U† (x) 1), and each block is compared
-    with that of H(t) as _drive_at builds it from h.
+    with that of H(t) as hamiltonian_rotating builds it from h.
     """
     u = np.diag(frame_phases(q.omega, t))[None]
     rotated = qubit_sandwich(u, blocks(h)[None], u.conj().transpose(0, 2, 1))
-    diff = blocks(_drive_at(h, q.omega, t)) - rotated[0]
+    diff = blocks(hamiltonian_rotating(h, q.omega, t)) - rotated[0]
     return linalg.frobenius_norm(diff.reshape(-1, diff.shape[-1]))  # the four blocks stacked
+
+
+def phase_lost(rate: float, t_max: float) -> float | None:
+    """|rate| t_max eps, the rounding error of the phase rate t on [0, t_max],
+    when it exceeds PHASE_LOSS_CAP, else None."""
+    lost = abs(rate) * t_max * np.finfo(float).eps
+    return lost if lost > PHASE_LOSS_CAP else None
 
 
 def chunk_size(entries_per_point: int) -> int:
@@ -229,7 +237,7 @@ def _stepped_factors(
 ) -> Iterator[np.ndarray]:
     """Yield x as a stack of one, then, a chunk of steps at a time, the stack
     of x after each of `steps` groups of `substeps` midpoint exponentials
-    exp(-i H(t_m) dt), with H(t_m) = _drive_at(h, omega, t_m) and
+    exp(-i H(t_m) dt), with H(t_m) = hamiltonian_rotating(h, omega, t_m) and
     t_m = (k + 1/2) dt.
 
     The chunk's H(t_m) fill one (chunk, 2N, 2N) buffer: h is written once,
@@ -265,8 +273,15 @@ def _spectral_states(
 ) -> np.ndarray:
     """Tr_E(exp(-i h t) rho0 exp(i h t)) at each of `times` for
     rho0 = psi diag(p) psi†, as the bilinear forms e(t)^T C_ij e(t)* of the
-    module docstring; no error builds up along the grid."""
+    module docstring; no error builds up along the grid.  Raises
+    TrajectorySanityError when an eigenphase w t keeps no digit (phase_lost)."""
     w, v = linalg.hermitian_eig(h)
+    lost = phase_lost(np.max(np.abs(w)), times[-1])
+    if lost is not None:
+        raise TrajectorySanityError(
+            f"trajectory eigenphase w t keeps no digit: max|w| t_max eps reached "
+            f"{lost:.3e}, beyond PHASE_LOSS_CAP = {PHASE_LOSS_CAP:g}"
+        )
     g = v.conj().T @ psi
     m = (g * p) @ g.conj().T
     vb = v.reshape(2, -1, w.size)

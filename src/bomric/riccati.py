@@ -17,7 +17,8 @@ exact Hermitian part (linalg.hermitian_part), and reads a, b and c as views
 of its blocks.  Two independent solvers are provided: a spectral
 invariant-subspace construction and a Newton iteration on the residual.
 Newton started from zero checks the subspace solution; started from it,
-Newton refines it.  An R with no imaginary part is stored and solved in
+Newton refines it.  solve runs one of these routes and decides whether its X
+counts as a solution.  An R with no imaginary part is stored and solved in
 float64, any other in complex128.  For the resonant drive, periodic_blocks
 and s_frame_blocks reduce the driven operator, on its (2, 2, N, N) blocks,
 to the static diag(H_E + W, H_E - W).
@@ -111,13 +112,15 @@ class RiccatiProblem:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """A solution X with its residual ||F(X)||_F, its eta, the singular values
-    of X (descending) and, from Newton, the residual of every iterate."""
+    """A solution X with its residual ||F(X)||_F, its eta, ||X||_F, the
+    singular values of X (descending) and, from Newton, the residual of every
+    iterate."""
 
     x: np.ndarray
     iterations: int
     residual: float
     eta: float
+    x_norm: float
     singular_values: np.ndarray
     trace: tuple[float, ...] = ()
 
@@ -139,14 +142,8 @@ def residual(p: RiccatiProblem, x) -> float:
     return linalg.frobenius_norm(riccati_map(x, p.a, p.b, p.c))
 
 
-def _block_norms(p: RiccatiProblem) -> tuple[float, float]:
-    """(||a||_F + ||c||_F, ||b||_F), the fixed parts of eta's denominator."""
-    norm = linalg.frobenius_norm
-    return norm(p.a) + norm(p.c), norm(p.b)
-
-
-def _eta(r: float, x: np.ndarray, ac_norm: float, b_norm: float) -> float:
-    """Normalized residual of X with ||F(X)||_F = r,
+def _eta(p: RiccatiProblem, r: float, xn: float) -> float:
+    """Normalized residual of an X with ||F(X)||_F = r and ||X||_F = xn,
 
         eta = r / (||b||_F ||X||_F^2 + (||a||_F + ||c||_F) ||X||_F + ||b||_F),
 
@@ -156,23 +153,13 @@ def _eta(r: float, x: np.ndarray, ac_norm: float, b_norm: float) -> float:
     the denominator overflows (||X||_F^2 past 1e308), since dividing by inf
     would turn eta into 0.
     """
-    xn = linalg.frobenius_norm(x)
-    scale = b_norm * xn * xn + ac_norm * xn + b_norm
+    norm = linalg.frobenius_norm
+    b_norm = norm(p.b)
+    scale = b_norm * xn * xn + (norm(p.a) + norm(p.c)) * xn + b_norm
     if not np.isfinite(scale):
         return float("nan")
     # the scale is 0 only when X b X, X a, c X and b† all vanish, so F(X) = 0
     return r / scale if scale > 0.0 else 0.0
-
-
-def _make_solution(p: RiccatiProblem, x: np.ndarray, iterations: int,
-                   trace: tuple[float, ...] = ()) -> RiccatiSolution:
-    # residual and eta always recomputed from x, never taken from solver internals
-    r = residual(p, x)
-    return RiccatiSolution(
-        x=x, iterations=iterations, residual=r,
-        eta=_eta(r, x, *_block_norms(p)),
-        singular_values=np.linalg.svd(x, compute_uv=False), trace=trace,
-    )
 
 
 def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
@@ -189,7 +176,6 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
     a singular linearization.
     """
     x = np.zeros_like(p.a) if x0 is None else np.asarray(x0)
-    ac_norm, b_norm = _block_norms(p)
     trace: list[float] = []
     best_eta = np.inf  # min() with a NaN eta second keeps best_eta
     for it in range(MAX_NEWTON_ITERS + 1):
@@ -201,10 +187,12 @@ def solve_newton(p: RiccatiProblem, x0=None) -> RiccatiSolution:
                 f"newton iterate diverged at iteration {it} (best eta {best_eta:.3e})",
                 trace,
             )
-        eta = _eta(r, x, ac_norm, b_norm)
+        xn = linalg.frobenius_norm(x)
+        eta = _eta(p, r, xn)
         best_eta = min(best_eta, eta)
         if eta <= ETA_TOL:
-            return _make_solution(p, x, it, tuple(trace))
+            return RiccatiSolution(x, it, r, eta, xn, np.linalg.svd(x, compute_uv=False),
+                                   tuple(trace))
         if it == MAX_NEWTON_ITERS:
             break
         try:
@@ -257,7 +245,8 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
             f"selected graph branch has no graph representation: cond(Y1) = {cond:.3e}"
         )
     x = np.linalg.solve(y1.T, y2.T).T
-    sol = _make_solution(p, x, 0)
+    r, xn = residual(p, x), linalg.frobenius_norm(x)
+    sol = RiccatiSolution(x, 0, r, _eta(p, r, xn), xn, np.linalg.svd(x, compute_uv=False))
     cap = _SUBSPACE_RESIDUAL_CAP * max(1.0, linalg.frobenius_norm(p.r))
     if not sol.residual <= cap:  # a NaN residual is no solution either
         raise NoGraphError(
@@ -266,6 +255,25 @@ def solve_invariant_subspace(p: RiccatiProblem) -> RiccatiSolution:
             f"||X||_2 = {sol.x_norm2:.3e}, cond(Y1) = {cond:.3e}"
         )
     return sol
+
+
+def solve(p: RiccatiProblem, method: str | None = None) -> dict[str, RiccatiSolution]:
+    """The solutions of one route by report section, the route's X last.
+
+    By default the graph X ("subspace") is the start that Newton refines
+    ("newton").  method "newton" runs Newton from zero alone; method
+    "subspace" returns the graph X unrefined, so it raises SolverError
+    unless that X has eta at most ETA_TOL.
+    """
+    sols = {}
+    if method in (None, "subspace"):
+        sols["subspace"] = graph = solve_invariant_subspace(p)
+        if method == "subspace" and not graph.eta <= ETA_TOL:
+            raise SolverError(f"graph X has eta {graph.eta:.3e} above ETA_TOL = {ETA_TOL:.3e}; "
+                              "the default route refines the graph X")
+    if method in (None, "newton"):
+        sols["newton"] = solve_newton(p, sols["subspace"].x if sols else None)
+    return sols
 
 
 def diagonalize(p: RiccatiProblem, sol: RiccatiSolution) -> dict[str, float]:
@@ -321,6 +329,20 @@ def solve_dephasing_quadratic(m) -> tuple[complex, complex]:
                                  f"|m12| = {abs(m12):.3e}")
     return tuple(sorted((complex(r_small), complex(r_big)),
                         key=lambda z: (abs(z), -z.real, -z.imag)))
+
+
+def dephasing_residuals(m, he: np.ndarray, v: np.ndarray,
+                        roots: tuple[complex, complex]) -> tuple[float, float]:
+    """||F(x 1)||_F for the (principal, partner) roots x on the blocks
+    a = H_E + m11 V, b = m12 V, c = H_E + m22 V of 1 (x) H_E + M (x) V.
+    Raises DephasingRootError when one is not finite in float64."""
+    eye = np.eye(len(he))
+    abc = (he + m[0, 0] * v, m[0, 1] * v, he + m[1, 1] * v)
+    res = tuple(linalg.frobenius_norm(riccati_map(x * eye, *abc)) for x in roots)
+    if not np.all(np.isfinite(res)):
+        raise DephasingRootError("dephasing root residuals not finite in float64: "
+                                 f"principal {res[0]:.3e}, partner {res[1]:.3e}")
+    return res
 
 
 # -- periodically driven block operator (resonant drive) --------------------

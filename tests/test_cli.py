@@ -632,6 +632,26 @@ def test_simulate_refuses_a_drive_phase_with_no_digit(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, mode",
+    [("qubit", "beta", "static_exact"), ("qubit", "beta", "factored"),
+     ("time", "t_max", "static_exact")],
+    ids=["beta_static_exact", "beta_factored", "t_max_static_exact"],
+)
+def test_simulate_refuses_a_static_phase_with_no_digit(tmp_path, capsys, section, key, mode):
+    # at 1e300 the eigenphases w t of the static H reach 2.5e300 rad and keep
+    # no digit, so the closed form would write a meaningless trajectory
+    doc = json.loads(SPINBOSON.read_text())
+    doc[section][key] = 1e300
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", str(write_doc(tmp_path, doc)), "--out", str(out), "--mode", mode])
+    assert rc == cli.EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory eigenphase w t keeps no digit: ")
+    assert err.count("\n") == 1 and "beyond PHASE_LOSS_CAP = 1e-05" in err
+    assert not out.exists()
+
+
 # -- riccati ------------------------------------------------------------------
 
 def test_riccati_both_methods_agree(tmp_path, capsys):

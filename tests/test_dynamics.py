@@ -76,7 +76,7 @@ def propagator_factored(q, bath, t):
 
 def step_evolve(h, omega, t_max, steps):
     """Ordered product of the stepper's midpoint exponentials of
-    H(t) = _drive_at(h, omega, t) over `steps` uniform intervals on [0, t_max]:
+    H(t) = hamiltonian_rotating(h, omega, t) over `steps` uniform intervals on [0, t_max]:
     the stepper of reduced_dynamics run on the identity, whose width puts
     every step on the dense plan; one group of `steps` substeps keeps only
     the final product."""
@@ -89,7 +89,7 @@ def dense_covariance_residual(q, h, t):
     # || H(t) - (U (x) 1) H(beta) (U† (x) 1) ||_F from full 2N x 2N products
     conj = np.kron(rotation_frame_unitary(q, t), np.eye(len(h) // 2))
     rotated = conj @ h @ conj.conj().T
-    return frobenius_norm(dynamics._drive_at(h, q.omega, t) - rotated)
+    return frobenius_norm(hamiltonian_rotating(h, q.omega, t) - rotated)
 
 
 def rabi_propagator(q, t):
@@ -128,14 +128,15 @@ def test_rotating_hamiltonian_matches_trig_form():
             + np.kron(np.eye(2), he)
             + np.kron(PAULI_3, v)
         )
-        got = hamiltonian_rotating(q, bath, t)
+        got = hamiltonian_rotating(hamiltonian_static(q, bath), q.omega, t)
         assert frobenius_norm(got - oracle) <= 1e-13
 
 
 def test_rotating_reduces_to_static_at_t_zero():
     q = QubitParams(alpha=0.7, beta=0.4, omega=1.3)
     bath = BathSpec((BathMode(2.0, 0.2),), fock_cutoff=3)
-    d = hamiltonian_rotating(q, bath, 0.0) - hamiltonian_static(q, bath)
+    h = hamiltonian_static(q, bath)
+    d = hamiltonian_rotating(h, q.omega, 0.0) - h
     assert frobenius_norm(d) == 0.0
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,8 +25,9 @@ from bomric.riccati import (
     solve_invariant_subspace,
     solve_newton,
 )
+from bomric.scenario import scenario_from_dict
 
-from conftest import dephasing_operator, plus_fock_scenario, random_complex, random_hermitian
+from conftest import REPO, dephasing_operator, plus_fock_scenario, random_complex, random_hermitian
 
 QUBIT = QubitParams(alpha=0.3, beta=0.5, omega=1.0)
 
@@ -204,6 +206,7 @@ def test_diagonalize_condition_from_singular_values_of_x(rng, x_norm2):
     x *= x_norm2 / np.linalg.norm(x, 2)
     p = problem(random_hermitian(rng, n), random_complex(rng, n), random_hermitian(rng, n))
     sol = riccati.RiccatiSolution(x=x, iterations=0, residual=0.0, eta=0.0,
+                                  x_norm=frobenius_norm(x),
                                   singular_values=np.linalg.svd(x, compute_uv=False))
     diag = diagonalize(p, sol)
     expected = np.linalg.cond(congruence_factor(x))
@@ -266,6 +269,50 @@ def test_newton_accepts_eta_floor_above_absolute_tolerance(riccati_bath):
     x_norm = norm(sol.x)
     scale = norm(p.b) * x_norm**2 + (norm(p.a) + norm(p.c)) * x_norm + norm(p.b)
     assert sol.eta == pytest.approx(sol.residual / scale, rel=1e-14)
+
+
+def test_default_route_refines_the_graph_x(riccati_bath):
+    # the graph X comes first and is Newton's start: its residual opens the trace
+    p = spinboson_problem(riccati_bath)
+    sols = riccati.solve(p)
+    assert list(sols) == ["subspace", "newton"]
+    graph, newton = sols["subspace"], sols["newton"]
+    assert newton.trace[0] == graph.residual
+    assert newton.iterations == 0 and newton.x is graph.x  # already at the eta floor
+    for sol in sols.values():
+        assert sol.x_norm == frobenius_norm(sol.x)
+        assert sol.residual == residual(p, sol.x)
+
+
+def test_one_solver_routes(riccati_bath):
+    p = spinboson_problem(riccati_bath)
+    (newton,) = riccati.solve(p, "newton").values()
+    assert newton.trace[0] == frobenius_norm(p.b)  # F(0) = -b†
+    assert list(riccati.solve(p, "subspace")) == ["subspace"]
+
+
+def test_subspace_route_refuses_eta_above_floor():
+    # at alpha 1e-12 the graph X solves the equation to eta 1.75e11 u, which
+    # --method subspace may not return unrefined
+    doc = json.loads((REPO / "scenarios" / "riccati_spinboson.json").read_text())
+    doc["qubit"]["alpha"] = 1e-12
+    s = scenario_from_dict(doc).scenario
+    p = RiccatiProblem(hamiltonian_static(s.qubit, s.bath))
+    with pytest.raises(riccati.SolverError) as exc:
+        riccati.solve(p, "subspace")
+    graph = solve_invariant_subspace(p)
+    assert str(exc.value) == (f"graph X has eta {graph.eta:.3e} above ETA_TOL = "
+                              f"{riccati.ETA_TOL:.3e}; the default route refines the graph X")
+    assert riccati.solve(p)["newton"].eta <= riccati.ETA_TOL
+
+
+def test_dephasing_residuals_refuse_a_non_finite_one(small_bath):
+    m = np.array([[1.0, 1.0], [1.0, -1.0]])
+    roots = solve_dephasing_quadratic(m)
+    res = riccati.dephasing_residuals(m, small_bath.he, small_bath.v, roots)
+    assert max(res) <= 1e-12
+    with np.errstate(all="ignore"), pytest.raises(DephasingRootError, match="not finite "):
+        riccati.dephasing_residuals(m, small_bath.he, small_bath.v, (roots[0], 1e300))
 
 
 def test_problem_validation(rng):

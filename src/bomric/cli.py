@@ -13,12 +13,14 @@ STEP_CAP, a --sweep of the key --steps or --mode sets or of its section, a
 verify of a scenario that lists no checks and a simulate mode that needs a
 drive phase omega t with no digit left, see dynamics.phase_lost), 3
 environment dimension over the cap, 4 solver non-convergence (or a --method
-subspace X with eta over ETA_TOL, or a dephasing M whose m12 is 0, or whose
-roots or their residuals float64 cannot hold), 5 a verification check
-failed or a trajectory left a sanity cap (TRACE_DEV_CAP, HERM_DEV_CAP,
-POSITIVITY_FLOOR, or PHASE_LOSS_CAP on a static eigenphase w t; no CSV is
-written).  A --sweep checks every value before it runs any, so an exit 2 or
-3 writes no file.
+subspace X with eta over ETA_TOL, a Newton step with non-finite Sylvester
+operands, or a dephasing M whose m12 is 0, or whose roots or their residuals
+float64 cannot hold), 5 a verification check failed (a weyl_displacement
+whose |g|^2 overflows among them) or a trajectory left a sanity cap
+(TRACE_DEV_CAP, HERM_DEV_CAP, POSITIVITY_FLOOR, or PHASE_LOSS_CAP on a static
+eigenphase w t; no CSV is written).  A --sweep checks every value before it
+runs any, and runs every value before it writes any, so an exit 2, 3 or 5
+writes no file.
 """
 from __future__ import annotations
 
@@ -201,8 +203,10 @@ def cmd_simulate(args) -> int:
             )
         runs.append((s, config.mode, target))
 
-    for s, mode, target in runs:
-        traj = reduced_dynamics(s, mode)
+    # every value runs before the first write, so a sanity cap on any of them
+    # writes no file either
+    trajs = [reduced_dynamics(s, mode) for s, mode, _ in runs]
+    for (_, mode, target), traj in zip(runs, trajs):
         _write_csv(target, traj)
         print(f"wrote {target} ({len(traj)} rows, mode={mode})")
     return EXIT_OK

@@ -98,11 +98,6 @@ class QubitParams:
     beta: float
     omega: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "omega", float(self.omega))
-
 
 def validate_state(rho: np.ndarray) -> np.ndarray:
     """Reject a density matrix that is not Hermitian, normalized, and PSD;
@@ -140,13 +135,10 @@ class Scenario:
             )
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if int(self.steps) < 1 or int(self.substeps_per_step) < 1:
+        if self.steps < 1 or self.substeps_per_step < 1:
             raise ValueError("steps and substeps_per_step must be >= 1")
-        if int(self.steps) * int(self.substeps_per_step) > STEP_CAP:
+        if self.steps * self.substeps_per_step > STEP_CAP:
             raise ValueError(f"steps * substeps_per_step exceeds STEP_CAP = {STEP_CAP}")
-        object.__setattr__(self, "t_max", float(self.t_max))
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "substeps_per_step", int(self.substeps_per_step))
         object.__setattr__(self, "initial_state", validate_state(rho))
 
     @property

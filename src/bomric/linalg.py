@@ -220,8 +220,9 @@ def solve_sylvester(p, q, r) -> np.ndarray:
     """Solve delta @ p + q @ delta = r for delta.
 
     p is n x n, q is m x m, r and delta are m x n.  Raises
-    SylvesterSingularError when an eigenvalue of -q coincides with one of p
-    (the operator is singular there) or when the computed residual exceeds
+    SylvesterSingularError when an entry of p, q or r is not finite, when an
+    eigenvalue of -q coincides with one of p (the operator is singular there)
+    or when the computed residual exceeds
     TOL_SYLVESTER * (||p|| + ||q||) * ||delta||.  scipy is imported here
     alone, so only a route that reaches Newton's Sylvester step pays for it.
     """
@@ -232,6 +233,8 @@ def solve_sylvester(p, q, r) -> np.ndarray:
     # meet a complex r in the complex trsyl, which takes them as triangular
     field = np.result_type(p, q, r)
     p, q, r = (m.astype(field, copy=False) for m in (p, q, r))
+    if not all(np.isfinite(m).all() for m in (p, q, r)):
+        raise SylvesterSingularError("sylvester operands are not finite")
     lam_p = np.linalg.eigvals(p)
     lam_q = np.linalg.eigvals(q)
     scale = float(np.linalg.norm(p, 2) + np.linalg.norm(q, 2))

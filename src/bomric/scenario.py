@@ -6,8 +6,10 @@ silently running defaults.  Complex matrices are encoded as
 g_re / g_im pairs.
 
 The parser checks only what JSON can get wrong (keys, types, finiteness,
-matrix shapes); range rules live in the BathMode, BathSpec and Scenario
-constructors, whose errors _build prefixes with the section path.
+matrix shapes) and gives each value its one type: a float, an int, or a
+tuple of BathMode with complex g.  Range rules live in the BathMode,
+BathSpec and Scenario constructors, whose errors _build prefixes with the
+section path; they take those types as given.
 """
 from __future__ import annotations
 

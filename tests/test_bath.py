@@ -156,8 +156,22 @@ def test_displaced_check_recovers_shift():
     expected = -(0.09 / 2.0 + 0.01 / 1.0)
     assert abs(chk["c_expected"] - expected) <= 1e-15
     assert abs(chk["c_fit"] - chk["c_expected"]) <= 1e-6
-    assert chk["residual_plus"] <= 1e-6
-    assert chk["residual_minus"] <= 1e-6
+    assert chk["residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("sign", [0, 1])
+def test_displaced_check_residual_is_nan_when_either_sign_is(monkeypatch, sign):
+    # Python's max would drop a NaN met second; the worse sign carries it
+    spec = BathSpec((BathMode(2.0, 0.3),), fock_cutoff=7)
+    norm, calls = bath.linalg.frobenius_norm, []
+
+    def poisoned(a):
+        calls.append(None)
+        return math.nan if len(calls) - 1 == sign else norm(a)
+
+    monkeypatch.setattr(bath.linalg, "frobenius_norm", poisoned)
+    assert math.isnan(displaced_check(spec)["residual"])
+    assert len(calls) == 2
 
 
 def test_displaced_shift_against_ground_eigenvalue():

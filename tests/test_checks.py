@@ -120,7 +120,7 @@ NAN_KERNELS = {
         riccati, "s_frame_blocks", lambda r, k: np.full_like(r, NAN) if k == 1 else r
     ),
     "weyl_displacement": (
-        checks, "displaced_check", lambda r, k: r | {"residual_minus": NAN}
+        checks, "displaced_check", lambda r, k: r | {"residual": NAN}
     ),
 }
 

@@ -496,6 +496,28 @@ def test_simulate_sweep_checks_every_value_before_writing(tmp_path, capsys, swee
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_sweep_whose_second_value_breaches_a_cap_writes_no_file(
+    tmp_path, capsys, monkeypatch
+):
+    # the sanity caps judge a trajectory, so every value runs before the first write
+    states, calls = dynamics._spectral_states, []
+
+    def nan_on_second_run(h, p, psi, times):
+        calls.append(None)
+        out = states(h, p, psi, times)
+        return np.full_like(out, np.nan) if len(calls) == 2 else out
+
+    monkeypatch.setattr(dynamics, "_spectral_states", nan_on_second_run)
+    argv = ["simulate", str(SPINBOSON), "--out", str(tmp_path / "s.csv"), "--mode",
+            "static_exact", "--sweep", "qubit.alpha=0.1,0.2"]
+    assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(calls) == 2
+    assert captured.err.startswith("error: trajectory trace_dev reached nan")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flag, sweep",
     [
@@ -1343,6 +1365,36 @@ def test_any_input_ends_in_a_documented_exit(case, command, steps, mode, method,
     assert rc in (0, 2, 3, 4, 5)
     if rc in (2, 3, 4):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, scenario, edits, extra, code, message",
+    [
+        *(("verify", path, {"bath.modes.0.g_re": 1e200}, [], cli.EXIT_CHECK_FAILED,
+           "weyl_displacement (residual nan > 1e-06, c_deviation nan > 1e-06)")
+          for path in (WEYL, CLOSED_QUBIT, RICCATI_SB)),
+        ("riccati", WEYL, {"qubit.alpha": 1.7e308, "qubit.beta": 1.7e308}, [],
+         cli.EXIT_NO_CONVERGENCE, "sylvester operands are not finite"),
+        ("simulate", SPINBOSON, {}, ["--mode", "static_exact", "--sweep", "qubit.beta=0.5,1e300"],
+         cli.EXIT_CHECK_FAILED, "eigenphase w t keeps no digit"),
+    ],
+    ids=["verify_weyl_g", "verify_closed_qubit_g", "verify_riccati_spinboson_g",
+         "riccati_weyl_alpha_beta", "sweep_static_phase"],
+)
+def test_inputs_the_property_missed_end_in_a_documented_exit(
+    tmp_path, capsys, command, scenario, edits, extra, code, message
+):
+    # |g|^2 past float64 once raised OverflowError, a non-finite Newton operand
+    # numpy's LinAlgError, and the sweep wrote its first value's CSV
+    doc = json.loads(scenario.read_text())
+    for key, value in edits.items():
+        cli._apply_override(doc, key, value)
+    path = write_doc(tmp_path, doc)
+    out = ["--out", str(tmp_path / "sw.csv")] if command == "simulate" else []
+    assert cli.main([command, str(path), *out, *extra]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # finite entries only: a non-number is the schema's, and the property above covers it

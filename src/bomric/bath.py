@@ -176,19 +176,16 @@ def _low_fock_indices(spec: BathSpec, levels: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def weyl_unitarity_defect(spec: BathSpec, levels: int | None = None) -> float:
+def weyl_unitarity_defect(spec: BathSpec) -> float:
     """||(W†W - 1)||_F restricted to the low-Fock comparison subspace.
 
-    Measured on the lowest `levels` Fock levels per mode (default
-    comparison_levels(spec)); the defect is the mass the compressed
-    displacement leaks past the cutoff from those columns and shrinks as
-    n_max grows at fixed displacement.
+    Measured on the lowest comparison_levels(spec) Fock levels per mode; the
+    defect is the mass the compressed displacement leaks past the cutoff from
+    those columns and shrinks as n_max grows at fixed displacement.
     """
-    if levels is None:
-        levels = comparison_levels(spec)
     w = weyl_operator(spec)
     gram = w.conj().T @ w - np.eye(spec.env_dim)
-    idx = _low_fock_indices(spec, levels)
+    idx = _low_fock_indices(spec, comparison_levels(spec))
     return linalg.frobenius_norm(gram[np.ix_(idx, idx)])
 
 

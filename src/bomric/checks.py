@@ -66,14 +66,10 @@ def _worst(residuals) -> float:
 def covariance(s: Scenario) -> dict:
     """Rotating the static generator reproduces the driven Hamiltonian."""
     rng = np.random.default_rng(SEED)
+    draws = rng.uniform([-2, -2, 0.1, 0], [2, 2, 5, 20], (COVARIANCE_SAMPLES, 4))
     resid = []
-    for _ in range(COVARIANCE_SAMPLES):
-        q = QubitParams(
-            alpha=rng.uniform(-2, 2),
-            beta=rng.uniform(-2, 2),
-            omega=rng.uniform(0.1, 5.0),
-        )
-        t = rng.uniform(0.0, 20.0)
+    for alpha, beta, omega, t in draws:
+        q = QubitParams(alpha, beta, omega)
         h = hamiltonian_static(q, s.bath)
         scale = linalg.frobenius_norm(h)
         resid.append(covariance_residual(q, h, t) / scale)

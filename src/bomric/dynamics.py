@@ -33,10 +33,10 @@ the reduced states with diag(exp(-+ i w t / 2)) (the sandwich lemma).
 "rotating_stepped" takes midpoint exponentials of H(t) assembled from its
 definition, not from the covariance or the closed form, so the
 rotating_frame check that compares it with "factored" is an independent
-cross-check.  The Hamiltonians of a chunk of steps are written into one
-stack.  On the dense plan one linalg.taylor_expm1 call gives
-E = exp(-i H(t_m) dt) - I for the whole stack, and each step advances the
-factor as x + E @ x.  The thin plan (linalg.action_plan) applies s steps of
+cross-check.  One hamiltonian_rotating call builds the Hamiltonians of a
+chunk of steps as a stack.  On the dense plan one linalg.taylor_expm1 call
+gives E = exp(-i H(t_m) dt) - I for the whole stack, and each step advances
+the factor as x + E @ x.  The thin plan (linalg.action_plan) applies s steps of
 the degree-m Taylor series to the 2N x r factor (linalg.expm_action) when
 its m * s * r <= N, below the cost of one dense step; at one BLAS thread
 the rule picks the faster path at r = 1 and r = 2N (CHANGES.md has timings),
@@ -167,21 +167,18 @@ def hamiltonian_static(q: QubitParams, bath: BathSpec, beta: float | None = None
     return flatten(np.array([[he + v + b * eye, q.alpha * eye], [q.alpha * eye, he - v - b * eye]]))
 
 
-def _drive_offdiag(h: np.ndarray, omega: float, t) -> tuple[np.ndarray, np.ndarray]:
-    """The off-diagonal blocks of H(t) from the static blocks of h, at a time
-    or stacked over an array of times: the drive phase exp(-i w t) on the
-    upper block and its conjugate on the lower one."""
-    phase = np.exp(-1j * omega * np.asarray(t, dtype=float)[..., None, None])
-    hb = blocks(h)
-    return phase * hb[0, 1], phase.conj() * hb[1, 0]
-
-
-def hamiltonian_rotating(h: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """Lab-frame H(t), with the circularly rotating drive at time t, from the
-    static h = hamiltonian_static(q, bath); its diagonal blocks are h's."""
-    ht = h.copy()
-    hb = blocks(ht)
-    hb[0, 1], hb[1, 0] = _drive_offdiag(h, omega, t)
+def hamiltonian_rotating(h: np.ndarray, omega: float, t) -> np.ndarray:
+    """Lab-frame H(t) from the static h = hamiltonian_static(q, bath), (2N, 2N)
+    at a time t or the (..., 2N, 2N) stack over an array of times: h's diagonal
+    blocks, exp(-i w t) times its upper off-diagonal block and the conjugate
+    phase times the lower one.  The covariance check and the stepper read it."""
+    t = np.asarray(t, dtype=float)
+    phase = np.exp(-1j * omega * t)[..., None, None]
+    hb, ht = blocks(h), np.empty((*t.shape, *h.shape), dtype=complex)
+    out = blocks(ht)
+    out[..., 0, 0, :, :], out[..., 1, 1, :, :] = hb[0, 0], hb[1, 1]
+    np.multiply(phase, hb[0, 1], out=out[..., 0, 1, :, :])
+    np.multiply(phase.conj(), hb[1, 0], out=out[..., 1, 0, :, :])
     return ht
 
 
@@ -232,24 +229,17 @@ def _stepped_factors(
     exp(-i H(t_m) dt), with H(t_m) = hamiltonian_rotating(h, omega, t_m) and
     t_m = (k + 1/2) dt.
 
-    The chunk's H(t_m) fill one (chunk, 2N, 2N) buffer: h is written once,
-    the _drive_offdiag blocks over it per chunk.  plan is the thin plan, or
-    None for the dense one (see the module docstring); on the dense plan the
-    chunk is sized so that taylor_expm1's work arrays fit CHUNK_ENTRIES.
+    plan is the thin plan, or None for the dense one (see the module
+    docstring); on the dense plan the chunk is sized so that its H(t_m), from
+    one hamiltonian_rotating call, and taylor_expm1's work fit CHUNK_ENTRIES.
     """
     total = steps * substeps
     dense = linalg.expm1_plan(h, -1j * dt) if plan is None else None
     arrays = 1 + linalg.expm1_work(dense) if plan is None else 1
-    size = min(chunk_size(arrays * h.size), total)
-    buf = np.empty((size, *h.shape), dtype=complex)
-    buf[:] = h
+    size = chunk_size(arrays * h.size)
     yield x[None]
     for lo in range(0, total, size):
-        hs = buf[: min(size, total - lo)]
-        hb = blocks(hs)
-        hb[:, 0, 1], hb[:, 1, 0] = _drive_offdiag(
-            h, omega, (np.arange(lo, lo + len(hs)) + 0.5) * dt
-        )
+        hs = hamiltonian_rotating(h, omega, (np.arange(lo, min(lo + size, total)) + 0.5) * dt)
         es = linalg.taylor_expm1(hs, -1j * dt, dense) if plan is None else None
         kept = []
         for j, hm in enumerate(hs):

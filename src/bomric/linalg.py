@@ -149,7 +149,7 @@ def expm1_plan(a, scale: complex) -> tuple[int, int] | None:
         return q - 1 + -(-mk[0] // q) - 1 + mk[1]
 
     m, k = min(((m, squarings(theta)) for m, theta in TAYLOR_THETA.items()), key=cost)
-    return (m, k) if 2.0**k < 1.0 / np.finfo(float).epsneg else None
+    return (m, k) if k < -math.log2(np.finfo(float).epsneg) else None
 
 
 def expm1_work(plan: tuple[int, int] | None) -> int:
@@ -205,9 +205,9 @@ def taylor_expm1(a, scale: complex, plan: tuple[int, int] | None) -> np.ndarray:
     return e
 
 
-def expm(a, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * a) of one square matrix a, as I + taylor_expm1 (NaN without a plan)."""
-    return np.eye(len(a)) + taylor_expm1([a], scale, expm1_plan(a, scale))[0]
+def expm(a) -> np.ndarray:
+    """exp(a) of one square matrix a, as I + taylor_expm1 (NaN without a plan)."""
+    return np.eye(len(a)) + taylor_expm1([a], 1.0, expm1_plan(a, 1.0))[0]
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:

@@ -277,7 +277,7 @@ def expm_error(rng) -> float:
         h = random_hermitian(rng, 8)
         w, v = np.linalg.eigh(h)
         oracle = (v * np.exp(-1j * w)) @ v.conj().T
-        worst = max(worst, frobenius_norm(linalg.expm(h, -1j) - oracle))
+        worst = max(worst, frobenius_norm(linalg.expm(-1j * h) - oracle))
     return worst
 
 

@@ -1301,6 +1301,7 @@ ODD_VALUES = st.one_of(
     st.sampled_from([0, 0.0]),
     st.integers(-(10**6), -1),
     st.floats(-1e300, -1e-300),
+    st.sampled_from([1e308, -1e308]),
     st.text("ab+-01", max_size=3),
     st.lists(st.integers(-2, 2), max_size=2),
     st.booleans(),
@@ -1377,15 +1378,22 @@ def test_any_input_ends_in_a_documented_exit(case, command, steps, mode, method,
          cli.EXIT_NO_CONVERGENCE, "sylvester operands are not finite"),
         ("simulate", SPINBOSON, {}, ["--mode", "static_exact", "--sweep", "qubit.beta=0.5,1e300"],
          cli.EXIT_CHECK_FAILED, "eigenphase w t keeps no digit"),
+        ("simulate", SPINBOSON, {}, ["--mode", "rotating_stepped", "--steps", "20",
+                                     "--sweep", "qubit.alpha=1e308"],
+         cli.EXIT_CHECK_FAILED, "trajectory trace_dev reached nan"),
+        ("verify", CLOSED_QUBIT, {"bath.modes.0.g_re": 1e308}, ["--steps", "20"],
+         cli.EXIT_CHECK_FAILED, "rotating_frame (residual nan > 1e-05)"),
     ],
     ids=["verify_weyl_g", "verify_closed_qubit_g", "verify_riccati_spinboson_g",
-         "riccati_weyl_alpha_beta", "sweep_static_phase"],
+         "riccati_weyl_alpha_beta", "sweep_static_phase", "sweep_stepped_alpha_1e308",
+         "verify_closed_qubit_g_1e308"],
 )
 def test_inputs_the_property_missed_end_in_a_documented_exit(
     tmp_path, capsys, command, scenario, edits, extra, code, message
 ):
     # |g|^2 past float64 once raised OverflowError, a non-finite Newton operand
-    # numpy's LinAlgError, and the sweep wrote its first value's CSV
+    # numpy's LinAlgError, and the sweep wrote its first value's CSV; a step
+    # norm near 1e308 raised OverflowError in the Taylor plan's 2.0**k
     doc = json.loads(scenario.read_text())
     for key, value in edits.items():
         cli._apply_override(doc, key, value)

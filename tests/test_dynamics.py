@@ -140,6 +140,20 @@ def test_rotating_reduces_to_static_at_t_zero():
     assert frobenius_norm(d) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3)])
+def test_rotating_hamiltonian_stack_is_its_one_time_slices(shape):
+    # the stepper's stack over a chunk's midpoints holds, bit for bit, the
+    # H(t) that the covariance check reads one time at a time
+    q = QubitParams(alpha=0.7, beta=0.4, omega=1.3)
+    h = hamiltonian_static(q, BathSpec((BathMode(2.0, 0.2),), fock_cutoff=3))
+    ts = ((np.arange(6) + 0.5) * 0.37).reshape(shape)
+    stack = hamiltonian_rotating(h, q.omega, ts)
+    assert stack.shape == (*shape, *h.shape)
+    for idx in np.ndindex(shape):
+        assert stack[idx].tobytes() == hamiltonian_rotating(h, q.omega, ts[idx]).tobytes()
+    assert hamiltonian_rotating(h, q.omega, float(ts.flat[-1])).shape == h.shape
+
+
 def test_covariance_residual_vanishes(rng):
     for _ in range(20):
         q = QubitParams(

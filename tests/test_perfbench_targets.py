@@ -19,7 +19,7 @@ from conftest import REPO, load_perfbench
 
 TARGETS = load_perfbench("spans").TARGETS
 
-# ROADMAP item 4 removes this target with the benchmark's own change
+# ROADMAP item 1 removes this target with the benchmark's own change
 UNREACHED = {("bomric.blockop", "partial_trace_env")}
 
 

@@ -2,10 +2,10 @@
 
 Every matrix in this package is a plain ndarray: float64 input stays float64,
 so a real problem runs real LAPACK, and any other is cast to complex128.  The
-wrappers here add the symmetry checks the rest of the code relies on and pin
-the tolerances in one place.  They take well-formed operands: the scenario
-parser and the Scenario constructor check every shape once, and a misshapen
-operand from library code fails in numpy's own reshape, broadcast or matmul.
+kernels take operands as built.  The parser and the Scenario constructor check
+every shape once (a misshapen operand fails in numpy's reshape, broadcast or
+matmul).  H, R and M are built Hermitian to the bit; only the initial state,
+read from outside, is checked for Hermiticity (dynamics.validate_state).
 """
 from __future__ import annotations
 
@@ -13,13 +13,7 @@ import math
 
 import numpy as np
 
-# Tolerance constants used across the package.
-TOL_HERM_REL = 1e-10    # hermiticity: ||a - a†||_F <= TOL_HERM_REL * ||a||_F
 TOL_SYLVESTER = 1e-10   # sylvester residual: <= TOL_SYLVESTER * (||p||+||q||) * ||delta||
-
-
-class NotHermitianError(ValueError):
-    """A matrix required to be Hermitian is not, within tolerance."""
 
 
 class SylvesterSingularError(np.linalg.LinAlgError):
@@ -42,21 +36,6 @@ def frobenius_norm(a) -> float:
         if scale < np.inf:
             norm = scale * float(np.linalg.norm(a / scale, "fro"))
     return norm
-
-
-def hermitian_part(a, name: str = "matrix") -> np.ndarray:
-    """(a + a†) / 2, Hermitian to the bit and equal to a if a is (but for
-    subnormal entries); raises NotHermitianError, naming ||a - a†||_F, when
-    that exceeds TOL_HERM_REL * max(||a||_F, 1).  Both read one copy of a†."""
-    a = _as_matrix(a)
-    ah = np.conjugate(a.T, order="C")
-    with np.errstate(over="ignore"):
-        dev = frobenius_norm(a - ah)
-    if not dev <= TOL_HERM_REL * max(frobenius_norm(a), 1.0):
-        raise NotHermitianError(f"{name} is not Hermitian: deviation {dev:.3e}")
-    ah *= 0.5  # halved before the sum, which then cannot overflow
-    ah += 0.5 * a
-    return ah
 
 
 # theta_m for unit roundoff 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
@@ -211,9 +190,10 @@ def expm(a) -> np.ndarray:
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v), w ascending and v unitary, with a @ v == v @ diag(w) for the
-    hermitian_part of a, which rejects a matrix outside its tolerance."""
-    return np.linalg.eigh(hermitian_part(a))
+    """np.linalg.eigh(a) of a Hermitian a: (w, v), w ascending, v unitary.
+    It stays a named function because perfbench/spans.py times each call as
+    the linalg.eigh span."""
+    return np.linalg.eigh(a)
 
 
 def solve_sylvester(p, q, r) -> np.ndarray:

@@ -9,19 +9,19 @@ a solution X of
 
     X b X + X a - c X - b† = 0
 
-makes the columns of [1; X] span an R-invariant subspace, and the
-congruence U_X = [[1, -X†], [X, 1]] block-diagonalizes R with diagonal
-blocks a + b X and c - b† X†.  riccati_map is the one form of the left side
-F(X).  A RiccatiProblem holds R itself, the 2N x 2N matrix, stored as its
-exact Hermitian part (linalg.hermitian_part), and reads a, b and c as views
-of its blocks.  Two independent solvers are provided: a spectral
-invariant-subspace construction and a Newton iteration on the residual.
-Newton started from zero checks the subspace solution; started from it,
-Newton refines it.  solve runs one of these routes and decides whether its X
-counts as a solution.  An R with no imaginary part is stored and solved in
-float64, any other in complex128.  For the resonant drive, periodic_blocks
-and s_frame_blocks reduce the driven operator, on its (2, 2, N, N) blocks,
-to the static diag(H_E + W, H_E - W).
+makes the columns of [1; X] span an R-invariant subspace, and the congruence
+U_X = [[1, -X†], [X, 1]] block-diagonalizes R with diagonal blocks a + b X and
+c - b† X†.  riccati_map is the one form of the left side F(X).  A
+RiccatiProblem holds R itself, the 2N x 2N matrix, taken as built: it is
+Hermitian to the bit, so the eigensolver, which reads one triangle, and the
+residual see one operator.  a, b and c are views of its blocks.  Two
+independent solvers are provided: a spectral invariant-subspace construction
+and a Newton iteration on the residual.  Newton started from zero checks the
+subspace solution; started from it, Newton refines it.  solve runs one of
+these routes and decides whether its X counts as a solution.  An R with no
+imaginary part is stored and solved in float64, any other in complex128.  For
+the resonant drive, periodic_blocks and s_frame_blocks reduce the driven
+operator, on its (2, 2, N, N) blocks, to the static diag(H_E + W, H_E - W).
 """
 from __future__ import annotations
 
@@ -84,16 +84,14 @@ class DephasingRootError(SolverError):
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """A Hermitian block operator R = [[a, b], [b†, c]]; a, b and c are views
-    of the blocks of the stored Hermitian part of R."""
+    """A Hermitian block operator R = [[a, b], [b†, c]], taken as built; a, b
+    and c are views of its blocks."""
 
     r: np.ndarray
 
     def __post_init__(self):
-        # eigh reads one triangle of R, the residual and Newton read all of
-        # a, b and c: the exact Hermitian part makes both see one operator
-        r = linalg.hermitian_part(self.r, "block operator R")
         # no imaginary part: R is real symmetric, and so are its eigenvectors and X
+        r = self.r
         object.__setattr__(self, "r", r if r.imag.any() else np.ascontiguousarray(r.real))
 
     @property
@@ -314,7 +312,7 @@ def solve_dephasing_quadratic(m) -> tuple[complex, complex]:
     with the larger real part, then larger imaginary part).  Raises
     DephasingRootError when m12 = 0 or a root is not finite in float64.
     """
-    (m11, m12), (_, m22) = linalg.hermitian_part(m, "dephasing coupling matrix")
+    (m11, m12), (_, m22) = m
     m12 = complex(m12)
     if m12 == 0:  # the block operator is already block-diagonal
         raise DephasingRootError("coupling matrix is diagonal; the quadratic degenerates")

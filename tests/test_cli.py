@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import shlex
@@ -1368,6 +1369,10 @@ def test_any_input_ends_in_a_documented_exit(case, command, steps, mode, method,
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+# beta + H_E's top entry overflows float64, so H(beta) has inf entries
+OVERFLOWING_H = {"qubit.beta": 1e308, "bath.modes.0.omega": 1e308}
+
+
 @pytest.mark.parametrize(
     "command, scenario, edits, extra, code, message",
     [
@@ -1383,26 +1388,65 @@ def test_any_input_ends_in_a_documented_exit(case, command, steps, mode, method,
          cli.EXIT_CHECK_FAILED, "trajectory trace_dev reached nan"),
         ("verify", CLOSED_QUBIT, {"bath.modes.0.g_re": 1e308}, ["--steps", "20"],
          cli.EXIT_CHECK_FAILED, "rotating_frame (residual nan > 1e-05)"),
+        *(("riccati", CLOSED_QUBIT, OVERFLOWING_H, extra, cli.EXIT_NO_CONVERGENCE, message)
+          for extra, message in (
+              ([], "not a solution graph: residual nan"),
+              (["--method", "newton"], "newton iterate diverged at iteration 0"),
+              (["--method", "subspace"], "not a solution graph: residual nan"))),
+        *(("simulate", CLOSED_QUBIT, OVERFLOWING_H, ["--mode", mode], cli.EXIT_CHECK_FAILED,
+           "trajectory trace_dev reached nan") for mode in ("static_exact", "factored")),
     ],
     ids=["verify_weyl_g", "verify_closed_qubit_g", "verify_riccati_spinboson_g",
          "riccati_weyl_alpha_beta", "sweep_static_phase", "sweep_stepped_alpha_1e308",
-         "verify_closed_qubit_g_1e308"],
+         "verify_closed_qubit_g_1e308", "riccati_overflowing_h", "riccati_newton_overflowing_h",
+         "riccati_subspace_overflowing_h", "static_exact_overflowing_h",
+         "factored_overflowing_h"],
 )
 def test_inputs_the_property_missed_end_in_a_documented_exit(
     tmp_path, capsys, command, scenario, edits, extra, code, message
 ):
     # |g|^2 past float64 once raised OverflowError, a non-finite Newton operand
     # numpy's LinAlgError, and the sweep wrote its first value's CSV; a step
-    # norm near 1e308 raised OverflowError in the Taylor plan's 2.0**k
+    # norm near 1e308 raised OverflowError in the Taylor plan's 2.0**k, and an
+    # H(beta) with inf entries failed a Hermiticity re-check with a traceback
     doc = json.loads(scenario.read_text())
     for key, value in edits.items():
         cli._apply_override(doc, key, value)
     path = write_doc(tmp_path, doc)
-    out = ["--out", str(tmp_path / "sw.csv")] if command == "simulate" else []
+    out = {"simulate": ["--out", str(tmp_path / "sw.csv")],
+           "riccati": ["--out", str(tmp_path / "report.json")]}.get(command, [])
     assert cli.main([command, str(path), *out, *extra]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+# the property edits one leaf per document, so it cannot build an H(beta) whose
+# beta + H_E entry overflows; this grid edits two of these leaves at a time
+EDGE_LEAVES = ("qubit.alpha", "qubit.beta", "qubit.omega", "bath.modes.0.omega",
+               "bath.modes.0.g_re")
+EDGE_COMMANDS = (
+    *(["riccati", *method] for method in ([], ["--method", "newton"], ["--method", "subspace"])),
+    *(["simulate", "--mode", mode, "--steps", "20"] for mode in cli.MODES),
+    ["verify", "--steps", "20"],
+)
+
+
+@pytest.mark.parametrize("leaves", itertools.combinations(EDGE_LEAVES, 2), ids="+".join)
+def test_two_leaf_edges_end_in_a_documented_exit(tmp_path, leaves):
+    for values in itertools.product((1e308, -1e308), repeat=2):
+        doc = json.loads(CLOSED_QUBIT.read_text())
+        for key, value in zip(leaves, values):
+            cli._apply_override(doc, key, value)
+        path = write_doc(tmp_path, doc)
+        for command, *extra in EDGE_COMMANDS:
+            out = ["--out", str(tmp_path / "x.csv")] if command == "simulate" else []
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main([command, str(path), *out, *extra])
+            assert rc in (0, 2, 3, 4, 5), (values, command, extra)
+            if rc:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 # finite entries only: a non-number is the schema's, and the property above covers it

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -671,7 +672,7 @@ def test_state_validation_rejects_bad_inputs(small_bath):
             validate_state(state)
 
 
-def test_near_hermitian_state_is_stored_as_its_hermitian_part(small_bath):
+def test_validate_state_is_exact_and_does_not_overflow(small_bath):
     # the state propagated is the one whose spectrum validate_state checked
     n = small_bath.env_dim
     rho = product_state(PLUS, small_bath)
@@ -680,6 +681,17 @@ def test_near_hermitian_state_is_stored_as_its_hermitian_part(small_bath):
     assert np.array_equal(s.initial_state, (rho + rho.conj().T) / 2.0)
     assert np.array_equal(s.initial_state, s.initial_state.conj().T)
     assert np.array_equal(validate_state(rho), s.initial_state)
+    # 1e308 entries: the halves are summed, so nothing overflows, and a
+    # Hermitian matrix reaches the trace rule while a non-Hermitian one does not
+    huge = np.array([[1.5e308, -1e308j], [1e308j, -1.7e308]])
+    skew = np.array([[1.0, 5.0], [0.0, 1.0]]) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hermitian in (huge, skew + skew.T):
+            with pytest.raises(InvalidStateError, match="^state trace is "):
+                validate_state(hermitian)
+        with pytest.raises(InvalidStateError, match=r"^state is not Hermitian: deviation 7.071e\+200$"):
+            validate_state(skew)
 
 
 def test_state_validation_messages(small_bath):
@@ -701,6 +713,3 @@ def test_scenario_validation(small_bath):
         Scenario(QubitParams(1, 1, 1), small_bath, state, t_max=0.0, steps=10)
     with pytest.raises(ValueError):
         Scenario(QubitParams(1, 1, 1), small_bath, state, t_max=1.0, steps=0)
-    other = BathSpec((BathMode(1.0, 0.1),), fock_cutoff=2)
-    with pytest.raises(InvalidStateError):
-        Scenario(QubitParams(1, 1, 1), other, state, t_max=1.0, steps=10)

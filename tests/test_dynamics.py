@@ -672,7 +672,7 @@ def test_state_validation_rejects_bad_inputs(small_bath):
             validate_state(state)
 
 
-def test_validate_state_is_exact_and_does_not_overflow(small_bath):
+def test_near_hermitian_state_is_stored_as_its_hermitian_part(small_bath):
     # the state propagated is the one whose spectrum validate_state checked
     n = small_bath.env_dim
     rho = product_state(PLUS, small_bath)
@@ -681,6 +681,9 @@ def test_validate_state_is_exact_and_does_not_overflow(small_bath):
     assert np.array_equal(s.initial_state, (rho + rho.conj().T) / 2.0)
     assert np.array_equal(s.initial_state, s.initial_state.conj().T)
     assert np.array_equal(validate_state(rho), s.initial_state)
+
+
+def test_validate_state_does_not_overflow():
     # 1e308 entries: the halves are summed, so nothing overflows, and a
     # Hermitian matrix reaches the trace rule while a non-Hermitian one does not
     huge = np.array([[1.5e308, -1e308j], [1e308j, -1.7e308]])

@@ -61,9 +61,8 @@ class BathSpec:
         if self.fock_cutoff < 1:
             raise ValueError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
         if self.env_dim > ENV_DIM_CAP:
-            raise DimensionCapError(
-                f"environment dimension {self.env_dim} exceeds cap {ENV_DIM_CAP}"
-            )
+            raise DimensionCapError(f"environment dimension {self.env_dim} exceeds "
+                                    f"cap {ENV_DIM_CAP}")
         # the largest entries of H_E and of V, at every mode's top Fock level
         he_top = self.fock_cutoff * sum(m.omega for m in modes)
         v_top = math.sqrt(self.fock_cutoff) * max(math.hypot(m.g.real, m.g.imag) for m in modes)

@@ -35,10 +35,11 @@ def flatten(b) -> np.ndarray:
     return b.swapaxes(-3, -2).reshape(*b.shape[:-4], 2 * n, 2 * n)
 
 
-def offdiag_norm(b) -> float:
-    """||[b12; b21]||_F for the (2, 2, N, N) blocks b of a block operator: the
-    two off-diagonal blocks stacked, by frobenius_norm, so no square overflows."""
-    return frobenius_norm(np.concatenate((b[0, 1], b[1, 0])))
+def offdiag_norm(b):
+    """||[b12; b21]||_F for the (2, 2, N, N) blocks b of a block operator, or
+    the array of them over a (k, 2, 2, N, N) stack: the two off-diagonal
+    blocks stacked, by frobenius_norm, so no square overflows."""
+    return frobenius_norm(np.concatenate((b[..., 0, 1, :, :], b[..., 1, 0, :, :]), axis=-2))
 
 
 def partial_trace_env(m) -> np.ndarray:
@@ -47,18 +48,18 @@ def partial_trace_env(m) -> np.ndarray:
 
 
 def qubit_sandwich(a1, b, a2) -> np.ndarray:
-    """(A1 (x) 1) B (A2 (x) 1) block by block over a stack of k samples.
+    """(A1 (x) 1) B (A2 (x) 1) block by block, for one sample or a stack.
 
-    a1 and a2 hold k qubit matrices, shape (k, 2, 2), acting as A (x) identity
-    on the environment; b holds k block operators as (k, 2, 2, N, N), block
-    (i, j) at [:, i, j].  Block (i, l) of the product is
+    a1 and a2 hold qubit matrices, shape (..., 2, 2), acting as A (x) identity
+    on the environment; b holds block operators as (..., 2, 2, N, N), block
+    (i, j) at [..., i, j].  Block (i, l) of the product is
     sum_jc A1_ij A2_cl B_jc, so each sample is one product of its 4 x 4
     coefficient matrix with its four blocks as rows of N^2 entries; every
-    entry of every product block is computed.  Returns (k, 2, 2, N, N).
+    entry of every product block is computed.  Returns (..., 2, 2, N, N).
     """
-    k, n = b.shape[0], b.shape[-1]
-    coef = np.einsum("kij,kcl->kiljc", a1, a2).reshape(k, 4, 4)
-    return (coef @ b.reshape(k, 4, n * n)).reshape(b.shape)
+    n = b.shape[-1]
+    coef = np.einsum("...ij,...cl->...iljc", a1, a2).reshape(*a1.shape[:-2], 4, 4)
+    return (coef @ b.reshape(*b.shape[:-4], 4, n * n)).reshape(b.shape)
 
 
 def sandwich_lemma_check(a1, b, a2) -> np.ndarray:

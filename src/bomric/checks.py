@@ -8,11 +8,13 @@ module constants below, so a check measures the same thing wherever it runs.
 Every check reads H_E and V from the scenario's BathSpec (spec.he, spec.v),
 so the six of them assemble each once.
 
-The sandwich check draws one row of uniform entries on [-1, 1) per sample
-and views it as complex in place, re and im interleaved per entry: the
-4N^2 entries of B's four N x N blocks, then A1's 4, then A2's 4.  Rows are
-drawn a chunk at a time from one stream, so the chunk size changes neither
-the samples nor their order.
+Four checks take their samples as stacks, a chunk of dynamics.chunk_size at
+a time, with one kernel call per chunk: sandwich, covariance, zt_riccati and
+st_diagonalization.  A stacked kernel gives each sample the bits of its own
+call, so no report depends on the chunk size.  The sandwich check draws one
+row of uniform entries on [-1, 1) per sample and views it as complex in
+place, re and im interleaved per entry: the 4N^2 entries of B's four N x N
+blocks, then A1's 4, then A2's 4.  Rows come from one stream.
 """
 from __future__ import annotations
 
@@ -21,17 +23,8 @@ import numpy as np
 from . import linalg, riccati
 from .bath import displaced_check
 from .blockop import offdiag_norm, sandwich_lemma_check
-from .dynamics import (
-    PHASE_LOSS_CAP,
-    QubitParams,
-    Scenario,
-    TrajectorySanityError,
-    chunk_size,
-    covariance_residual,
-    hamiltonian_static,
-    phase_lost,
-    rotating_frame_check,
-)
+from .dynamics import (PHASE_LOSS_CAP, QubitParams, Scenario, TrajectorySanityError, chunk_size,
+                       covariance_residual, hamiltonian_static, phase_lost, rotating_frame_check)
 
 SEED = 20240817             # covariance draws from SEED, sandwich from SEED + 1
 COVARIANCE_SAMPLES = 100
@@ -63,17 +56,23 @@ def _worst(residuals) -> float:
     return float(np.max(residuals))
 
 
+def _chunks(samples, entries: int):
+    """samples a chunk of chunk_size(entries) at a time, each sample taking
+    `entries` entries of a work array."""
+    size = chunk_size(entries)
+    return (samples[lo : lo + size] for lo in range(0, len(samples), size))
+
+
 def covariance(s: Scenario) -> dict:
     """Rotating the static generator reproduces the driven Hamiltonian."""
     rng = np.random.default_rng(SEED)
     draws = rng.uniform([-2, -2, 0.1, 0], [2, 2, 5, 20], (COVARIANCE_SAMPLES, 4))
     resid = []
-    for alpha, beta, omega, t in draws:
-        q = QubitParams(alpha, beta, omega)
+    for d in _chunks(draws, 8 * s.bath.env_dim**2):  # H(beta) and H(t) per sample
+        q = QubitParams(*d[:, :3].T)
         h = hamiltonian_static(q, s.bath)
-        scale = linalg.frobenius_norm(h)
-        resid.append(covariance_residual(q, h, t) / scale)
-    return _judged({"residual": _worst(resid), "tolerance": IDENTITY_TOL})
+        resid.append(covariance_residual(q, h, d[:, 3]) / linalg.frobenius_norm(h))
+    return _judged({"residual": _worst(np.concatenate(resid)), "tolerance": IDENTITY_TOL})
 
 
 def rotating_frame(s: Scenario) -> dict:
@@ -107,10 +106,8 @@ def sandwich(s: Scenario) -> dict:
     entries test it as well as normal ones would, at a fraction of the draw cost."""
     rng = np.random.default_rng(SEED + 1)
     n = s.bath.env_dim
-    chunk = chunk_size(4 * n * n)  # samples per chunk, each with 4N^2 entries of B
     resid = []
-    for start in range(0, SANDWICH_SAMPLES, chunk):
-        m = min(chunk, SANDWICH_SAMPLES - start)
+    for m in map(len, _chunks(range(SANDWICH_SAMPLES), 4 * n * n)):  # 4N^2 entries of B each
         draws = rng.uniform(-1.0, 1.0, (m, 8 * n * n + 16)).view(complex)
         b = draws[:, : 4 * n * n].reshape(m, 2, 2, n, n)
         a = draws[:, 4 * n * n :].reshape(m, 2, 2, 2)
@@ -119,12 +116,11 @@ def sandwich(s: Scenario) -> dict:
     return _judged({"residual": _worst(np.concatenate(resid)), "tolerance": IDENTITY_TOL})
 
 
-def resonant_drive(s: Scenario) -> tuple[np.ndarray, np.ndarray, list[complex]]:
+def resonant_drive(s: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H_E, W = V + beta and the drive phases z_t = exp(-2 i alpha t) on the
     PHASE_POINTS grid of [0, t_max], read by zt_riccati and st_diagonalization."""
     w = s.bath.v + s.qubit.beta * np.eye(s.bath.env_dim)
-    return s.bath.he, w, [complex(np.exp(-2j * s.qubit.alpha * t))
-                          for t in np.linspace(0.0, s.t_max, PHASE_POINTS)]
+    return s.bath.he, w, np.exp(-2j * s.qubit.alpha * np.linspace(0.0, s.t_max, PHASE_POINTS))
 
 
 def zt_riccati(s: Scenario) -> dict:
@@ -132,9 +128,9 @@ def zt_riccati(s: Scenario) -> dict:
     ||W||_F: F(z_t 1) on the blocks a = c = H_E, b = z_t* W of periodic_blocks."""
     he, w, phases = resonant_drive(s)
     eye, scale = np.eye(len(he)), max(linalg.frobenius_norm(w), 1e-300)
-    worst = _worst([linalg.frobenius_norm(riccati.riccati_map(z * eye, he, np.conj(z) * w, he))
-                    / scale for z in phases])
-    return _judged({"residual": worst, "tolerance": PHASE_TOL})
+    resid = [linalg.frobenius_norm(riccati.riccati_map(z * eye, he, np.conj(z) * w, he))
+             for z in _chunks(phases[:, None, None], 4 * len(he) ** 2)]  # N x N blocks each
+    return _judged({"residual": _worst(np.concatenate(resid)) / scale, "tolerance": PHASE_TOL})
 
 
 def st_diagonalization(s: Scenario) -> dict:
@@ -142,12 +138,12 @@ def st_diagonalization(s: Scenario) -> dict:
     within roundoff of ||H(t)||_F = sqrt(2) ||[H_E; W]||_F, the same at every t."""
     he, w, phases = resonant_drive(s)
     scale = max(2**0.5 * linalg.frobenius_norm(np.concatenate((he, w))), 1e-300)
-    off, dev = [], []
-    for z in phases:
+    off, dev, diag = [], [], np.stack((he + w, he - w), axis=-1)  # as tb.diagonal(0, 1, 2)
+    for z in _chunks(phases, 8 * len(he) ** 2):  # two 2N x 2N operators per phase
         tb = riccati.s_frame_blocks(riccati.periodic_blocks(he, w, z), z)
         off.append(offdiag_norm(tb))
-        dev += [np.max(np.abs(tb[0, 0] - (he + w))), np.max(np.abs(tb[1, 1] - (he - w)))]
-    return _judged({"offdiag_residual": _worst(off) / scale,
+        dev.append(np.max(np.abs(tb.diagonal(0, 1, 2) - diag)))
+    return _judged({"offdiag_residual": _worst(np.concatenate(off)) / scale,
                     "diag_deviation": _worst(dev) / scale, "tolerance": PHASE_TOL})
 
 

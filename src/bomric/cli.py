@@ -37,15 +37,8 @@ import numpy as np
 
 from . import checks, linalg, riccati
 from .bath import DimensionCapError
-from .dynamics import (
-    MODES,
-    InvalidStateError,
-    TrajectorySanityError,
-    chunk_size,
-    hamiltonian_static,
-    phase_lost,
-    reduced_dynamics,
-)
+from .dynamics import (MODES, InvalidStateError, TrajectorySanityError, chunk_size,
+                       hamiltonian_static, phase_lost, reduced_dynamics)
 from .scenario import ScenarioError, load_scenario, read_document, scenario_from_dict
 
 EXIT_OK = 0

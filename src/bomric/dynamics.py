@@ -38,10 +38,7 @@ chunk of steps as a stack.  On the dense plan one linalg.taylor_expm1 call
 gives E = exp(-i H(t_m) dt) - I for the whole stack, and each step advances
 the factor as x + E @ x.  The thin plan (linalg.action_plan) applies s steps of
 the degree-m Taylor series to the 2N x r factor (linalg.expm_action) when
-its m * s * r <= N, below the cost of one dense step; at one BLAS thread
-the rule picks the faster path at r = 1 and r = 2N (CHANGES.md has timings),
-but it keeps some mid-rank steps at 2N >= 64 dense that the action wins by
-2-5x.
+its m * s * r <= N, below the cost of one dense step.
 The steps exponentiate H(t) - mu 1 with mu = Tr H / 2N (the trace shift of
 Al-Mohy & Higham 2011, Algorithm 3.2): exp(-i (H - mu) dt) is exp(-i H dt)
 times the scalar phase exp(i mu dt), which multiplies every column of x
@@ -93,7 +90,8 @@ class TrajectorySanityError(RuntimeError):
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Splitting beta, drive amplitude alpha, drive frequency omega."""
+    """Splitting beta, drive amplitude alpha, drive frequency omega (or arrays
+    of k samples of each, for the stacked kernels)."""
 
     alpha: float
     beta: float
@@ -162,52 +160,60 @@ class Trajectory:
 
 
 def hamiltonian_static(q: QubitParams, bath: BathSpec, beta: float | None = None) -> np.ndarray:
-    """H(beta) = [[H_E + V + beta, alpha], [alpha, H_E - V - beta]]."""
-    b = q.beta if beta is None else float(beta)
+    """H(beta) = [[H_E + V + beta, alpha], [alpha, H_E - V - beta]], or their
+    (k, 2N, 2N) stack for a q of k alphas and betas."""
+    a, b = (np.asarray(x, dtype=float)[..., None, None]
+            for x in (q.alpha, q.beta if beta is None else beta))
     he, v, eye = bath.he, bath.v, np.eye(bath.env_dim, dtype=complex)
-    return flatten(np.array([[he + v + b * eye, q.alpha * eye], [q.alpha * eye, he - v - b * eye]]))
+    hb = np.empty((*a.shape[:-2], 2, 2, *he.shape), dtype=complex)
+    hb[..., 0, 0, :, :], hb[..., 1, 1, :, :] = he + v + b * eye, he - v - b * eye
+    hb[..., 0, 1, :, :] = hb[..., 1, 0, :, :] = a * eye
+    return flatten(hb)
 
 
-def hamiltonian_rotating(h: np.ndarray, omega: float, t) -> np.ndarray:
-    """Lab-frame H(t) from the static h = hamiltonian_static(q, bath), (2N, 2N)
-    at a time t or the (..., 2N, 2N) stack over an array of times: h's diagonal
-    blocks, exp(-i w t) times its upper off-diagonal block and the conjugate
-    phase times the lower one.  The covariance check and the stepper read it."""
+def hamiltonian_rotating(h: np.ndarray, omega, t) -> np.ndarray:
+    """Lab-frame H(t) from the static h = hamiltonian_static(q, bath): h's
+    diagonal blocks, exp(-i w t) times its upper off-diagonal block and the
+    conjugate phase times the lower one.  (2N, 2N) at a time t, the stack over
+    an array of times, or one H(t) per sample of a (k, 2N, 2N) stack h with k
+    omegas and times.  The covariance check and the stepper read it."""
     t = np.asarray(t, dtype=float)
     phase = np.exp(-1j * omega * t)[..., None, None]
-    hb, ht = blocks(h), np.empty((*t.shape, *h.shape), dtype=complex)
+    hb, ht = blocks(h), np.empty(np.broadcast(phase, h).shape, dtype=complex)
     out = blocks(ht)
-    out[..., 0, 0, :, :], out[..., 1, 1, :, :] = hb[0, 0], hb[1, 1]
-    np.multiply(phase, hb[0, 1], out=out[..., 0, 1, :, :])
-    np.multiply(phase.conj(), hb[1, 0], out=out[..., 1, 0, :, :])
+    out[..., 0, 0, :, :], out[..., 1, 1, :, :] = hb[..., 0, 0, :, :], hb[..., 1, 1, :, :]
+    np.multiply(phase, hb[..., 0, 1, :, :], out=out[..., 0, 1, :, :])
+    np.multiply(phase.conj(), hb[..., 1, 0, :, :], out=out[..., 1, 0, :, :])
     return ht
 
 
-def frame_phases(omega: float, t) -> np.ndarray:
+def frame_phases(omega, t) -> np.ndarray:
     """The diagonal (exp(-i w t / 2), exp(i w t / 2)) of the qubit rotation
-    R(t), exp(iKt) = R(t) (x) 1, at a time or stacked over an array of times."""
-    return np.exp(-0.5j * omega * np.multiply.outer(t, [1.0, -1.0]))
+    R(t), exp(iKt) = R(t) (x) 1, at a time, over an array of times, or one
+    per sample of k omegas and times."""
+    return np.exp(np.expand_dims(-0.5j * omega, -1) * np.multiply.outer(t, [1.0, -1.0]))
 
 
-def covariance_residual(q: QubitParams, h: np.ndarray, t: float) -> float:
+def covariance_residual(q: QubitParams, h: np.ndarray, t):
     """|| H(t) - exp(iKt) H(beta) exp(-iKt) ||_F for h = H(beta) =
-    hamiltonian_static(q, bath); zero up to roundoff.
+    hamiltonian_static(q, bath), zero up to roundoff; the k residuals of a
+    stack h of k samples, q's fields and t arrays of k.
 
     With exp(iKt) = U (x) 1, U = diag(frame_phases(q.omega, t)), qubit_sandwich
     computes every entry of (U (x) 1) h (U† (x) 1), and each block is compared
     with that of H(t) as hamiltonian_rotating builds it from h.
     """
-    u = np.diag(frame_phases(q.omega, t))[None]
-    rotated = qubit_sandwich(u, blocks(h)[None], u.conj().transpose(0, 2, 1))
-    diff = blocks(hamiltonian_rotating(h, q.omega, t)) - rotated[0]
-    return linalg.frobenius_norm(diff.reshape(-1, diff.shape[-1]))  # the four blocks stacked
+    u = frame_phases(q.omega, t)[..., None] * np.eye(2)
+    rotated = qubit_sandwich(u, blocks(h), u.conj().swapaxes(-1, -2))
+    diff = blocks(hamiltonian_rotating(h, q.omega, t)) - rotated
+    return linalg.frobenius_norm(diff.reshape(*h.shape[:-2], -1, diff.shape[-1]))  # blocks stacked
 
 
 def phase_lost(rate: float, t_max: float) -> float | None:
     """|rate| t_max eps, the rounding error of the phase rate t on [0, t_max],
-    when it exceeds PHASE_LOSS_CAP, else None."""
+    when it exceeds PHASE_LOSS_CAP or is NaN, else None."""
     lost = abs(rate) * t_max * np.finfo(float).eps
-    return lost if lost > PHASE_LOSS_CAP else None
+    return None if lost <= PHASE_LOSS_CAP else lost
 
 
 def chunk_size(entries_per_point: int) -> int:
@@ -216,15 +222,8 @@ def chunk_size(entries_per_point: int) -> int:
     return max(1, CHUNK_ENTRIES // entries_per_point)
 
 
-def _stepped_factors(
-    h: np.ndarray,
-    omega: float,
-    x: np.ndarray,
-    dt: float,
-    steps: int,
-    substeps: int,
-    plan: tuple[int, int] | None,
-) -> Iterator[np.ndarray]:
+def _stepped_factors(h: np.ndarray, omega: float, x: np.ndarray, dt: float, steps: int,
+                     substeps: int, plan: tuple[int, int] | None) -> Iterator[np.ndarray]:
     """Yield x as a stack of one, then, a chunk of steps at a time, the stack
     of x after each of `steps` groups of `substeps` midpoint exponentials
     exp(-i H(t_m) dt), with H(t_m) = hamiltonian_rotating(h, omega, t_m) and

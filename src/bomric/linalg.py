@@ -25,10 +25,18 @@ def _as_matrix(a) -> np.ndarray:
     return a if a.dtype == np.float64 else a.astype(complex, copy=False)
 
 
-def frobenius_norm(a) -> float:
-    """||a||_F; only where the plain sum of squares overflows (entries above
-    about 1e154) are the entries first divided by their largest modulus."""
+def frobenius_norm(a):
+    """||a||_F, or the array of them over a (k, M, N) stack by the dot products
+    np.linalg.norm takes of each matrix, so bit for bit its own; only where the
+    plain sum of squares overflows (entries above about 1e154) are a matrix's
+    entries first divided by their largest modulus."""
     a = np.asarray(a)
+    if a.ndim == 3:
+        x = a.reshape(len(a), 1, -1)
+        xt = x.swapaxes(1, 2)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt((x.real @ xt.real + x.imag @ xt.imag)[:, 0, 0])
+        return norm if np.inf not in norm else np.array([frobenius_norm(m) for m in a])
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a, "fro"))
     if norm == np.inf:
@@ -61,10 +69,8 @@ def _norm1(a, scale: complex) -> float:
 def taylor_plan(norm1: float) -> tuple[int, int]:
     """(m, s) minimizing the m * s products of s degree-m Taylor steps for
     exp(A) with finite ||A||_1 = norm1, to unit roundoff (smallest m on ties)."""
-    return min(
-        ((m, max(1, int(np.ceil(norm1 / theta)))) for m, theta in TAYLOR_THETA.items()),
-        key=lambda ms: ms[0] * ms[1],
-    )
+    return min(((m, max(1, int(np.ceil(norm1 / theta)))) for m, theta in TAYLOR_THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
 
 
 def action_plan(a, scale: complex, r: int) -> tuple[int, int] | None:

@@ -134,8 +134,9 @@ class RiccatiSolution:
 def riccati_map(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """F(X) = X b X + X a - c X - b† for the blocks a, b, c of R, summed as
     (X a - c X) + (X b X - b†): for a = c and X = z 1 the first pair cancels
-    exactly, so a stiff H_E adds no roundoff to zt_riccati's F(z_t 1)."""
-    return (x @ a - c @ x) + (x @ b @ x - b.conj().T)
+    exactly, so a stiff H_E adds no roundoff to zt_riccati's F(z_t 1).  Any of
+    x, a, b and c may be a (k, N, N) stack, and F is then the stack of k."""
+    return (x @ a - c @ x) + (x @ b @ x - b.conj().swapaxes(-1, -2))
 
 
 def residual(p: RiccatiProblem, x) -> float:
@@ -348,17 +349,23 @@ def dephasing_residuals(m, he: np.ndarray, v: np.ndarray,
 
 # -- periodically driven block operator (resonant drive) --------------------
 
-def periodic_blocks(he: np.ndarray, w: np.ndarray, z: complex) -> np.ndarray:
+def periodic_blocks(he: np.ndarray, w: np.ndarray, z) -> np.ndarray:
     """The (2, 2, N, N) blocks [[H_E, z* W], [z W, H_E]] of the driven operator
-    at the drive phase z = z_t = exp(-2 i alpha t), W = V + beta.  X_t = z_t 1
-    solves its Riccati equation, of blocks a = c = H_E, b = z* W, for every t."""
-    return np.array([[he, np.conj(z) * w], [z * w, he]])
+    at the drive phase z = z_t = exp(-2 i alpha t), W = V + beta, or their
+    (k, 2, 2, N, N) stack over k phases.  X_t = z_t 1 solves its Riccati
+    equation, of blocks a = c = H_E, b = z* W, for every t."""
+    z = np.asarray(z)[..., None, None]
+    b = np.empty((*z.shape[:-2], 2, 2, *w.shape), dtype=complex)
+    b[..., 0, 0, :, :] = b[..., 1, 1, :, :] = he
+    b[..., 0, 1, :, :], b[..., 1, 0, :, :] = np.conj(z) * w, z * w
+    return b
 
 
-def s_frame_blocks(b: np.ndarray, z: complex) -> np.ndarray:
-    """The blocks of S_t† H S_t for the blocks b = periodic_blocks(he, w, z) of H:
-    diag(H_E + W, H_E - W) exactly, at every t.  S_t = S (x) 1 with
-    S = [[1, -z*], [z, 1]] / sqrt(2) is the unitary congruence built from
-    X_t = z_t 1; qubit_sandwich computes every entry of all four blocks."""
-    s = np.array([[[1.0, -np.conj(z)], [z, 1.0]]]) / np.sqrt(2.0)
-    return qubit_sandwich(s.conj().transpose(0, 2, 1), b[None], s)[0]
+def s_frame_blocks(b: np.ndarray, z) -> np.ndarray:
+    """The blocks of S_t† H S_t for the blocks b = periodic_blocks(he, w, z) of H,
+    or their stack over k phases: diag(H_E + W, H_E - W) exactly, at every t.
+    S_t = S (x) 1, S = [[1, -z*], [z, 1]] / sqrt(2), is the unitary congruence
+    built from X_t = z_t 1; qubit_sandwich computes every entry of all four blocks."""
+    z, one = np.asarray(z), np.ones(np.shape(z), complex)
+    s = np.stack((one, -np.conj(z), z, one), -1).reshape(*z.shape, 2, 2) / np.sqrt(2.0)
+    return qubit_sandwich(s.conj().swapaxes(-1, -2), b, s)

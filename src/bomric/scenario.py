@@ -129,10 +129,8 @@ def _parse_initial(obj, bath: BathSpec) -> np.ndarray:
     _require_dict(obj, "initial", {"kind", "qubit_state", "env_state", "matrix"}, {"kind"})
     kind, n = obj["kind"], bath.env_dim
     if kind == "product":
-        _require_dict(
-            obj, "initial", {"kind", "qubit_state", "env_state"},
-            {"kind", "qubit_state", "env_state"},
-        )
+        keys = {"kind", "qubit_state", "env_state"}
+        _require_dict(obj, "initial", keys, keys)
         qs = obj["qubit_state"]
         if isinstance(qs, str):
             if qs not in _QUBIT_STATES:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bomric import bath, blockop, checks, dynamics, riccati
+from bomric import bath, blockop, checks, dynamics, linalg, riccati
 from bomric.bath import BathMode, BathSpec
 from bomric.scenario import load_scenario
 
@@ -110,18 +110,21 @@ def test_six_checks_assemble_each_bath_operator_once(monkeypatch):
 
 NAN = float("nan")
 
+
+def nan_last(stack):
+    """The stack with its last sample NaN: on riccati_spinboson every check's
+    chunk holds more than one sample, so that is never the check's first."""
+    return np.concatenate((stack[:-1], np.full_like(stack[-1:], NAN)))
+
+
 # each check's kernel, and a NaN put on a sample other than the first:
-# (module, name, poison(result, call index))
+# (module, name, poison(result))
 NAN_KERNELS = {
-    "covariance": (checks, "covariance_residual", lambda r, k: NAN if k == 1 else r),
-    "sandwich": (checks, "sandwich_lemma_check", lambda r, k: np.append(r[:-1], NAN)),
-    "zt_riccati": (riccati, "riccati_map", lambda r, k: np.full_like(r, NAN) if k == 1 else r),
-    "st_diagonalization": (
-        riccati, "s_frame_blocks", lambda r, k: np.full_like(r, NAN) if k == 1 else r
-    ),
-    "weyl_displacement": (
-        checks, "displaced_check", lambda r, k: r | {"residual": NAN}
-    ),
+    "covariance": (checks, "covariance_residual", nan_last),
+    "sandwich": (checks, "sandwich_lemma_check", nan_last),
+    "zt_riccati": (riccati, "riccati_map", nan_last),
+    "st_diagonalization": (riccati, "s_frame_blocks", nan_last),
+    "weyl_displacement": (checks, "displaced_check", lambda r: r | {"residual": NAN}),
 }
 
 
@@ -131,13 +134,8 @@ def test_a_nan_residual_fails_its_check(monkeypatch, name):
     check = checks.CHECKS[name]
     assert check(s)["passed"]
     module, attr, poison = NAN_KERNELS[name]
-    kernel, calls = getattr(module, attr), []
-
-    def poisoned(*args):
-        calls.append(None)
-        return poison(kernel(*args), len(calls) - 1)
-
-    monkeypatch.setattr(module, attr, poisoned)
+    kernel = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: poison(kernel(*args)))
     result = check(s)
     assert not result["passed"]
     assert any(np.isnan(v) for v in result.values() if isinstance(v, float))
@@ -151,3 +149,67 @@ def test_zt_riccati_holds_on_a_stiff_bath(omega, cutoff):
     s = plus_fock_scenario(BathSpec((BathMode(omega, 0.2),), fock_cutoff=cutoff), steps=10)
     result = checks.zt_riccati(s)
     assert result["passed"] and result["residual"] <= 1e-15
+
+
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+# the checks that take their samples a chunk at a time as stacks, by the
+# kernel each calls once per chunk
+STACKED = {"covariance": (checks, "covariance_residual"),
+           "zt_riccati": (riccati, "riccati_map"),
+           "st_diagonalization": (riccati, "s_frame_blocks")}
+
+
+def per_sample_measures(s):
+    """The measures of the STACKED checks with one kernel call per sample and
+    phase, the loops the checks ran before they took stacks."""
+    norm = linalg.frobenius_norm
+    rng = np.random.default_rng(checks.SEED)
+    draws = rng.uniform([-2, -2, 0.1, 0], [2, 2, 5, 20], (checks.COVARIANCE_SAMPLES, 4))
+    cov = []
+    for alpha, beta, omega, t in draws:
+        q = dynamics.QubitParams(alpha, beta, omega)
+        h = dynamics.hamiltonian_static(q, s.bath)
+        cov.append(dynamics.covariance_residual(q, h, t) / norm(h))
+    he, w, phases = checks.resonant_drive(s)
+    eye, zt, off, dev = np.eye(len(he)), [], [], []
+    for z in phases:
+        zt.append(norm(riccati.riccati_map(z * eye, he, np.conj(z) * w, he)) / max(norm(w), 1e-300))
+        tb = riccati.s_frame_blocks(riccati.periodic_blocks(he, w, z), z)
+        off.append(blockop.offdiag_norm(tb))
+        dev += [np.max(np.abs(tb[0, 0] - (he + w))), np.max(np.abs(tb[1, 1] - (he - w)))]
+    scale = max(2**0.5 * norm(np.concatenate((he, w))), 1e-300)
+    return {"covariance": {"residual": float(max(cov))}, "zt_riccati": {"residual": float(max(zt))},
+            "st_diagonalization": {"offdiag_residual": float(max(off) / scale),
+                                   "diag_deviation": float(max(dev) / scale)}}
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_stacked_checks_do_not_depend_on_the_chunk_size(monkeypatch, path):
+    # one sample per chunk, a few (with a short last chunk) and all in one
+    # chunk give the measures of the per-sample loop, bit for bit, with one
+    # kernel call per chunk
+    s = load_scenario(path).scenario
+    want, reports = per_sample_measures(s), {}
+    for budget in (1, 3 * 8 * s.bath.env_dim**2, 2**40):
+        monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", budget)
+        for name, (module, attr) in STACKED.items():
+            sizes = []
+
+            def recording(*args, kernel=getattr(module, attr)):
+                out = kernel(*args)
+                sizes.append(len(out))
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(module, attr, recording)
+                got = checks.CHECKS[name](s)
+            assert got["passed"]
+            assert repr({key: got[key] for key in want[name]}) == repr(want[name])
+            assert repr(reports.setdefault(name, got)) == repr(got)  # the whole report
+            assert sum(sizes) == 100 and all(k == sizes[0] for k in sizes[:-1])
+            if budget == 1:
+                assert sizes[0] == 1
+            elif budget == 2**40:
+                assert sizes == [100]
+            else:
+                assert 1 < sizes[0] and sizes[-1] == 100 % sizes[0]

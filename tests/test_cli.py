@@ -1394,7 +1394,8 @@ OVERFLOWING_H = {"qubit.beta": 1e308, "bath.modes.0.omega": 1e308}
               (["--method", "newton"], "newton iterate diverged at iteration 0"),
               (["--method", "subspace"], "not a solution graph: residual nan"))),
         *(("simulate", CLOSED_QUBIT, OVERFLOWING_H, ["--mode", mode], cli.EXIT_CHECK_FAILED,
-           "trajectory trace_dev reached nan") for mode in ("static_exact", "factored")),
+           "eigenphase w t keeps no digit: max|w| t_max eps reached nan")
+          for mode in ("static_exact", "factored")),
     ],
     ids=["verify_weyl_g", "verify_closed_qubit_g", "verify_riccati_spinboson_g",
          "riccati_weyl_alpha_beta", "sweep_static_phase", "sweep_stepped_alpha_1e308",

@@ -155,6 +155,24 @@ def test_rotating_hamiltonian_stack_is_its_one_time_slices(shape):
     assert hamiltonian_rotating(h, q.omega, float(ts.flat[-1])).shape == h.shape
 
 
+def test_stacked_samples_are_their_single_sample_calls(rng):
+    # the covariance check's chunk of samples is one stack per kernel; each
+    # slice is, bit for bit, the kernel's call on that one sample
+    bath = BathSpec((BathMode(1.5, 0.3), BathMode(0.7, -0.2)), fock_cutoff=2)
+    alpha, beta, omega, t = rng.uniform([-2, -2, 0.1, 0], [2, 2, 5, 20], (5, 4)).T
+    qs = QubitParams(alpha, beta, omega)
+    hs = hamiltonian_static(qs, bath)
+    stacks = (hs, frame_phases(omega, t), hamiltonian_rotating(hs, omega, t),
+              covariance_residual(qs, hs, t), frobenius_norm(hs))
+    for k in range(5):
+        q = QubitParams(alpha[k], beta[k], omega[k])
+        h = hamiltonian_static(q, bath)
+        singles = (h, frame_phases(omega[k], t[k]), hamiltonian_rotating(h, omega[k], t[k]),
+                   covariance_residual(q, h, t[k]), frobenius_norm(h))
+        for stack, single in zip(stacks, singles):
+            assert stack[k].tobytes() == np.asarray(single).tobytes()
+
+
 def test_covariance_residual_vanishes(rng):
     for _ in range(20):
         q = QubitParams(

@@ -210,3 +210,20 @@ def test_huge_entries_neither_overflow_the_norm_nor_pass_as_hermitian():
         warnings.simplefilter("error")
         assert frobenius_norm(a) == pytest.approx(np.sqrt(27.0) * 1e200, rel=1e-15)
         assert frobenius_norm(np.array([[np.inf, 1.0]])) == np.inf
+
+
+def test_norm_of_a_stack_is_that_of_each_matrix(rng):
+    # bit for bit, real or complex, and rescaled only where a matrix's sum of
+    # squares overflows, with no overflow warning
+    a = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
+    a[2] *= 1e200
+    a[3, 1, 2] = np.inf
+    a[4, 0, 0] = np.nan
+    for stack in (a, a.real.copy(), a[:1]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = frobenius_norm(stack)
+        want = np.array([frobenius_norm(m) for m in stack])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[np.isfinite(got)].tobytes() == want[np.isfinite(want)].tobytes()
+    assert np.isfinite(frobenius_norm(a)).tolist() == [True, True, True, False, False, True]

@@ -467,6 +467,21 @@ def test_block_level_phase_residual_is_that_of_periodic_bom(small_bath):
         assert blockwise == pytest.approx(full, rel=0.0, abs=1e-15 * frobenius_norm(w))
 
 
+def test_stacked_phases_are_their_single_phase_calls(small_bath):
+    # zt_riccati and st_diagonalization take a chunk of phases as one stack;
+    # each slice is, bit for bit, the kernel's call at that one phase
+    he, eye = small_bath.he, np.eye(small_bath.env_dim)
+    w = small_bath.v + 0.5 * eye
+    zs = np.exp(-2j * 0.3 * np.linspace(0.0, 7.9, 5))
+    bs, z3 = periodic_blocks(he, w, zs), zs[:, None, None]
+    stacks = (bs, s_frame_blocks(bs, zs), riccati_map(z3 * eye, he, np.conj(z3) * w, he))
+    for k, z in enumerate(zs):
+        b = periodic_blocks(he, w, z)
+        singles = (b, s_frame_blocks(b, z), riccati_map(z * eye, he, np.conj(z) * w, he))
+        for stack, single in zip(stacks, singles):
+            assert stack[k].tobytes() == single.tobytes()
+
+
 def test_drive_frame_unitary(small_bath):
     n = 2 * small_bath.env_dim
     s = s_frame_unitary(alpha=0.3, t=2.1, n=small_bath.env_dim)
